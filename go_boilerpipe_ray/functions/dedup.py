@@ -1340,7 +1340,7 @@ SELECT node AS doc_id, min(label) AS component FROM reach GROUP BY node
 DBSCAN_MINPTS = 2  # core = at least this many hamming-<=3 neighbors
 
 
-def _dbscan_fold_kernel(batch: pa.Table, minpts: int) -> pa.Table:
+def _dbscan_fold_kernel(batch: pa.Table) -> pa.Table:
     """In-memory DBSCAN over ONE gathered pair table — the small-graph
     arm of dedup_dbscan_clusters' volume router.  Fully vectorized:
     degrees by bincount over dense node indices, core-core components
@@ -1361,7 +1361,7 @@ def _dbscan_fold_kernel(batch: pa.Table, minpts: int) -> pa.Table:
     ai = np.searchsorted(ids, a)
     bi = np.searchsorted(ids, b)
     deg = np.bincount(np.concatenate([ai, bi]), minlength=len(ids))
-    is_core = deg >= minpts
+    is_core = deg >= DBSCAN_MINPTS
     cc = is_core[ai] & is_core[bi]
     comp = _cc_fold_kernel(
         pa.table(
@@ -1404,7 +1404,6 @@ def _dbscan_fold_kernel(batch: pa.Table, minpts: int) -> pa.Table:
 
 def dedup_dbscan_clusters(
     sf_dir: str,
-    minpts: int = DBSCAN_MINPTS,
     small_pair_limit: int = 2_000_000,
 ) -> "ray.data.Dataset":
     """Density-guarded duplicate clusters: DBSCAN semantics over the
@@ -1416,17 +1415,19 @@ def dedup_dbscan_clusters(
     a~b and b~c but a is far from c still collapse into one cluster,
     and on web corpora one promiscuous near-boilerplate page chains
     thousands of unrelated docs together.  The density guard breaks
-    those bridges: only CORE docs (>= ``minpts`` neighbors) propagate
-    cluster membership; degree-1 chain links become border points that
-    attach to exactly one cluster and connect nothing.
+    those bridges: only CORE docs (>= ``DBSCAN_MINPTS`` neighbors)
+    propagate cluster membership; degree-1 chain links become border
+    points that attach to exactly one cluster and connect nothing.
 
     Semantics (deterministic DBSCAN variant): core iff
-    |N(v)| >= minpts; clusters = connected components of the
-    core-core edge subgraph, labelled by min core doc_id; border =
-    non-core doc with >= 1 core neighbor, assigned min cluster label
-    among its core neighbors (textbook DBSCAN is first-come
-    order-dependent here — min-label is the order-free choice, and
-    the oracle mirrors it); everything else is noise and is omitted.
+    |N(v)| >= DBSCAN_MINPTS, a constant rather than a parameter because
+    the SQL oracle bakes it in when this module loads; clusters =
+    connected components of the core-core edge subgraph, labelled by
+    min core doc_id; border = non-core doc with >= 1 core neighbor,
+    assigned min cluster label among its core neighbors (textbook
+    DBSCAN is first-come order-dependent here — min-label is the
+    order-free choice, and the oracle mirrors it); everything else is
+    noise and is omitted.
     Output: (doc_id, cluster, role in {core, border}).
 
     Scale shape — VOLUME ROUTER, same precedent as
@@ -1455,7 +1456,6 @@ def dedup_dbscan_clusters(
     if int(pairs.count()) <= small_pair_limit:
         return pairs.repartition(1).map_batches(
             _dbscan_fold_kernel,
-            fn_kwargs={"minpts": minpts},
             batch_format="pyarrow",
             batch_size=None,  # the whole (single) block in one call
             zero_copy_batch=True,
@@ -1470,7 +1470,7 @@ def dedup_dbscan_clusters(
         cnt = batch.column("count()").to_numpy(zero_copy_only=False)
         nodes = pc.cast(batch.column("node"), pa.int64()).to_numpy(
             zero_copy_only=False
-        )[cnt >= minpts]
+        )[cnt >= DBSCAN_MINPTS]
         return pa.table(
             {
                 "node": pa.array(nodes, pa.int64()),

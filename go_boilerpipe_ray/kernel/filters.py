@@ -370,54 +370,49 @@ class BlockProximityFusion(Filter):
         self.same_tag_level_only = same_tag_level_only
 
     def process(self, doc: Document) -> bool:
+        # One forward pass: each maximal run of blocks that would merge
+        # into prev_block is collected and folded with one merge_run, and
+        # the survivors are written back in place (callers hold the list).
+        # Deferring the fold is exact: a merge never changes the
+        # prev_block fields the merge test reads (content_only merges only
+        # into content blocks; same_tag_level_only only at equal levels).
         blocks = doc.text_blocks
         if len(blocks) < 2:
             return False
 
-        has_changed = False
-        prev_block: TextBlock | None = None
-        start_block = 0
-
+        start_block = 1
         if self.content_only:
-            for tb in blocks:
-                start_block += 1
+            for start_block, tb in enumerate(blocks, 1):
                 if tb.is_content:
-                    prev_block = tb
                     break
-            if prev_block is None:
+            else:
                 return False
-        else:
-            prev_block = blocks[0]
-            start_block = 1
 
-        i = start_block
-        while i < len(blocks):
-            tb = blocks[i]
-            if not tb.is_content:
-                prev_block = tb
-                i += 1
-                continue
-
+        out = blocks[:start_block]
+        prev_block = out[-1]
+        run: list[TextBlock] = []
+        for tb in blocks[start_block:]:
             # [Q] distance computed from the same block's own offsets —
             # always -1, so the check always passes (filter.go:362).
-            diff_blocks = tb.offset_blocks_start - tb.offset_blocks_end - 1
-            if diff_blocks <= self.max_blocks_distance:
-                merge = True
-                if self.content_only and (not prev_block.is_content or not tb.is_content):
-                    merge = False
-                if merge and self.same_tag_level_only and prev_block.tag_level != tb.tag_level:
-                    merge = False
-                if merge:
-                    prev_block.merge_next(tb)
-                    del blocks[i]
-                    has_changed = True
-                    continue  # do not advance i
-                prev_block = tb
-            else:
-                prev_block = tb
-            i += 1
-
-        return has_changed
+            if (
+                tb.is_content
+                and tb.offset_blocks_start - tb.offset_blocks_end - 1 <= self.max_blocks_distance
+                and (prev_block.is_content or not self.content_only)
+                and (prev_block.tag_level == tb.tag_level or not self.same_tag_level_only)
+            ):
+                run.append(tb)
+                continue
+            if run:
+                prev_block.merge_run(run)
+                run = []
+            out.append(tb)
+            prev_block = tb
+        if run:
+            prev_block.merge_run(run)
+        if len(out) == len(blocks):
+            return False
+        blocks[:] = out
+        return True
 
 
 def block_proximity_fusion_max_distance_one() -> Filter:
@@ -441,16 +436,11 @@ class BoilerplateBlock(Filter):
 
     def process(self, doc: Document) -> bool:
         blocks = doc.text_blocks
-        has_changed = False
-        i = 0
-        while i < len(blocks):
-            tb = blocks[i]
-            if not tb.is_content and not tb.has_label(Label.TITLE):
-                del blocks[i]
-                has_changed = True
-            else:
-                i += 1
-        return has_changed
+        kept = [tb for tb in blocks if tb.is_content or tb.has_label(Label.TITLE)]
+        if len(kept) == len(blocks):
+            return False
+        blocks[:] = kept
+        return True
 
 
 # ---------------------------------------------------------------------------

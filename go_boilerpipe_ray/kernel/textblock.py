@@ -96,22 +96,30 @@ class TextBlock:
         return list(self.label_map)
 
     def merge_next(self, nxt: "TextBlock") -> None:
-        # textblock.go:131-166 — '\n' join, min/max offsets, summed counts,
-        # OR'd is_content, count-merged labels, min tag level.
-        self.text = self.text + "\n" + nxt.text
-        self.offset_blocks_start = min(
-            self.offset_blocks_start, nxt.offset_blocks_start
-        )
-        self.offset_blocks_end = max(self.offset_blocks_end, nxt.offset_blocks_end)
-        self.num_words += nxt.num_words
-        self.num_linked_words += nxt.num_linked_words
-        self.num_words_in_wrapped_lines += nxt.num_words_in_wrapped_lines
-        self.num_wrapped_lines += nxt.num_wrapped_lines
-        self.is_content = self.is_content or nxt.is_content
-        for label, count in nxt.label_map.items():
-            self.label_map[label] = self.label_map.get(label, 0) + count
-        self.tag_level = min(self.tag_level, nxt.tag_level)
-        self.src_end = max(self.src_end, nxt.src_end)
+        self.merge_run((nxt,))
+
+    def merge_run(self, run: "list[TextBlock] | tuple[TextBlock, ...]") -> None:
+        # textblock.go:131-166 applied to each block of the run in order —
+        # '\n' join, min/max offsets, summed counts, OR'd is_content,
+        # count-merged labels, min tag level.  The texts are joined once,
+        # so a run costs O(total text), not O(len(run) * text).
+        texts = [self.text]
+        for nxt in run:
+            texts.append(nxt.text)
+            self.offset_blocks_start = min(
+                self.offset_blocks_start, nxt.offset_blocks_start
+            )
+            self.offset_blocks_end = max(self.offset_blocks_end, nxt.offset_blocks_end)
+            self.num_words += nxt.num_words
+            self.num_linked_words += nxt.num_linked_words
+            self.num_words_in_wrapped_lines += nxt.num_words_in_wrapped_lines
+            self.num_wrapped_lines += nxt.num_wrapped_lines
+            self.is_content = self.is_content or nxt.is_content
+            for label, count in nxt.label_map.items():
+                self.label_map[label] = self.label_map.get(label, 0) + count
+            self.tag_level = min(self.tag_level, nxt.tag_level)
+            self.src_end = max(self.src_end, nxt.src_end)
+        self.text = "\n".join(texts)
 
     def link_density(self) -> float:
         if self.num_words == 0:

@@ -2,7 +2,7 @@
 
 The hot path is a single narrow actor-pool ``map_batches`` (no shuffle);
 the only wide operations are the optional explicit ``repartition`` after
-read and the sharded-ingest ``groupby("doc_id")`` reassembly path.  Design
+read and the sharded-ingest reassembly shuffle on a doc_id hash.  Design
 notes for 100 TB scale are inline.
 """
 
@@ -224,11 +224,22 @@ def reassemble_and_extract(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     """Sharded-ingest path: input rows carry *fragments* of a document's
     span list (same doc_id on multiple rows).  One shuffle keyed on
     blake2(doc_id) % P co-locates fragments; extraction then runs once
-    per PARTITION over a multi-document batch (doc_id is a string — the
-    int-keyed shuffle also avoids sorting strings)."""
+    per output block over a multi-document batch (doc_id is a string —
+    the int-keyed shuffle also avoids sorting strings).
+
+    The shuffle range-partitions pk into R = min(P, 2 × cluster CPUs)
+    blocks at fixed boundaries.  pk is a uniform hash, so equal ranges are
+    what a sampled sort would estimate, without its sampling tasks; and
+    every document lands in the same block on every run, so the
+    per-block kernel work and the job's wall time repeat.  ``add_pk``
+    takes DEFAULT_BATCH_SIZE rows per task, which bundles the ~1 MB blocks
+    a small input is read into, so the shuffle's map tasks (one per input
+    block) stay few: on a short job, per-task overhead is the part of the
+    wall time that swings with the load on a shared host."""
     from ..functions._util import blake2_u63, wide_partitions
 
     P = wide_partitions()
+    R = min(P, wide_partitions(floor=1))
 
     def add_pk(batch: pa.Table) -> pa.Table:
         h = blake2_u63(batch.column("doc_id").to_pylist())
@@ -237,7 +248,12 @@ def reassemble_and_extract(ds: "ray.data.Dataset") -> "ray.data.Dataset":
         )
 
     return (
-        ds.map_batches(add_pk, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("pk")
-        .map_groups(_reassemble_part, batch_format="pyarrow")
+        ds.map_batches(
+            add_pk,
+            batch_format="pyarrow",
+            zero_copy_batch=True,
+            batch_size=DEFAULT_BATCH_SIZE,
+        )
+        .sort("pk", boundaries=[P * i // R for i in range(1, R)])
+        .map_batches(_reassemble_part, batch_format="pyarrow", batch_size=None)
     )

@@ -596,3 +596,188 @@ def test_heavy_hitters_candidate_completeness_law(users, k_chunks, k):
         if f > total // (k + 1):  # the provable-nomination regime
             assert est.get(x, 0) + slack > f - 1  # x is present & nominated
             assert x in est  # never evicted from every block
+
+
+# -- single-pass block fusion / drop vs the original per-block walk ------
+#
+# BlockProximityFusion and BoilerplateBlock fold each merge run with one
+# join and rebuild the list in one pass.  These are literal copies of the
+# original walks (one merge_next plus one ``del blocks[i]`` per merge);
+# the rewrite must leave every block slot, the changed flag and the list
+# object itself exactly as they did.
+
+
+def _merge_next_reference(self, nxt):
+    self.text = self.text + "\n" + nxt.text
+    self.offset_blocks_start = min(
+        self.offset_blocks_start, nxt.offset_blocks_start
+    )
+    self.offset_blocks_end = max(self.offset_blocks_end, nxt.offset_blocks_end)
+    self.num_words += nxt.num_words
+    self.num_linked_words += nxt.num_linked_words
+    self.num_words_in_wrapped_lines += nxt.num_words_in_wrapped_lines
+    self.num_wrapped_lines += nxt.num_wrapped_lines
+    self.is_content = self.is_content or nxt.is_content
+    for label, count in nxt.label_map.items():
+        self.label_map[label] = self.label_map.get(label, 0) + count
+    self.tag_level = min(self.tag_level, nxt.tag_level)
+    self.src_end = max(self.src_end, nxt.src_end)
+
+
+def _fusion_reference(f, doc):
+    blocks = doc.text_blocks
+    if len(blocks) < 2:
+        return False
+
+    has_changed = False
+    prev_block = None
+    start_block = 0
+
+    if f.content_only:
+        for tb in blocks:
+            start_block += 1
+            if tb.is_content:
+                prev_block = tb
+                break
+        if prev_block is None:
+            return False
+    else:
+        prev_block = blocks[0]
+        start_block = 1
+
+    i = start_block
+    while i < len(blocks):
+        tb = blocks[i]
+        if not tb.is_content:
+            prev_block = tb
+            i += 1
+            continue
+
+        diff_blocks = tb.offset_blocks_start - tb.offset_blocks_end - 1
+        if diff_blocks <= f.max_blocks_distance:
+            merge = True
+            if f.content_only and (not prev_block.is_content or not tb.is_content):
+                merge = False
+            if merge and f.same_tag_level_only and prev_block.tag_level != tb.tag_level:
+                merge = False
+            if merge:
+                _merge_next_reference(prev_block, tb)
+                del blocks[i]
+                has_changed = True
+                continue
+            prev_block = tb
+        else:
+            prev_block = tb
+        i += 1
+
+    return has_changed
+
+
+def _boilerplate_reference(doc):
+    from go_boilerpipe_ray.kernel.textblock import Label
+
+    blocks = doc.text_blocks
+    has_changed = False
+    i = 0
+    while i < len(blocks):
+        tb = blocks[i]
+        if not tb.is_content and not tb.has_label(Label.TITLE):
+            del blocks[i]
+            has_changed = True
+        else:
+            i += 1
+    return has_changed
+
+
+def _block_fields():
+    from go_boilerpipe_ray.kernel.textblock import Label
+
+    small = st.integers(min_value=-3, max_value=3)
+    count = st.integers(min_value=0, max_value=40)
+    return st.fixed_dictionaries(
+        {
+            "text": st.text(alphabet=list("ab \n<>&é漢⁣😀"), max_size=6),
+            "offset_blocks_start": small,
+            "offset_blocks_end": small,
+            "num_words": count,
+            "num_linked_words": count,
+            "num_words_in_wrapped_lines": count,
+            "num_wrapped_lines": st.integers(min_value=1, max_value=5),
+            "tag_level": st.integers(min_value=0, max_value=2),
+            "is_content": st.booleans(),
+            "label_map": st.dictionaries(
+                st.sampled_from(list(Label)), st.integers(min_value=1, max_value=3), max_size=3
+            ),
+            "src_end": st.integers(min_value=-1, max_value=50),
+        }
+    )
+
+
+def _doc_from(rows):
+    from go_boilerpipe_ray.kernel.document import Document
+    from go_boilerpipe_ray.kernel.textblock import TextBlock
+
+    doc = Document()
+    for row in rows:
+        tb = TextBlock()
+        for name, value in row.items():
+            setattr(tb, name, dict(value) if name == "label_map" else value)
+        doc.text_blocks.append(tb)
+    return doc
+
+
+def _block_state(doc):
+    from go_boilerpipe_ray.kernel.textblock import TextBlock
+
+    return [
+        tuple(
+            list(tb.label_map.items()) if s == "label_map" else getattr(tb, s)
+            for s in TextBlock.__slots__
+        )
+        for tb in doc.text_blocks
+    ]
+
+
+_FUSION_AND_DROP = [
+    "BlockProximityFusionMaxDistanceOne",
+    "BlockProximityFusionMaxDistanceOneSameTagLevel",
+    "BlockProximityFusionMaxDistanceOneContentOnly",
+    "BlockProximityFusionMaxDistanceOneContentOnlySameTagLevel",
+    "BoilerplateBlock",
+]
+
+
+@given(st.lists(_block_fields(), max_size=12), st.sampled_from(_FUSION_AND_DROP))
+@settings(max_examples=600, deadline=None)
+def test_fusion_and_drop_match_per_block_walk(rows, name):
+    from go_boilerpipe_ray.kernel.filters import FILTER_REGISTRY
+
+    f = FILTER_REGISTRY[name]()
+    want_doc, got_doc = _doc_from(rows), _doc_from(rows)
+    want_pos = {id(tb): i for i, tb in enumerate(want_doc.text_blocks)}
+    got_pos = {id(tb): i for i, tb in enumerate(got_doc.text_blocks)}
+    if name == "BoilerplateBlock":
+        want_changed = _boilerplate_reference(want_doc)
+    else:
+        want_changed = _fusion_reference(f, want_doc)
+    held = got_doc.text_blocks
+    got_changed = f.process(got_doc)
+    assert got_changed is want_changed
+    assert got_doc.text_blocks is held
+    assert [got_pos[id(tb)] for tb in got_doc.text_blocks] == [
+        want_pos[id(tb)] for tb in want_doc.text_blocks
+    ]
+    assert _block_state(got_doc) == _block_state(want_doc)
+
+
+@given(st.lists(_block_fields(), min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_merge_next_matches_original(rows):
+    want_doc, got_doc = _doc_from(rows), _doc_from(rows)
+    want, *want_rest = want_doc.text_blocks
+    got, *got_rest = got_doc.text_blocks
+    for nxt in want_rest:
+        _merge_next_reference(want, nxt)
+    for nxt in got_rest:
+        got.merge_next(nxt)
+    assert _block_state(got_doc) == _block_state(want_doc)

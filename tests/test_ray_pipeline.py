@@ -94,7 +94,7 @@ def test_size_router_paths_equal(corpus_paths):
 
 def test_sharded_fragments_reassemble(corpus_paths, tmp_path):
     # Split each doc's span list across 3 rows (fragments out of order);
-    # groupby(doc_id) must reassemble to the same result.
+    # the doc_id-hash shuffle must reassemble them to the same result.
     _, table = corpus_paths["f3"]
     rows = []
     for doc_id, spans in zip(
@@ -110,6 +110,61 @@ def test_sharded_fragments_reassemble(corpus_paths, tmp_path):
 
     ds = reassemble_and_extract(read_spans(p))
     _assert_matches(_collect(ds), _expected(table))
+
+
+def test_reassembly_blocks_are_fixed_pk_ranges(ray_session, tmp_path):
+    # Each output block of the reassembly shuffle holds the documents of
+    # one fixed range of pk = blake2(doc_id) % P, the same on every run;
+    # ranges with no document (most of them, for one document) yield no
+    # row and no error.
+    import bisect
+
+    import ray
+
+    from go_boilerpipe_ray.functions._util import blake2_u63, wide_partitions
+    from go_boilerpipe_ray.sources.fixtures import synthetic_spans_for_document
+
+    text = "spark merge filter window batch stream value column " * 20
+    doc_ids = [f"syn-{i:06d}" for i in range(24)]
+    table = spans_table(
+        [(d, synthetic_spans_for_document(i, text)) for i, d in enumerate(doc_ids)]
+    )
+    rows = [
+        (doc_id, spans[k::2])
+        for doc_id, spans in zip(doc_ids, table.column("spans").to_pylist())
+        for k in (1, 0)
+        if spans[k::2]
+    ]
+    p = os.path.join(tmp_path, "frags.parquet")
+    pq.write_table(spans_table(rows), p)
+
+    P = wide_partitions()
+    R = min(P, wide_partitions(floor=1))
+    bounds = [P * i // R for i in range(1, R)]
+    range_of = {
+        d: bisect.bisect_right(bounds, int(pk))
+        for d, pk in zip(doc_ids, blake2_u63(doc_ids) % P)
+    }
+
+    def layout():
+        ds = reassemble_and_extract(read_spans(p)).materialize()
+        blocks = [ray.get(ref).column("doc_id").to_pylist() for ref in ds.to_arrow_refs()]
+        return sorted(sorted(b) for b in blocks if b)
+
+    first = layout()
+    assert sorted(d for b in first for d in b) == doc_ids
+    assert len(first) == len(set(range_of.values())) > 1
+    for block in first:
+        assert len({range_of[d] for d in block}) == 1, block
+    assert layout() == first
+    ds = reassemble_and_extract(read_spans(p))
+    _assert_matches(_collect(ds), _expected(table))
+
+    one = os.path.join(tmp_path, "one.parquet")
+    pq.write_table(spans_table([r for r in rows if r[0] == doc_ids[0]]), one)
+    _assert_matches(
+        _collect(reassemble_and_extract(read_spans(one))), _expected(table.slice(0, 1))
+    )
 
 
 def test_giant_doc_size_router(ray_session, tmp_path):
