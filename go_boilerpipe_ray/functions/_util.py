@@ -3,14 +3,6 @@
 from __future__ import annotations
 
 
-def default_pool() -> int:
-    """Fixed actor-pool size at 75% of cluster CPUs (see
-    pipelines.article._default_concurrency for the rationale)."""
-    from ..pipelines.article import _default_concurrency
-
-    return _default_concurrency()
-
-
 def _strip_schema_metadata(batch):
     return batch.replace_schema_metadata(None)
 

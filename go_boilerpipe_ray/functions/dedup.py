@@ -333,8 +333,6 @@ WHERE c * 1.0 / (sa.n + sb.n - c) >= 0.8
 
 # -- MinHash + LSH -----------------------------------------------------------
 
-_MERSENNE = (1 << 61) - 1
-
 # Shared token-CRC memo for MinHash signatures (bounded, per process).
 class MinHasher:
     """Stateful stage: the permutation coefficients are built once per

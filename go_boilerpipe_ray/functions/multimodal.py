@@ -17,17 +17,6 @@ import pyarrow as pa
 
 import ray.data
 
-MEDIA_SCHEMA = pa.schema(
-    [
-        ("media_ref", pa.string()),
-        ("kind", pa.string()),
-        ("payload", pa.binary()),
-        ("meta_width", pa.int32()),
-        ("meta_height", pa.int32()),
-    ]
-)
-
-
 def synth_media_table(n: int, payload_bytes: int = 4096, seed: int = 42) -> pa.Table:
     """Deterministic fake media corpus: opaque binary blobs with typed
     metadata columns."""

@@ -443,26 +443,6 @@ FROM c
 _BENCH_MOD, _BENCH_RESIDUE = 97, 13
 
 
-def _shingle_hash_set(toks: list, k: int) -> set:
-    """Distinct polynomial k-gram hashes of ONE token list (the same
-    hash _util.batch_window_hashes computes batch-wide; kept for tests
-    and small helpers — hot stages use the batch form).  The SQL
-    oracles compare string shingles, we compare 63-bit hashes —
-    identical counts absent collisions."""
-    from ._util import GRAM_BASE, blake2_u63
-
-    if len(toks) < k:
-        return set()
-    h = blake2_u63(toks).astype(np.uint64)
-    with np.errstate(over="ignore"):
-        pows = np.ones(k, np.uint64)
-        for j in range(1, k):
-            pows[j] = pows[j - 1] * np.uint64(GRAM_BASE)
-        wins = np.lib.stride_tricks.sliding_window_view(h, k)
-        H = (wins * pows).sum(axis=1, dtype=np.uint64) >> np.uint64(1)
-    return set(H.astype(np.int64).tolist())
-
-
 def contamination_check(sf_dir: str, k: int = 3) -> "ray.data.Dataset":
     """Decontamination: score every training document by its k-gram
     overlap with a held-out benchmark slice (doc_id % 97 == 13).

@@ -72,12 +72,11 @@ class Pipeline(Filter):
 
 class LoggingPipeline(Filter):
     """Snapshot wrapper mirroring cmd/boilerpipe/serve.go:172-204: records
-    (filter name, has_changed, n_blocks) after each filter — the engine's
-    per-row lineage column.  With ``snapshot_blocks=True`` it also keeps
+    (filter name, has_changed, n_blocks) after each filter — the CLI's
+    ``extract --lineage`` log.  With ``snapshot_blocks=True`` it also keeps
     each filter's post-state block texts (serve.go's extract template
     renders these in the per-filter accordion, one card per TextBlock);
-    off by default — the full snapshots are strictly a debug-UI payload
-    and would bloat the lineage column in distributed runs."""
+    off by default — the full snapshots are strictly a debug-UI payload."""
 
     def __init__(self, pipeline: Pipeline, snapshot_blocks: bool = False):
         self.name = "Logging" + pipeline.name
@@ -651,13 +650,3 @@ FILTER_REGISTRY: dict[str, type[Filter] | object] = {
     "LargeBlockSameTagLevelToContent": LargeBlockSameTagLevelToContent,
     "ListAtEnd": ListAtEnd,
 }
-
-
-def build_pipeline(names: list[str], pipeline_name: str = "Custom") -> Pipeline:
-    """Pipeline-as-list-of-names config: custom filters slot into the kernel
-    without new Ray stages (engine extension surface, SURVEY §2.F)."""
-    filters = []
-    for name in names:
-        factory = FILTER_REGISTRY[name]
-        filters.append(factory() if callable(factory) else factory)
-    return Pipeline(pipeline_name, filters)

@@ -62,8 +62,6 @@ _PUNCT_GLUE = frozenset("\"'.,!@-:;$?()/")
 _RE_SEP_NEAR_PUNCT = re.compile(
     "[⁣]+(?=[\"'.,!@\\-:;$?()/])|(?<=[\"'.,!@\\-:;$?()/])[⁣]+"
 )
-_RE_INVISIBLE_SEPARATOR = re.compile("[⁣]+")
-_RE_SPACE = re.compile("[ ]+")
 _RE_SEP_OR_SPACE = re.compile("[⁣ ]+")
 _RE_VALID_WORD_CHARACTER = _regex.compile(r"[\p{L}\p{Nd}\p{Nl}\p{No}]")
 

@@ -18,7 +18,7 @@ import datetime as _dt
 from dataclasses import dataclass, field
 
 from .document import escape_string, parse_document
-from .filters import LoggingPipeline, Pipeline, article_pipeline
+from .filters import article_pipeline
 
 # The article filter chain is configuration-only after construction (no
 # per-document state), so the default pipeline is built once per process
@@ -39,14 +39,9 @@ class ExtractResult:
     words_in: int = 0
     words_kept: int = 0
     error: str = ""
-    lineage: list[tuple[str, bool, int]] | None = None
 
 
-def extract_from_spans(
-    spans: list[dict],
-    pipeline: Pipeline | None = None,
-    with_lineage: bool = False,
-) -> ExtractResult:
+def extract_from_spans(spans: list[dict]) -> ExtractResult:
     """Extract one document from its (possibly unsorted) span list."""
     res = ExtractResult()
     try:
@@ -80,14 +75,9 @@ def extract_from_spans(
 
     try:
         doc = parse_document(html)
-        pipe = pipeline if pipeline is not None else _DEFAULT_PIPELINE
-        if with_lineage:
-            pipe = LoggingPipeline(pipe)
         res.n_blocks_in = len(doc.text_blocks)
         res.words_in = sum(tb.num_words for tb in doc.text_blocks)
-        pipe.process(doc)
-        if with_lineage:
-            res.lineage = pipe.log
+        _DEFAULT_PIPELINE.process(doc)
         res.title = doc.title
         res.author = doc.author
         res.date = doc.date

@@ -1,9 +1,11 @@
 """End-to-end extraction pipelines, Ray-Data-first.
 
-The hot path is a single narrow actor-pool ``map_batches`` (no shuffle);
-the only wide operations are the optional explicit ``repartition`` after
-read and the sharded-ingest reassembly shuffle on a doc_id hash.  Design
-notes for 100 TB scale are inline.
+One extraction stage, ``ExtractDocuments``, runs in one of two compute
+strategies: whole-document rows go through a narrow actor-pool
+``map_batches`` (``extract_dataset``, no shuffle); fragment rows are
+co-located by a fixed-range sort on a doc_id hash and extracted inside the
+sort's output tasks (``reassemble_and_extract``).  Design notes for 100 TB
+scale are inline.
 """
 
 from __future__ import annotations
@@ -12,16 +14,16 @@ import pyarrow as pa
 
 import ray.data
 
-from ..stages.extract import ExtractDocuments, SizeRoutedExtract, add_doc_bytes
+from ..stages.extract import ExtractDocuments
 
 # Defaults sized so that batch_size × avg doc size stays in the tens of MB
-# per task (256 × ~50 KB ≈ 13 MB of HTML per call); giant docs are
-# dispatched row-at-a-time by the size router.  256 measured faster than
-# 128 in four of four interleaved fresh-process draws on the bench corpus
-# (8-45%: fewer per-call Arrow assembly/slice overheads per doc); 512 was
-# a wash — keep 256 for the smaller memory envelope.
+# per task (256 × ~50 KB ≈ 13 MB of HTML per call); a batch holding a
+# giant document costs that document's extraction time, since the kernel
+# is per-document either way.  256 measured faster than 128 in four of
+# four interleaved fresh-process draws on the bench corpus (8-45%: fewer
+# per-call Arrow assembly/slice overheads per doc); 512 was a wash — keep
+# 256 for the smaller memory envelope.
 DEFAULT_BATCH_SIZE = 256
-DEFAULT_GIANT_THRESHOLD = 4 << 20  # 4 MiB of HTML in one row
 
 
 def read_spans(path: str, parallelism: int | None = None) -> "ray.data.Dataset":
@@ -124,55 +126,17 @@ def extract_dataset(
     *,
     concurrency: int | tuple[int, int] | None = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    with_lineage: bool = False,
-    pipeline_names: list[str] | None = None,
 ) -> "ray.data.Dataset":
     """The narrow hot path: actor-pool map_batches over zero-copy Arrow."""
     if concurrency is None:
         concurrency = _default_concurrency()
     return ds.map_batches(
         ExtractDocuments,
-        fn_constructor_kwargs={
-            "pipeline_names": pipeline_names,
-            "with_lineage": with_lineage,
-        },
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=batch_size,
         concurrency=concurrency,
     )
-
-
-def extract_with_size_router(
-    ds: "ray.data.Dataset",
-    *,
-    threshold: int = DEFAULT_GIANT_THRESHOLD,
-    concurrency: int | tuple[int, int] | None = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-) -> "ray.data.Dataset":
-    """Skew mitigation with a SINGLE scan: tag rows once with their HTML
-    byte size, then one actor-pool stage (``SizeRoutedExtract``) whose
-    ``__call__`` dispatches internally — small rows in one vector pass,
-    giant rows one at a time.  One ReadParquet in the plan; the former
-    two-filter-branch design re-executed the read per branch (2× scan
-    cost at 100 TB).  A giant doc still costs its extraction time inside
-    its batch's task, but the kernel is per-document either way — the
-    routing exists to bound per-call memory, which the internal slice
-    preserves."""
-    sized = ds.map_batches(add_doc_bytes, batch_format="pyarrow", zero_copy_batch=True)
-    if concurrency is None:
-        concurrency = _default_concurrency()
-    return sized.map_batches(
-        SizeRoutedExtract,
-        fn_constructor_kwargs={"threshold": threshold},
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
-
-
-_REASSEMBLE_EXTRACTOR: ExtractDocuments | None = None
 
 
 def _reassemble_part(part: pa.Table) -> pa.Table:
@@ -193,12 +157,9 @@ def _reassemble_part(part: pa.Table) -> pa.Table:
     import numpy as np
     import pyarrow.compute as pc
 
-    global _REASSEMBLE_EXTRACTOR
-    if _REASSEMBLE_EXTRACTOR is None:
-        _REASSEMBLE_EXTRACTOR = ExtractDocuments()
     spans_type = part.schema.field("spans").type
     if part.num_rows == 0:
-        return _REASSEMBLE_EXTRACTOR(part.select(["doc_id", "spans"]))
+        return ExtractDocuments()(part.select(["doc_id", "spans"]))
     ids = part.column("doc_id").combine_chunks()
     spans = part.column("spans").combine_chunks()
     codes = pc.dictionary_encode(ids).indices.to_numpy(zero_copy_only=False)
@@ -217,7 +178,7 @@ def _reassemble_part(part: pa.Table) -> pa.Table:
     batch = pa.table(
         {"doc_id": ids.take(pa.array(starts, pa.int64())), "spans": regrouped}
     )
-    return _REASSEMBLE_EXTRACTOR(batch)
+    return ExtractDocuments()(batch)
 
 
 def reassemble_and_extract(ds: "ray.data.Dataset") -> "ray.data.Dataset":

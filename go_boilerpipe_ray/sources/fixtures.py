@@ -64,43 +64,82 @@ def split_chunks(text: str, k: int) -> list[str]:
     return [text[bounds[i] : bounds[i + 1]] for i in range(k)]
 
 
-# -- F1/F2/F3: golden corpus ------------------------------------------------
+# -- F1/F2/F3: golden corpus and its offline stand-in -----------------------
 
 
 def golden_rows(reference_dir: str = "/root/reference") -> list[tuple[str, str]]:
+    """The reference's 7 golden pages as (doc_id, html) rows."""
+    testdata = os.path.join(reference_dir, "testdata")
+    if not os.path.isdir(testdata):
+        raise FileNotFoundError(f"reference corpus absent at {reference_dir}")
     rows = []
     for i in range(7):
-        path = os.path.join(reference_dir, "testdata", f"{i}.html")
+        path = os.path.join(testdata, f"{i}.html")
         rows.append((f"golden-{i}", open(path, encoding="utf-8").read()))
     return rows
 
 
-def golden7_table(reference_dir: str = "/root/reference") -> pa.Table:
-    return spans_table(
-        [(d, [text_span(h, 0)]) for d, h in golden_rows(reference_dir)]
-    )
+_CJK_ZH = (
+    "数据 处理 引擎 从 网页 中 提取 正文 内容 ， 并 去除 导航 、 广告 和 页脚 。 "
+    "每 个 文本 块 都 有 词数 与 链接 密度 两 个 特征 ， 过滤 器 据此 判断 "
+    "它 是否 属于 文章 主体 。 "
+) * 12
+_CJK_JA = (
+    "この エンジン は ウェブ ページ から 本文 を 抽出 し 、 ナビゲーション "
+    "や 広告 や フッター を 取り除き ます 。 各 テキスト ブロック の 単語 数 "
+    "と リンク 密度 を 使って 判定 し ます 。 "
+) * 12
+_LATIN = (
+    "spark merge filter window batch stream value column partition shuffle "
+    "actor task block schema arrow table reader writer kernel extract "
+)
+
+
+def synthetic7_rows() -> list[tuple[str, str]]:
+    """Seven generated article pages standing in for the golden corpus
+    when the reference checkout is absent: pages 2 and 5 have CJK body
+    text, page 4 repeats its body 50 times, and page 0 carries ld+json
+    metadata (``html_for_document`` adds it to every 7th doc id)."""
+    texts = [
+        _LATIN * 8,
+        (_LATIN[::-1] + " ") * 5,
+        _CJK_ZH,
+        " ".join(reversed(_LATIN.split())) * 10,
+        _LATIN * 3,
+        _CJK_JA,
+        "short page with only a handful of words in its body",
+    ]
+    return [
+        (f"synthetic-{i}", html_for_document(i, text, repeat=50 if i == 4 else 1))
+        for i, text in enumerate(texts)
+    ]
+
+
+def golden7_table(rows: list[tuple[str, str]] | None = None) -> pa.Table:
+    """One text span per page; ``rows`` defaults to ``golden_rows()``."""
+    return spans_table([(d, [text_span(h, 0)]) for d, h in rows or golden_rows()])
 
 
 def golden7_chunked_table(
-    k: int, reverse: bool = False, reference_dir: str = "/root/reference"
+    k: int, reverse: bool = False, rows: list[tuple[str, str]] | None = None
 ) -> pa.Table:
-    rows = []
-    for doc_id, html in golden_rows(reference_dir):
+    out = []
+    for doc_id, html in rows or golden_rows():
         chunks = split_chunks(html, k)
         spans = [text_span(c, i) for i, c in enumerate(chunks)]
         if reverse:
             spans = spans[::-1]
-        rows.append((doc_id, spans))
-    return spans_table(rows)
+        out.append((doc_id, spans))
+    return spans_table(out)
 
 
 def golden7_interleaved_table(
-    k: int = 3, reference_dir: str = "/root/reference"
+    k: int = 3, rows: list[tuple[str, str]] | None = None
 ) -> pa.Table:
-    """Chunked golden docs with media spans inserted between text chunks,
+    """Chunked pages with media spans inserted between text chunks,
     offsets re-densified."""
-    rows = []
-    for doc_id, html in golden_rows(reference_dir):
+    out = []
+    for doc_id, html in rows or golden_rows():
         chunks = split_chunks(html, k)
         spans: list[dict] = []
         off = 0
@@ -110,8 +149,8 @@ def golden7_interleaved_table(
             kind = "image" if i % 2 == 0 else "video"
             spans.append(media_span(kind, f"media://{doc_id}/{i}", off))
             off += 1
-        rows.append((doc_id, spans))
-    return spans_table(rows)
+        out.append((doc_id, spans))
+    return spans_table(out)
 
 
 # -- F5: synthetic corpus from the driver's documents table ------------------
@@ -142,8 +181,8 @@ def title_for(doc_id: int, text: str) -> str:
 def html_for_document(doc_id: int, text: str, repeat: int = 1) -> str:
     """Deterministic article HTML wrapping a documents-table text row.
 
-    ``repeat`` multiplies the body paragraphs (used to synthesize giant
-    skewed docs for the size-router path)."""
+    ``repeat`` multiplies the body paragraphs (used to synthesize giant,
+    skewed docs)."""
     title = title_for(doc_id, text)
     words = text.split()
     paras = []

@@ -1,56 +1,25 @@
-"""Ray Data extraction stage: a stateful callable class for map_batches.
+"""Ray Data extraction stage: the per-batch transform over the kernel.
 
-Used as ``ds.map_batches(ExtractDocuments, batch_format="pyarrow",
-zero_copy_batch=True, concurrency=N, batch_size=B)`` — one actor per slot,
-filter pipeline and compiled state built once in ``__init__`` (the
-reference's regexes/tag tables are module-level compiled; the pipeline
-object is per-actor), per-batch work in ``__call__``.
+``ExtractDocuments`` takes no arguments and holds no state: the article
+filter chain is built once per process in ``kernel.spans``.  It runs as
+``ds.map_batches(ExtractDocuments, batch_format="pyarrow",
+zero_copy_batch=True, concurrency=N, batch_size=B)`` on the actor pool of
+``pipelines.article.extract_dataset``, and is called directly as
+``ExtractDocuments()(batch)`` inside the reassembly tasks.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
-from ..kernel.filters import build_pipeline
 from ..kernel.spans import extract_from_spans
 from ..sources.fixtures import OUTPUT_SPAN_STRUCT
 
 _DATE_TYPE = pa.timestamp("us", tz="UTC")
 
-LINEAGE_STRUCT = pa.struct(
-    [("filter", pa.string()), ("changed", pa.bool_()), ("n_blocks", pa.int32())]
-)
-
-OUTPUT_SCHEMA = pa.schema(
-    [
-        ("doc_id", pa.string()),
-        ("title", pa.string()),
-        ("author", pa.string()),
-        ("date", _DATE_TYPE),
-        ("spans", pa.list_(OUTPUT_SPAN_STRUCT)),
-        ("n_blocks_in", pa.int32()),
-        ("n_blocks_kept", pa.int32()),
-        ("words_in", pa.int32()),
-        ("words_kept", pa.int32()),
-        ("error", pa.string()),
-    ]
-)
-
 
 class ExtractDocuments:
     """Per-document extraction over Arrow batches of (doc_id, spans) rows."""
-
-    def __init__(
-        self,
-        pipeline_names: list[str] | None = None,
-        with_lineage: bool = False,
-    ):
-        self._pipeline = (
-            build_pipeline(pipeline_names, "Custom") if pipeline_names else None
-        )
-        self._with_lineage = with_lineage
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         spans_col = batch.column("spans").to_pylist()
@@ -63,7 +32,6 @@ class ExtractDocuments:
         w_in: list[int] = []
         w_kept: list[int] = []
         errors: list[str] = []
-        lineages: list[list[dict]] = []
 
         # Flattened output-span columns + list offsets: the list<struct>
         # column is assembled from flat arrays, no per-span dict objects.
@@ -74,9 +42,7 @@ class ExtractDocuments:
         f_order: list[int] = []
 
         for spans in spans_col:
-            res = extract_from_spans(
-                spans, pipeline=self._pipeline, with_lineage=self._with_lineage
-            )
+            res = extract_from_spans(spans)
             titles.append(res.title)
             authors.append(res.author)
             dates.append(res.date)
@@ -91,13 +57,6 @@ class ExtractDocuments:
             w_in.append(res.words_in)
             w_kept.append(res.words_kept)
             errors.append(res.error)
-            if self._with_lineage:
-                lineages.append(
-                    [
-                        {"filter": f, "changed": c, "n_blocks": n}
-                        for f, c, n in (res.lineage or [])
-                    ]
-                )
 
         spans_struct = pa.StructArray.from_arrays(
             [
@@ -112,65 +71,17 @@ class ExtractDocuments:
             pa.array(span_list_offsets, pa.int32()), spans_struct
         )
 
-        cols = {
-            "doc_id": batch.column("doc_id"),
-            "title": pa.array(titles, pa.string()),
-            "author": pa.array(authors, pa.string()),
-            "date": pa.array(dates, _DATE_TYPE),
-            "spans": spans_arr,
-            "n_blocks_in": pa.array(n_in, pa.int32()),
-            "n_blocks_kept": pa.array(n_kept, pa.int32()),
-            "words_in": pa.array(w_in, pa.int32()),
-            "words_kept": pa.array(w_kept, pa.int32()),
-            "error": pa.array(errors, pa.string()),
-        }
-        if self._with_lineage:
-            cols["lineage"] = pa.array(lineages, pa.list_(LINEAGE_STRUCT))
-        return pa.table(cols)
-
-
-class SizeRoutedExtract:
-    """Single-scan skew router: one actor-pool stage whose ``__call__``
-    dispatches internally — rows at or under ``threshold`` HTML bytes are
-    extracted in one vector pass, giant rows one-by-one so a pathological
-    500 MB document cannot blow the per-call memory envelope or stall a
-    multi-doc slice of the loop.  Replaces the round-2 two-filter-branch
-    design, which re-executed the read per branch (2× scan at 100 TB)."""
-
-    def __init__(
-        self,
-        threshold: int,
-        pipeline_names: list[str] | None = None,
-        with_lineage: bool = False,
-    ):
-        self._extract = ExtractDocuments(
-            pipeline_names=pipeline_names, with_lineage=with_lineage
+        return pa.table(
+            {
+                "doc_id": batch.column("doc_id"),
+                "title": pa.array(titles, pa.string()),
+                "author": pa.array(authors, pa.string()),
+                "date": pa.array(dates, _DATE_TYPE),
+                "spans": spans_arr,
+                "n_blocks_in": pa.array(n_in, pa.int32()),
+                "n_blocks_kept": pa.array(n_kept, pa.int32()),
+                "words_in": pa.array(w_in, pa.int32()),
+                "words_kept": pa.array(w_kept, pa.int32()),
+                "error": pa.array(errors, pa.string()),
+            }
         )
-        self._threshold = threshold
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        mask = pc.less_equal(batch.column("doc_bytes"), self._threshold)
-        body = batch.drop_columns(["doc_bytes"])
-        small = body.filter(mask)
-        giant = body.filter(pc.invert(mask))
-        outs: list[pa.Table] = []
-        if small.num_rows or not giant.num_rows:
-            outs.append(self._extract(small))
-        for i in range(giant.num_rows):
-            outs.append(self._extract(giant.slice(i, 1)))
-        return pa.concat_tables(outs)
-
-
-def add_doc_bytes(batch: pa.Table) -> pa.Table:
-    """Vectorized per-row total text size (for the giant-doc size router)."""
-    spans = batch.column("spans")
-    if isinstance(spans, pa.ChunkedArray):
-        spans = spans.combine_chunks()
-    flat = pc.list_flatten(spans)
-    lens = pc.binary_length(pc.struct_field(flat, "text")).to_numpy(
-        zero_copy_only=False
-    )
-    parents = pc.list_parent_indices(spans).to_numpy(zero_copy_only=False)
-    sums = np.zeros(batch.num_rows, dtype=np.int64)
-    np.add.at(sums, parents, lens)
-    return batch.append_column("doc_bytes", pa.array(sums, pa.int64()))

@@ -21,10 +21,6 @@ import pyarrow.compute as pc
 MANIFEST_NAME = "_manifest.json"
 
 
-def partition_of(doc_id: str, num_partitions: int) -> int:
-    return zlib.crc32(doc_id.encode("utf-8")) % num_partitions
-
-
 def add_partition_column(batch: pa.Table, num_partitions: int) -> pa.Table:
     ids = batch.column("doc_id").to_pylist()
     parts = pa.array(
@@ -94,8 +90,6 @@ def run_partitioned_extract(
     spans_path: str,
     out_dir: str,
     num_partitions: int = 16,
-    batch_size: int = 32,
-    concurrency=None,
     checkpoint_groups: int = 4,
 ) -> Manifest:
     """Resumable extraction job: read → filter to pending partitions →
@@ -153,7 +147,7 @@ def run_partitioned_extract(
             tag_and_filter, batch_format="pyarrow", zero_copy_batch=True
         )
         # Extraction drops unknown columns, so re-tag after (cheap).
-        out = extract_dataset(ds, batch_size=batch_size, concurrency=concurrency)
+        out = extract_dataset(ds)
         out = out.map_batches(
             lambda b: add_partition_column(b, nparts),
             batch_format="pyarrow",

@@ -32,6 +32,8 @@ _URL_RE = re.compile(r'^\s*"(https?://[^"]+)",\s*$', re.M)
 
 
 def load_goldens() -> list[Golden]:
+    if not os.path.isdir(REFERENCE_DIR):
+        raise FileNotFoundError(f"reference corpus absent at {REFERENCE_DIR}")
     src = open(os.path.join(REFERENCE_DIR, "filter_test.go"), encoding="utf-8").read()
     urls = _URL_RE.findall(src)
     assert len(urls) == 7, urls

@@ -133,7 +133,7 @@ def test_cli_extract_url_date_derivation():
         srv.shutdown()
 
 
-def test_cli_run_job_end_to_end(ray_session, tmp_path):
+def _check_cli_run_job_end_to_end(rows, tmp_path):
     """The `run` subcommand (the ray-job-submit entry shape) completes a
     resumable partitioned extraction and reports manifest metrics.  Runs
     in a subprocess with its own Ray session (the CLI owns one)."""
@@ -142,7 +142,7 @@ def test_cli_run_job_end_to_end(ray_session, tmp_path):
     from go_boilerpipe_ray.sources.fixtures import golden7_chunked_table
 
     spans = str(tmp_path / "spans.parquet")
-    pq.write_table(golden7_chunked_table(2), spans)
+    pq.write_table(golden7_chunked_table(2, rows=rows), spans)
     out = str(tmp_path / "out")
     p = _run(["run", spans, out, "--partitions", "4"])
     assert p.returncode == 0, p.stderr[-500:]
@@ -157,6 +157,16 @@ def test_cli_run_job_end_to_end(ray_session, tmp_path):
     assert res2["metrics"]["n_docs"] == 7
 
 
+def test_cli_run_job_end_to_end(ray_session, tmp_path):
+    _check_cli_run_job_end_to_end(None, tmp_path)
+
+
+def test_cli_run_job_end_to_end_offline(ray_session, tmp_path):
+    from go_boilerpipe_ray.sources.fixtures import synthetic7_rows
+
+    _check_cli_run_job_end_to_end(synthetic7_rows(), tmp_path)
+
+
 def test_serve_ui_end_to_end():
     """The serve UI (serve.go:25-148 mirror): index form, /extract?url=
     fetches + extracts + renders the StringToHTML content view and the
@@ -167,10 +177,9 @@ def test_serve_ui_end_to_end():
     import urllib.request
 
     from go_boilerpipe_ray.__main__ import _build_server
+    from go_boilerpipe_ray.sources.fixtures import golden_rows
 
-    doc_html = open(
-        "/root/reference/testdata/0.html", encoding="utf-8", errors="replace"
-    ).read()
+    doc_html = golden_rows()[0][1]
 
     class Source(http.server.BaseHTTPRequestHandler):
         def do_GET(self):

@@ -30,6 +30,36 @@ def test_every_oracle_key_has_a_query():
         assert isinstance(sql, str) and "SELECT" in sql.upper(), name
 
 
+def test_checked_window_rotates_by_last_check():
+    """Each round's oracle check runs the first 50 queries() entries: the
+    four extract_* names, then the oracle-bearing names checked least
+    recently in the committed CORRECTNESS_r{N}.json files (never checked
+    counts as round 0).
+    extract_golden is the one name seated without an oracle_sql() entry:
+    each round records it as rows-only."""
+    import json
+    import re
+
+    m = _entry_module()
+    names = list(m.queries())
+    oracle = m.oracle_sql()
+    window = names[:50]
+    assert len(set(window)) == 50
+    assert set(window) - set(oracle) <= {"extract_golden"}
+    assert window[:4] == [n for n in names if n.startswith("extract_")]
+    assert len(window[:4]) == 4
+
+    last: dict[str, int] = {}
+    for path in REPO.glob("CORRECTNESS_r*.json"):
+        rnd = int(re.fullmatch(r"CORRECTNESS_r(\d+)\.json", path.name).group(1))
+        for name in json.loads(path.read_text()):
+            last[name] = max(last.get(name, 0), rnd)
+    latest_inside = max(last.get(n, 0) for n in window[4:])
+    outside = [n for n in names[50:] if n in oracle]
+    earlier = [n for n in outside if last.get(n, 0) < latest_inside]
+    assert not earlier, earlier
+
+
 def test_no_ray_init_calls_in_library_or_entry():
     """Only bench.py, CLI entry points and the test fixture may own a Ray
     session.  The library package and __ray_entry__ must never call

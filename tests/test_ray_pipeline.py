@@ -3,7 +3,9 @@
 The full Ray job (read parquet → actor-pool map_batches → collect) must
 produce, per row, exactly the kernel's output: same (kind, text, media_ref,
 order) span sequence, same metadata — for single-span, chunked, interleaved
-and sharded-fragment variants of the same documents."""
+and sharded-fragment variants of the same documents.  Each test over the
+reference's golden pages has an ``_offline`` twin over
+``synthetic7_rows()``, which needs no reference checkout."""
 
 from __future__ import annotations
 
@@ -15,7 +17,6 @@ import pytest
 from go_boilerpipe_ray.kernel.spans import extract_from_spans
 from go_boilerpipe_ray.pipelines.article import (
     extract_dataset,
-    extract_with_size_router,
     read_spans,
     reassemble_and_extract,
 )
@@ -24,6 +25,7 @@ from go_boilerpipe_ray.sources.fixtures import (
     golden7_interleaved_table,
     golden7_table,
     spans_table,
+    synthetic7_rows,
 )
 
 
@@ -59,14 +61,14 @@ def _assert_matches(actual_rows, expected):
         assert act["n_blocks_kept"] == exp.n_blocks_kept
 
 
-@pytest.fixture(scope="module")
-def corpus_paths(tmp_path_factory, ray_session):
-    d = tmp_path_factory.mktemp("spans")
+def _write_corpus(d, rows):
+    """The F1-F3 forms (plain, reversed chunks, interleaved media) of
+    ``rows``, each written to parquet: {name: (path, table)}."""
     paths = {}
     for name, table in [
-        ("f1", golden7_table()),
-        ("f2", golden7_chunked_table(3, reverse=True)),
-        ("f3", golden7_interleaved_table(3)),
+        ("f1", golden7_table(rows)),
+        ("f2", golden7_chunked_table(3, reverse=True, rows=rows)),
+        ("f3", golden7_interleaved_table(3, rows=rows)),
     ]:
         p = os.path.join(d, f"{name}.parquet")
         pq.write_table(table, p)
@@ -74,28 +76,37 @@ def corpus_paths(tmp_path_factory, ray_session):
     return paths
 
 
-@pytest.mark.parametrize("name", ["f1", "f2", "f3"])
-def test_ray_matches_kernel(corpus_paths, name):
-    path, table = corpus_paths[name]
+@pytest.fixture(scope="module")
+def corpus_paths(tmp_path_factory, ray_session):
+    return _write_corpus(tmp_path_factory.mktemp("spans"), None)
+
+
+@pytest.fixture(scope="module")
+def offline_corpus_paths(tmp_path_factory, ray_session):
+    return _write_corpus(tmp_path_factory.mktemp("spans_offline"), synthetic7_rows())
+
+
+def _check_ray_matches_kernel(path, table):
     ds = extract_dataset(read_spans(path), batch_size=4)
     _assert_matches(_collect(ds), _expected(table))
 
 
-def test_size_router_paths_equal(corpus_paths):
-    path, table = corpus_paths["f2"]
-    # Force every doc through the giant path with threshold=0, then the
-    # small path with a huge threshold: identical output either way.
-    ds_giant = extract_with_size_router(read_spans(path), threshold=0)
-    ds_small = extract_with_size_router(read_spans(path), threshold=1 << 40)
-    exp = _expected(table)
-    _assert_matches(_collect(ds_giant), exp)
-    _assert_matches(_collect(ds_small), exp)
+@pytest.mark.parametrize("name", ["f1", "f2", "f3"])
+def test_ray_matches_kernel(corpus_paths, name):
+    _check_ray_matches_kernel(*corpus_paths[name])
 
 
-def test_sharded_fragments_reassemble(corpus_paths, tmp_path):
+@pytest.mark.parametrize("name", ["f1", "f2", "f3"])
+def test_ray_matches_kernel_offline(offline_corpus_paths, name):
+    path, table = offline_corpus_paths[name]
+    # The stand-in pages must give the comparison something to compare.
+    assert all(res.spans and not res.error for res in _expected(table).values())
+    _check_ray_matches_kernel(path, table)
+
+
+def _check_sharded_fragments_reassemble(table, tmp_path):
     # Split each doc's span list across 3 rows (fragments out of order);
     # the doc_id-hash shuffle must reassemble them to the same result.
-    _, table = corpus_paths["f3"]
     rows = []
     for doc_id, spans in zip(
         table.column("doc_id").to_pylist(), table.column("spans").to_pylist()
@@ -110,6 +121,14 @@ def test_sharded_fragments_reassemble(corpus_paths, tmp_path):
 
     ds = reassemble_and_extract(read_spans(p))
     _assert_matches(_collect(ds), _expected(table))
+
+
+def test_sharded_fragments_reassemble(corpus_paths, tmp_path):
+    _check_sharded_fragments_reassemble(corpus_paths["f3"][1], tmp_path)
+
+
+def test_sharded_fragments_reassemble_offline(offline_corpus_paths, tmp_path):
+    _check_sharded_fragments_reassemble(offline_corpus_paths["f3"][1], tmp_path)
 
 
 def test_reassembly_blocks_are_fixed_pk_ranges(ray_session, tmp_path):
@@ -167,9 +186,9 @@ def test_reassembly_blocks_are_fixed_pk_ranges(ray_session, tmp_path):
     )
 
 
-def test_giant_doc_size_router(ray_session, tmp_path):
-    # A genuinely giant doc (repeated body, ~3 MB HTML) plus small docs:
-    # the router must split paths and still match the kernel per-row.
+def test_giant_doc_in_mixed_batch(ray_session, tmp_path):
+    # A genuinely giant doc (repeated body, ~3 MB HTML) and a small doc in
+    # the same batch of the actor-pool stage: both match the kernel.
     import pyarrow.parquet as pq
 
     from go_boilerpipe_ray.sources.fixtures import (
@@ -189,11 +208,11 @@ def test_giant_doc_size_router(ray_session, tmp_path):
 
     p = os.path.join(tmp_path, "giant.parquet")
     pq.write_table(table, p)
-    ds = extract_with_size_router(read_spans(p), threshold=1 << 20)
+    ds = extract_dataset(read_spans(p))
 
     # Single-scan contract: exactly ONE read operator in the logical plan
-    # (the round-2 two-filter-branch router re-executed the read per
-    # branch — 2× scan cost at 100 TB).
+    # (a router that branched on document size would re-execute the read
+    # per branch — 2× scan cost at 100 TB).
     def count_reads(op) -> int:
         n = 1 if "Read" in type(op).__name__ or "Read" in str(op) else 0
         return n + sum(count_reads(dep) for dep in op.input_dependencies)
@@ -322,7 +341,7 @@ def test_lance_api_contract(monkeypatch, tmp_path):
     assert calls["write"] == str(tmp_path / "out.lance")
 
 
-def test_extract_survives_actor_death(corpus_paths, tmp_path, ray_session):
+def _check_extract_survives_actor_death(path, table, tmp_path):
     """Fault tolerance on the hot path (the north rule's resumable-
     restart story at task granularity): an extraction actor whose
     process DIES mid-batch (os._exit, as a preempted node would) is
@@ -334,7 +353,6 @@ def test_extract_survives_actor_death(corpus_paths, tmp_path, ray_session):
 
     from go_boilerpipe_ray.stages.extract import ExtractDocuments
 
-    path, table = corpus_paths["f2"]
     marker = str(tmp_path / "killed_once")
 
     class KillOnceExtract(ExtractDocuments):
@@ -354,3 +372,11 @@ def test_extract_survives_actor_death(corpus_paths, tmp_path, ray_session):
     )
     _assert_matches(_collect(ds), _expected(table))
     assert _os.path.exists(marker)  # the death really happened
+
+
+def test_extract_survives_actor_death(corpus_paths, tmp_path):
+    _check_extract_survives_actor_death(*corpus_paths["f2"], tmp_path)
+
+
+def test_extract_survives_actor_death_offline(offline_corpus_paths, tmp_path):
+    _check_extract_survives_actor_death(*offline_corpus_paths["f2"], tmp_path)

@@ -1,6 +1,7 @@
 """Tier-4: resumable partitioned output — a job interrupted after k
 partitions resumes without recomputing them and the union output equals a
-single clean run."""
+single clean run.  Each test over the reference's golden pages has an
+``_offline`` twin over ``synthetic7_rows()``."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from go_boilerpipe_ray.state.manifest import (
     read_output,
     run_partitioned_extract,
 )
-from go_boilerpipe_ray.sources.fixtures import golden7_chunked_table
+from go_boilerpipe_ray.sources.fixtures import golden7_chunked_table, synthetic7_rows
 
 
 def _canon(table):
@@ -28,9 +29,13 @@ def _canon(table):
     return rows
 
 
-def test_resume_produces_identical_union(ray_session, tmp_path):
+def _spans_path(tmp_path, rows):
     spans_path = os.path.join(tmp_path, "spans.parquet")
-    pq.write_table(golden7_chunked_table(2), spans_path)
+    pq.write_table(golden7_chunked_table(2, rows=rows), spans_path)
+    return spans_path
+
+
+def _check_resume_produces_identical_union(spans_path, tmp_path):
 
     # Clean full run.
     full_dir = os.path.join(tmp_path, "out_full")
@@ -65,14 +70,22 @@ def test_resume_produces_identical_union(ray_session, tmp_path):
     assert m3.pending() == []
 
 
-def test_crash_mid_run_persists_completed_groups(ray_session, tmp_path, monkeypatch):
+def test_resume_produces_identical_union(ray_session, tmp_path):
+    _check_resume_produces_identical_union(_spans_path(tmp_path, None), tmp_path)
+
+
+def test_resume_produces_identical_union_offline(ray_session, tmp_path):
+    _check_resume_produces_identical_union(
+        _spans_path(tmp_path, synthetic7_rows()), tmp_path
+    )
+
+
+def _check_crash_mid_run_persists_completed_groups(spans_path, tmp_path, monkeypatch):
     """A job killed between commit groups keeps the finished groups'
     partitions in the manifest (incremental save), and a plain re-run
     completes only the rest — no hand-editing of the manifest."""
     import go_boilerpipe_ray.pipelines.article as article_mod
 
-    spans_path = os.path.join(tmp_path, "spans.parquet")
-    pq.write_table(golden7_chunked_table(2), spans_path)
 
     full_dir = os.path.join(tmp_path, "out_full")
     run_partitioned_extract(spans_path, full_dir, num_partitions=4)
@@ -108,12 +121,32 @@ def test_crash_mid_run_persists_completed_groups(ray_session, tmp_path, monkeypa
     assert _canon(read_output(crash_dir)) == full
 
 
-def test_metrics_rollup(ray_session, tmp_path):
-    spans_path = os.path.join(tmp_path, "spans.parquet")
-    pq.write_table(golden7_chunked_table(2), spans_path)
+def test_crash_mid_run_persists_completed_groups(ray_session, tmp_path, monkeypatch):
+    _check_crash_mid_run_persists_completed_groups(
+        _spans_path(tmp_path, None), tmp_path, monkeypatch
+    )
+
+
+def test_crash_mid_run_persists_completed_groups_offline(
+    ray_session, tmp_path, monkeypatch
+):
+    _check_crash_mid_run_persists_completed_groups(
+        _spans_path(tmp_path, synthetic7_rows()), tmp_path, monkeypatch
+    )
+
+
+def _check_metrics_rollup(spans_path, tmp_path):
     out_dir = os.path.join(tmp_path, "out")
     m = run_partitioned_extract(spans_path, out_dir, num_partitions=4)
     total_docs = sum(v["n_docs"] for v in m.completed.values())
     assert total_docs == 7
     assert sum(v["words_kept"] for v in m.completed.values()) > 0
     assert sum(v["n_errors"] for v in m.completed.values()) == 0
+
+
+def test_metrics_rollup(ray_session, tmp_path):
+    _check_metrics_rollup(_spans_path(tmp_path, None), tmp_path)
+
+
+def test_metrics_rollup_offline(ray_session, tmp_path):
+    _check_metrics_rollup(_spans_path(tmp_path, synthetic7_rows()), tmp_path)

@@ -502,10 +502,14 @@ def test_filter_chain_is_linear_in_block_count():
 
 
 def test_filter_registry_and_custom_filter():
-    from go_boilerpipe_ray.kernel.filters import Filter, Pipeline, build_pipeline
+    from go_boilerpipe_ray.kernel.filters import FILTER_REGISTRY, Filter, Pipeline
 
-    pipe = build_pipeline(
-        ["TerminatingBlocks", "NumWordsRulesClassifier", "BoilerplateBlock"]
+    pipe = Pipeline(
+        "Custom",
+        [
+            FILTER_REGISTRY[name]()
+            for name in ("TerminatingBlocks", "NumWordsRulesClassifier", "BoilerplateBlock")
+        ],
     )
     assert [f.name for f in pipe.filters] == [
         "TerminatingBlocks",
