@@ -1,6 +1,6 @@
 """Benchmark harness (driver contract: one JSON line on stdout).
 
-Headline pipeline: spans-corpus extraction (read parquet → actor-pool
+Headline pipeline: spans-corpus extraction (read parquet → task
 map_batches extraction → write parquet), measured in docs/s, plus a set of
 representative queries timed at $GRAFT_SF_DIR (default /root/testdata/sf0.1).
 
@@ -23,8 +23,8 @@ import time
 
 REPO = os.path.dirname(os.path.abspath(__file__))
 # Corpus sizing: target document counts (replicas adapt to the sf dir's
-# documents-table size).  Scaling runs use 4x so fixed per-run costs (actor
-# pool spin-up, read/write ramp) don't bias the ratio against the larger
+# documents-table size).  Scaling runs use 4x so fixed per-run costs (Ray
+# worker start-up, read/write ramp) don't bias the ratio against the larger
 # "cluster".
 TARGET_DOCS = int(os.environ.get("GBR_BENCH_DOCS", "120000"))
 
@@ -144,7 +144,7 @@ def run_extract(corpus_dir: str) -> float:
         shutil.rmtree(out)
     t0 = time.perf_counter()
     # Fine read granularity (many small blocks) so per-task work variance
-    # from mixed doc sizes load-balances across the pool.
+    # from mixed doc sizes load-balances across the extraction tasks.
     extract_dataset(read_spans(corpus_dir, parallelism=512)).write_parquet(out)
     return time.perf_counter() - t0
 
@@ -202,11 +202,11 @@ def main() -> None:
         # Timed COLD (single pass, fresh process): an in-process warm-up
         # pass was tried and measurably HURTS on this box — the warm run
         # leaves the object store full and the timed run pays eviction
-        # (second same-process runs degrade 10-25%).  Actor spin-up
-        # (~2-3 s) therefore stays inside the measurement; it lands
-        # asymmetrically on the scaling ratio (≈9%@32cpus vs ≈1.5%@8)
-        # and is a per-job cost a real cluster job amortizes — noted in
-        # BASELINE.md rather than excluded.
+        # (second same-process runs degrade 10-25%).  Ray worker start-up
+        # therefore stays inside the measurement; it lands
+        # asymmetrically on the scaling ratio (more workers start at
+        # 32 cpus than at 8) and is a per-job cost a real cluster job
+        # amortizes — noted in BASELINE.md rather than excluded.
         wall = run_extract(corpus_dir)
         print(json.dumps({"wall": wall, "docs": n_docs, "num_cpus": args.cpus}))
         ray.shutdown()
@@ -251,8 +251,8 @@ def run_scaling(args) -> None:
     def one_run(cpus: int, timed: bool) -> None:
         env = dict(os.environ)
         env["RAY_GRAFT_CPUS"] = str(cpus)
-        # Larger corpus for scaling runs: fixed per-run costs (actor pool
-        # spin-up, read/write task ramp) must be amortized or they bias the
+        # Larger corpus for scaling runs: fixed per-run costs (Ray worker
+        # start-up, read/write task ramp) must be amortized or they bias the
         # ratio against the larger "cluster".
         env.setdefault("GBR_BENCH_DOCS", str(TARGET_DOCS * 4))
         proc = subprocess.run(
@@ -283,7 +283,7 @@ def run_scaling(args) -> None:
     # minutes, and back-to-back per-level blocks let the drift land
     # entirely on one side of the ratio; alternating levels exposes both
     # sides to the same machine state.  Each run is a fresh process/Ray
-    # instance that warms up in-process (corpus build and pool spin-up
+    # instance that warms up in-process (corpus build and worker start-up
     # excluded from timing per the BASELINE.md protocol); best wall per
     # level is recorded (best-of-N measures the machine, not the
     # neighbor noise).

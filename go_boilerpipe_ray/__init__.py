@@ -8,8 +8,8 @@ engine built on ``ray.data.Dataset`` + Arrow batches:
                  the reference's parser/filter semantics bit-exactly.
 - ``sources``    spans-table readers/writers and deterministic fixture
                  generators (FIXTURES.md families F1-F5).
-- ``stages``     Ray Data batch transforms (actor-pool extractor, size
-                 router, metrics rollup).
+- ``stages``     the Ray Data batch transform: a stateless extractor run
+                 as tasks.
 - ``pipelines``  end-to-end extraction pipeline builders.
 - ``functions``  large-scale training-data ops (dedup, similarity search,
                  text analysis, multimodal plumbing).

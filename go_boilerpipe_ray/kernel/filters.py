@@ -608,7 +608,7 @@ class ListAtEnd(Filter):
 
 
 # ---------------------------------------------------------------------------
-# Pipelines & registry
+# Pipelines
 # ---------------------------------------------------------------------------
 
 
@@ -632,21 +632,3 @@ def article_pipeline() -> Pipeline:
         ],
     )
 
-
-FILTER_REGISTRY: dict[str, type[Filter] | object] = {
-    "TerminatingBlocks": TerminatingBlocks,
-    "DocumentTitleMatchClassifier": DocumentTitleMatchClassifier,
-    "NumWordsRulesClassifier": NumWordsRulesClassifier,
-    "IgnoreBlocksAfterContent": IgnoreBlocksAfterContent,
-    "TrailingHeadlineToBoilerplate": TrailingHeadlineToBoilerplate,
-    "BlockProximityFusionMaxDistanceOne": block_proximity_fusion_max_distance_one,
-    "BlockProximityFusionMaxDistanceOneSameTagLevel": block_proximity_fusion_max_distance_one_same_tag_level,
-    "BlockProximityFusionMaxDistanceOneContentOnly": block_proximity_fusion_max_distance_one_content_only,
-    "BlockProximityFusionMaxDistanceOneContentOnlySameTagLevel": block_proximity_fusion_max_distance_one_content_only_same_tag_level,
-    "BoilerplateBlock": BoilerplateBlock,
-    "KeepLargestBlocks": KeepLargestBlocks,
-    "KeepLargestFulltextBlock": KeepLargestFulltextBlock,
-    "ExpandTitleToContent": ExpandTitleToContent,
-    "LargeBlockSameTagLevelToContent": LargeBlockSameTagLevelToContent,
-    "ListAtEnd": ListAtEnd,
-}

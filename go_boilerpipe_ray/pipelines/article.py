@@ -1,10 +1,10 @@
 """End-to-end extraction pipelines, Ray-Data-first.
 
-One extraction stage, ``ExtractDocuments``, runs in one of two compute
-strategies: whole-document rows go through a narrow actor-pool
-``map_batches`` (``extract_dataset``, no shuffle); fragment rows are
-co-located by a fixed-range sort on a doc_id hash and extracted inside the
-sort's output tasks (``reassemble_and_extract``).  Design notes for 100 TB
+One extraction stage, ``ExtractDocuments``, runs in stateless Ray tasks
+on either path: whole-document rows go through one task ``map_batches``
+(``extract_dataset``, no shuffle); fragment rows are co-located by a
+fixed-range sort on a doc_id hash and extracted inside the sort's output
+tasks (``reassemble_and_extract``).  Design notes for 100 TB
 scale are inline.
 """
 
@@ -97,17 +97,18 @@ def _normalize_spans_batch(batch: pa.Table) -> pa.Table:
 
 
 def _default_concurrency() -> int:
-    """Fixed actor pool at (CPUs - IO headroom): a fixed pool starts all
-    actors eagerly (an autoscaling pool ramps too slowly for short jobs),
-    and the headroom keeps read/write tasks schedulable — a pool sized to
-    ALL cpus starves the upstream read and deadlocks the pipeline.
+    """Cap on concurrent extraction tasks: the cluster's CPUs minus IO
+    headroom, so read and write tasks always find a free CPU beside the
+    extraction.
 
-    Headroom is min(4 per node, max(1, cpus // 4)): measured on the bench
-    corpus, 4 spare CPUs beat 8 at 32 cores (pool 28: 14.6s vs pool 24:
-    17.1s) while 2 spare collapses (pool 30: 38s, write stalls); at 8
-    cores the 25% rule (pool 6) beats pool 7 (49s vs 57s).  The per-node
-    cap keeps the headroom proportional on multi-node clusters, where
-    every node runs its own share of read/write tasks."""
+    Headroom is min(4 per node, max(1, cpus // 4)), measured when the stage
+    ran on a fixed actor pool of this size: 4 spare CPUs beat 8 at 32 cores
+    (28: 14.6s vs 24: 17.1s) while 2 spare collapsed (30: 38s, write
+    stalls); at 8 cores the 25% rule (6) beat 7 (49s vs 57s).  The per-node
+    cap keeps the headroom proportional on multi-node clusters, where every
+    node runs its own share of read/write tasks.  The value also sizes
+    actor pools over the same stage, which must leave a CPU free: a pool
+    over ALL cpus starves the upstream read and deadlocks the pipeline."""
     import ray
 
     try:
@@ -124,14 +125,18 @@ def _default_concurrency() -> int:
 def extract_dataset(
     ds: "ray.data.Dataset",
     *,
-    concurrency: int | tuple[int, int] | None = None,
+    concurrency: int | None = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> "ray.data.Dataset":
-    """The narrow hot path: actor-pool map_batches over zero-copy Arrow."""
+    """The narrow hot path: task map_batches over zero-copy Arrow.
+
+    The stage holds no state, so it runs as an instance (a task UDF) on
+    Ray's long-lived workers rather than on an actor pool that every job
+    would start again; at most ``concurrency`` tasks run at once."""
     if concurrency is None:
         concurrency = _default_concurrency()
     return ds.map_batches(
-        ExtractDocuments,
+        ExtractDocuments(),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=batch_size,

@@ -1,9 +1,9 @@
 """Ray Data extraction stage: the per-batch transform over the kernel.
 
 ``ExtractDocuments`` takes no arguments and holds no state: the article
-filter chain is built once per process in ``kernel.spans``.  It runs as
-``ds.map_batches(ExtractDocuments, batch_format="pyarrow",
-zero_copy_batch=True, concurrency=N, batch_size=B)`` on the actor pool of
+filter chain is built once per process in ``kernel.spans``.  It runs as a
+task UDF, ``ds.map_batches(ExtractDocuments(), batch_format="pyarrow",
+zero_copy_batch=True, concurrency=N, batch_size=B)``, in
 ``pipelines.article.extract_dataset``, and is called directly as
 ``ExtractDocuments()(batch)`` inside the reassembly tasks.
 """

@@ -5,10 +5,11 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from .golden import load_goldens
 
-REPO = "/root/repo"
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _run(args, stdin=None):

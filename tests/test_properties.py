@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from hypothesis import example, given, settings, strategies as st
 
+from go_boilerpipe_ray.kernel import filters
 from go_boilerpipe_ray.kernel.document import parse_document
 from go_boilerpipe_ray.kernel.filters import article_pipeline
 from go_boilerpipe_ray.kernel.spans import content_from_result, extract_from_spans
@@ -239,6 +240,35 @@ def test_kernel_never_raises_nasty(html):
     doc = parse_document(html)
     article_pipeline().process(doc)
     doc.content()
+
+
+# The one-pass translate form escape_string had before it became chained
+# str.replace calls: the oracle for the rewrite.
+_ESCAPE_TABLE_REFERENCE = {
+    ord("&"): "&amp;",
+    ord("'"): "&#39;",
+    ord("<"): "&lt;",
+    ord(">"): "&gt;",
+    ord('"'): "&#34;",
+}
+
+_escape_text = st.lists(
+    st.one_of(
+        st.sampled_from(list("&'<>\"") + ["&amp;", "&#39;", "&lt;", "&#34;", ";", "#"]),
+        st.characters(min_codepoint=0x4E00, max_codepoint=0x9FFF),
+        st.characters(min_codepoint=0x10000, max_codepoint=0x10FFFF),
+        st.characters(exclude_categories=("Cs",)),
+    ),
+    max_size=60,
+).map("".join)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_escape_text)
+def test_escape_string_matches_translate(s):
+    from go_boilerpipe_ray.kernel.document import escape_string
+
+    assert escape_string(s) == s.translate(_ESCAPE_TABLE_REFERENCE)
 
 
 # -- repartition_join differential vs a pandas reference ----------------------
@@ -738,21 +768,20 @@ def _block_state(doc):
     ]
 
 
-_FUSION_AND_DROP = [
-    "BlockProximityFusionMaxDistanceOne",
-    "BlockProximityFusionMaxDistanceOneSameTagLevel",
-    "BlockProximityFusionMaxDistanceOneContentOnly",
-    "BlockProximityFusionMaxDistanceOneContentOnlySameTagLevel",
-    "BoilerplateBlock",
-]
+_FUSION_AND_DROP = {
+    "BlockProximityFusionMaxDistanceOne": filters.block_proximity_fusion_max_distance_one,
+    "BlockProximityFusionMaxDistanceOneSameTagLevel": filters.block_proximity_fusion_max_distance_one_same_tag_level,
+    "BlockProximityFusionMaxDistanceOneContentOnly": filters.block_proximity_fusion_max_distance_one_content_only,
+    "BlockProximityFusionMaxDistanceOneContentOnlySameTagLevel": filters.block_proximity_fusion_max_distance_one_content_only_same_tag_level,
+    "BoilerplateBlock": filters.BoilerplateBlock,
+}
 
 
-@given(st.lists(_block_fields(), max_size=12), st.sampled_from(_FUSION_AND_DROP))
+@given(st.lists(_block_fields(), max_size=12), st.sampled_from(sorted(_FUSION_AND_DROP)))
 @settings(max_examples=600, deadline=None)
 def test_fusion_and_drop_match_per_block_walk(rows, name):
-    from go_boilerpipe_ray.kernel.filters import FILTER_REGISTRY
-
-    f = FILTER_REGISTRY[name]()
+    f = _FUSION_AND_DROP[name]()
+    assert f.name == name
     want_doc, got_doc = _doc_from(rows), _doc_from(rows)
     want_pos = {id(tb): i for i, tb in enumerate(want_doc.text_blocks)}
     got_pos = {id(tb): i for i, tb in enumerate(got_doc.text_blocks)}

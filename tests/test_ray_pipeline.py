@@ -1,6 +1,6 @@
 """Tier-3: Ray Data pipeline equivalence with the pure kernel.
 
-The full Ray job (read parquet → actor-pool map_batches → collect) must
+The full Ray job (read parquet → task map_batches → collect) must
 produce, per row, exactly the kernel's output: same (kind, text, media_ref,
 order) span sequence, same metadata — for single-span, chunked, interleaved
 and sharded-fragment variants of the same documents.  Each test over the
@@ -188,7 +188,7 @@ def test_reassembly_blocks_are_fixed_pk_ranges(ray_session, tmp_path):
 
 def test_giant_doc_in_mixed_batch(ray_session, tmp_path):
     # A genuinely giant doc (repeated body, ~3 MB HTML) and a small doc in
-    # the same batch of the actor-pool stage: both match the kernel.
+    # the same batch of the extraction stage: both match the kernel.
     import pyarrow.parquet as pq
 
     from go_boilerpipe_ray.sources.fixtures import (
@@ -341,14 +341,34 @@ def test_lance_api_contract(monkeypatch, tmp_path):
     assert calls["write"] == str(tmp_path / "out.lance")
 
 
-def _check_extract_survives_actor_death(path, table, tmp_path):
+def test_extract_dataset_runs_in_tasks(offline_corpus_paths):
+    # The stage holds no state: it must run as stateless tasks capped at
+    # _default_concurrency(), not on an actor pool each job starts again,
+    # under the operator name the benchmark's ledger matches on.
+    from ray.data._internal.compute import TaskPoolStrategy
+
+    from go_boilerpipe_ray.pipelines.article import _default_concurrency
+
+    ds = extract_dataset(read_spans(offline_corpus_paths["f1"][0]))
+    ops, todo = [], [ds._plan._logical_plan.dag]
+    while todo:
+        op = todo.pop()
+        ops.append(op)
+        todo.extend(op.input_dependencies)
+    (extract,) = [op for op in ops if "ExtractDocuments" in op.name]
+    assert extract.name == "MapBatches(ExtractDocuments)"
+    assert isinstance(extract._compute, TaskPoolStrategy), extract._compute
+    assert extract._compute.size == _default_concurrency()
+
+
+def _check_extract_survives_worker_death(path, table, tmp_path):
     """Fault tolerance on the hot path (the north rule's resumable-
-    restart story at task granularity): an extraction actor whose
+    restart story at task granularity): an extraction task whose worker
     process DIES mid-batch (os._exit, as a preempted node would) is
-    restarted by Ray and its batch retried — the pipeline completes
-    with output identical to an undisturbed run.  Lineage-based retry
-    is what makes checkpoint-free recovery work inside one job; the
-    manifest (test_resume) covers cross-job resume."""
+    retried by Ray on a new worker — the pipeline completes with output
+    identical to an undisturbed run.  Lineage-based retry is what makes
+    checkpoint-free recovery work inside one job; the manifest
+    (test_resume) covers cross-job resume."""
     import os as _os
 
     from go_boilerpipe_ray.stages.extract import ExtractDocuments
@@ -363,8 +383,9 @@ def _check_extract_survives_actor_death(path, table, tmp_path):
                 _os._exit(1)  # hard process death, not an exception
             return super().__call__(batch)
 
+    # The call shape of extract_dataset, with the stage swapped.
     ds = read_spans(path).map_batches(
-        KillOnceExtract,
+        KillOnceExtract(),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=4,
@@ -374,9 +395,9 @@ def _check_extract_survives_actor_death(path, table, tmp_path):
     assert _os.path.exists(marker)  # the death really happened
 
 
-def test_extract_survives_actor_death(corpus_paths, tmp_path):
-    _check_extract_survives_actor_death(*corpus_paths["f2"], tmp_path)
+def test_extract_survives_worker_death(corpus_paths, tmp_path):
+    _check_extract_survives_worker_death(*corpus_paths["f2"], tmp_path)
 
 
-def test_extract_survives_actor_death_offline(offline_corpus_paths, tmp_path):
-    _check_extract_survives_actor_death(*offline_corpus_paths["f2"], tmp_path)
+def test_extract_survives_worker_death_offline(offline_corpus_paths, tmp_path):
+    _check_extract_survives_worker_death(*offline_corpus_paths["f2"], tmp_path)

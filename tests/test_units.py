@@ -501,15 +501,17 @@ def test_filter_chain_is_linear_in_block_count():
     assert elapsed < 1.0, f"filter chain took {elapsed:.2f} s on 20k paragraphs"
 
 
-def test_filter_registry_and_custom_filter():
-    from go_boilerpipe_ray.kernel.filters import FILTER_REGISTRY, Filter, Pipeline
+def test_custom_filter_pipeline():
+    from go_boilerpipe_ray.kernel.filters import (
+        BoilerplateBlock,
+        Filter,
+        NumWordsRulesClassifier,
+        Pipeline,
+        TerminatingBlocks,
+    )
 
     pipe = Pipeline(
-        "Custom",
-        [
-            FILTER_REGISTRY[name]()
-            for name in ("TerminatingBlocks", "NumWordsRulesClassifier", "BoilerplateBlock")
-        ],
+        "Custom", [TerminatingBlocks(), NumWordsRulesClassifier(), BoilerplateBlock()]
     )
     assert [f.name for f in pipe.filters] == [
         "TerminatingBlocks",
