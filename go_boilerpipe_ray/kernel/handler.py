@@ -152,7 +152,21 @@ _SPACE_REMOVE_CACHE: dict[str, tuple[str, bool, bool]] = {}
 
 # flush_block's tokenize-and-count walk, memoized on (buffer string,
 # anchor state on entry) → the full 6-tuple including anchor state out.
+# Emptied at every batch of the extraction stage (clear_flush_memo).
 _FLUSH_COUNT_CACHE: dict[tuple[str, bool], tuple[int, int, int, int, int, bool]] = {}
+
+
+def clear_flush_memo() -> None:
+    """Forget every buffer flush_block has memoized.
+
+    The memo is keyed on text, so its hits come from text met before.
+    Within a batch that is boilerplate shared by pages of one site.  Carried
+    from batch to batch on a Ray worker that lives for a whole session, it
+    would also hit on documents the worker extracted earlier, in this job or
+    in another, and a batch's cost would depend on what its worker ran
+    before it.  The extraction stage calls this at the start of every batch.
+    """
+    _FLUSH_COUNT_CACHE.clear()
 
 
 def space_remove(s: str) -> tuple[str, bool, bool]:
@@ -594,9 +608,8 @@ class ContentHandler:
         # walk over a given buffer string is recomputed constantly at
         # corpus scale.  The walk is a pure function of (buffer string,
         # anchor state on entry) — memoize it, bounded like the
-        # space_remove cache.  Unique article text just pays one dict
-        # probe.  (Measured 98.6% hit rate on the replicated bench
-        # corpus; template-heavy real crawls sit between that and 0.)
+        # space_remove cache and emptied at every batch.  Unique article
+        # text just pays one dict probe.
         cache_key = (tok_str, self.in_anchor_text)
         counts = _FLUSH_COUNT_CACHE.get(cache_key)
         if counts is None:

@@ -10,6 +10,8 @@ scale are inline.
 
 from __future__ import annotations
 
+import time
+
 import pyarrow as pa
 
 import ray.data
@@ -122,6 +124,53 @@ def _default_concurrency() -> int:
     return max(1, cpus - min(4 * nodes, max(1, cpus // 4)))
 
 
+# The Ray job whose task workers _ready_workers has started.
+_READY_JOB: str | None = None
+# Seconds each readying task holds its worker: longer than a new worker
+# takes to start (about 0.5 s on a 4-CPU host), so that a round rarely
+# runs again.
+_READY_HOLD_S = 0.5
+
+
+def _worker_id(until: float) -> str:
+    """Hold this task worker until ``until`` (wall clock), then return its
+    id.  To run this, the worker imports this module, and with it Ray
+    Data, pyarrow and the engine."""
+    time.sleep(max(0.0, until - time.time()))
+    return ray.get_runtime_context().get_worker_id()
+
+
+def _ready_workers(n: int) -> set[str]:
+    """Have ``n`` task workers import Ray Data and the engine, once per Ray
+    job.  Returns their worker ids; empty when this job already has them
+    or Ray is not running.
+
+    Ray starts another task worker the first time a job runs tasks side
+    by side, and that worker imports Ray Data and the engine before its
+    first batch: about a second, paid in the middle of whichever job first
+    overlaps a read or write task with extraction, and by no job after it.
+    Paying it here, before the first job is built, gives every job of a
+    session the same cost.  The tasks of a round hold their workers until
+    the same moment, so that no worker runs two of them; a round in which
+    a new worker was not up by then is run again, at most three times."""
+    global _READY_JOB
+    if not ray.is_initialized():
+        return set()
+    job = ray.get_runtime_context().get_job_id()
+    if job == _READY_JOB:
+        return set()
+    _READY_JOB = job
+    n = min(n, int(ray.cluster_resources().get("CPU", 1)))
+    task = ray.remote(num_cpus=1)(_worker_id)
+    ids: set[str] = set()
+    for _ in range(3):
+        until = time.time() + _READY_HOLD_S
+        ids = set(ray.get([task.remote(until) for _ in range(n)]))
+        if len(ids) >= n:
+            break
+    return ids
+
+
 def extract_dataset(
     ds: "ray.data.Dataset",
     *,
@@ -132,9 +181,13 @@ def extract_dataset(
 
     The stage holds no state, so it runs as an instance (a task UDF) on
     Ray's long-lived workers rather than on an actor pool that every job
-    would start again; at most ``concurrency`` tasks run at once."""
+    would start again; at most ``concurrency`` tasks run at once.  The
+    first call in a Ray job readies ``concurrency`` + 1 workers (the
+    extraction tasks and a read or write task beside them), so that no
+    job starts one midway (``_ready_workers``)."""
     if concurrency is None:
         concurrency = _default_concurrency()
+    _ready_workers(concurrency + 1)
     return ds.map_batches(
         ExtractDocuments(),
         batch_format="pyarrow",

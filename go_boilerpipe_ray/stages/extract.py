@@ -1,7 +1,10 @@
 """Ray Data extraction stage: the per-batch transform over the kernel.
 
 ``ExtractDocuments`` takes no arguments and holds no state: the article
-filter chain is built once per process in ``kernel.spans``.  It runs as a
+filter chain is built once per process in ``kernel.spans``, and the
+kernel's text-keyed flush memo is emptied at the start of every batch, so
+no batch runs faster for documents its worker extracted before
+(``kernel.handler.clear_flush_memo``).  It runs as a
 task UDF, ``ds.map_batches(ExtractDocuments(), batch_format="pyarrow",
 zero_copy_batch=True, concurrency=N, batch_size=B)``, in
 ``pipelines.article.extract_dataset``, and is called directly as
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import pyarrow as pa
 
+from ..kernel.handler import clear_flush_memo
 from ..kernel.spans import extract_from_spans
 from ..sources.fixtures import OUTPUT_SPAN_STRUCT
 
@@ -22,6 +26,7 @@ class ExtractDocuments:
     """Per-document extraction over Arrow batches of (doc_id, spans) rows."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        clear_flush_memo()
         spans_col = batch.column("spans").to_pylist()
 
         titles: list[str] = []

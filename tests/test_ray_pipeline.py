@@ -401,3 +401,15 @@ def test_extract_survives_worker_death(corpus_paths, tmp_path):
 
 def test_extract_survives_worker_death_offline(offline_corpus_paths, tmp_path):
     _check_extract_survives_worker_death(*offline_corpus_paths["f2"], tmp_path)
+
+
+def test_ready_workers_once_per_job(ray_session, monkeypatch):
+    # The first extract_dataset of a Ray job readies distinct task workers
+    # (none of them runs two readying tasks); later calls do nothing.  The
+    # longer hold keeps a slow host from running a round again.
+    from go_boilerpipe_ray.pipelines import article
+
+    monkeypatch.setattr(article, "_READY_JOB", None)
+    monkeypatch.setattr(article, "_READY_HOLD_S", 2.0)
+    assert len(article._ready_workers(2)) == 2
+    assert article._ready_workers(2) == set()

@@ -714,3 +714,25 @@ def test_flush_count_cache_keys_on_anchor_state():
         for tb in parse_document(html).text_blocks
     ]
     assert warm == cold
+
+
+def test_extract_documents_empties_flush_memo_per_batch():
+    """A batch must not run faster for documents its long-lived worker
+    extracted before: the stage empties the text-keyed flush memo at the
+    start of every batch, and the memo then holds that batch's buffers
+    only."""
+    from go_boilerpipe_ray.kernel import handler as H
+    from go_boilerpipe_ray.sources.fixtures import spans_table, text_span
+    from go_boilerpipe_ray.stages.extract import ExtractDocuments
+
+    def batch(words: str):
+        html = f"<html><body><p>{words}</p></body></html>"
+        return spans_table([("d", [text_span(html, 0)])])
+
+    ExtractDocuments()(batch("first batch words"))
+    first = set(H._FLUSH_COUNT_CACHE)
+    assert any("first batch words" in k[0] for k in first)
+    ExtractDocuments()(batch("second batch words"))
+    second = set(H._FLUSH_COUNT_CACHE)
+    assert not any("first batch words" in k[0] for k in second)
+    assert any("second batch words" in k[0] for k in second)
