@@ -568,7 +568,6 @@ def minhash_lsh_pairs(
 
     def band_keys(batch: pa.Table, carry: bool = False) -> pa.Table:
         ids_in = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        sigs = batch.column("sig").to_pylist()
         if len(ids_in) == 0:
             cols = {
                 "doc_id": pa.array([], pa.int64()),
@@ -580,8 +579,15 @@ def minhash_lsh_pairs(
                     pa.array([0], pa.int32()), pa.array([], pa.int64())
                 )
             return pa.table(cols)
-        mat = np.asarray(sigs, dtype=np.uint64)  # (n, num_hashes)
-        n = mat.shape[0]
+        # (n, num_hashes): signature values lie in [0, 2^31 - 1), so the
+        # int64 -> uint64 view of the flat values is exact.
+        n = len(ids_in)
+        mat = (
+            pc.list_flatten(batch.column("sig"))
+            .to_numpy()
+            .astype(np.uint64)
+            .reshape(n, num_hashes)
+        )
         buckets = np.empty((n, bands), dtype=np.uint64)
         mult = np.uint64(1_000_003)
         for band in range(bands):

@@ -48,7 +48,7 @@ def _load_queries(sf_dir: str, n_queries: int) -> tuple[np.ndarray, np.ndarray]:
     qids = np.asarray(t.column("vec_id").to_pylist(), dtype=np.int64)
     if len(qids) == 0:  # no query vectors (empty corpus or offset ids)
         return qids, np.zeros((0, 0), dtype=np.float64)
-    qm = np.asarray(t.column("embedding").to_pylist(), dtype=np.float64)
+    qm = _embedding_matrix(t.column("embedding"))
     qm = qm / np.linalg.norm(qm, axis=1, keepdims=True)
     return qids, qm
 
@@ -66,9 +66,20 @@ def _empty_knn_result() -> pa.Table:
     )
 
 
+def _embedding_matrix(col) -> np.ndarray:
+    """The rows of a fixed-width embedding list column as a float64
+    (rows, dim) matrix, from the flat values (float32 widens exactly, so
+    the matrix equals the one built from Python lists).  No rows give
+    shape (0,), as ``np.asarray([])`` does."""
+    import pyarrow.compute as pc
+
+    flat = pc.list_flatten(col).to_numpy().astype(np.float64)
+    return flat.reshape(len(col), -1) if len(col) else flat
+
+
 def _batch_matrix(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
     ids = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
-    m = np.asarray(batch.column("embedding").to_pylist(), dtype=np.float64)
+    m = _embedding_matrix(batch.column("embedding"))
     return ids, m
 
 
@@ -238,7 +249,7 @@ def knn_filtered(sf_dir: str, k: int = 10, n_queries: int = 8) -> pa.Table:
     if len(qids) == 0:
         return _empty_knn_result()
     qlabs = np.asarray(qt.column("label").to_pylist(), dtype=np.int64)
-    qm = np.asarray(qt.column("embedding").to_pylist(), dtype=np.float64)
+    qm = _embedding_matrix(qt.column("embedding"))
     qm = qm / np.linalg.norm(qm, axis=1, keepdims=True)
     q_ref = ray.put((qids, qlabs, qm))
 
@@ -2038,7 +2049,7 @@ def hard_negatives(sf_dir: str, k: int = 5, n_queries: int = 8) -> pa.Table:
     if len(qids) == 0:
         return _empty_knn_result()
     qlabs = np.asarray(qt.column("label").to_pylist(), dtype=np.int64)
-    qm = np.asarray(qt.column("embedding").to_pylist(), dtype=np.float64)
+    qm = _embedding_matrix(qt.column("embedding"))
     qm = qm / np.linalg.norm(qm, axis=1, keepdims=True)
     q_ref = ray.put((qids, qlabs, qm))
 

@@ -55,8 +55,3 @@ ATOMS: frozenset[str] = frozenset(_ATOM_STRINGS.split())
 # Atom used when the tag name is not in the table (Go atom 0): all unknown
 # tags share it, so they compare equal on the tag stack.
 UNKNOWN = ""
-
-
-def atom_of(name: str) -> str:
-    """Return the atom identity for a lowercased tag name ('' if unknown)."""
-    return name if name in ATOMS else UNKNOWN

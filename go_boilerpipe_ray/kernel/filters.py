@@ -510,35 +510,6 @@ class KeepLargestBlocks(Filter):
         return True
 
 
-class KeepLargestFulltextBlock(Filter):
-    """Exported-but-unused in the reference pipeline (filter.go:521-565)."""
-
-    name = "KeepLargestFulltextBlock"
-
-    def process(self, doc: Document) -> bool:
-        blocks = doc.text_blocks
-        if len(blocks) < 2:
-            return False
-        mx = -1
-        largest_block: TextBlock | None = None
-        for tb in blocks:
-            if not tb.is_content:
-                continue
-            num_words = _get_num_full_text_words(tb)
-            if num_words > mx:
-                largest_block = tb
-                mx = num_words
-        if largest_block is None:
-            return False
-        for tb in blocks:
-            if tb is largest_block:
-                tb.is_content = True
-            else:
-                tb.is_content = False
-                tb.add_labels(Label.MIGHT_BE_CONTENT)
-        return True
-
-
 class ExpandTitleToContent(Filter):
     name = "ExpandTitleToContent"
 

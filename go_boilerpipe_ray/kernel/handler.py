@@ -1,10 +1,12 @@
-"""SAX-style content handler: tag actions, text buffering, block flushing.
+"""Content handler state, tag actions, word tokenizer and block flushing.
 
 Clones the state machine of /root/reference/content_handler.go bit-exactly:
 the asymmetric label push/pop, the flush flag that is only cleared by text
 tokens, byte-length buffer checks, the 80-column line-wrap simulation in
 runes, and Go's Unicode-White_Space trimming (which differs from Python's
-``str.strip``).
+``str.strip``).  The handler's text, start-tag and end-tag events are
+applied inline by the parse loop in ``document.parse_document``; this
+module holds the state they act on, the tag actions and ``flush_block``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import re
 
 import regex as _regex
 
-from .atoms import atom_of
 from .textblock import Label, LabelStack, TextBlock
 
 # Go unicode.IsSpace == Unicode White_Space property. Python str.isspace()
@@ -74,8 +75,27 @@ def _tokenize_reference(text: str) -> list[str]:
     return _RE_SEP_OR_SPACE.split(text.strip("⁣ "))
 
 
+# Text made only of ASCII word characters, spaces, glue punctuation and
+# the anchor sentinels splits into tokens exactly at its space runs: with
+# no other non-word character, no word-run edge is a boundary of kind (b).
+# '<' and '>' qualify only inside a sentinel standing alone between spaces,
+# which tokenize checks by counting.
+_RE_NOT_PLAIN = re.compile("[^0-9A-Za-z_ \"'.,!@\\-:;$?()/<>]")
+
+
 def tokenize(text: str) -> list[str]:
-    parts = _RE_WORD_SPLIT.split(go_trim_space(text))
+    text = go_trim_space(text)
+    if _RE_NOT_PLAIN.search(text) is None:
+        tokens = text.split()
+        if tokens and (
+            ("<" not in text and ">" not in text)
+            or (
+                text.count("<") == tokens.count(ANCHOR_TEXT_START)
+                and text.count(">") == tokens.count(ANCHOR_TEXT_END)
+            )
+        ):
+            return tokens
+    parts = _RE_WORD_SPLIT.split(text)
     tokens: list[str] = []
     cur = ""
     for i, part in enumerate(parts):
@@ -139,9 +159,10 @@ def is_word(tok: str) -> bool:
     return r
 
 
-# Fast-path detector: any non-space whitespace char, or a double space —
-# if absent, the space-collapse mapping is the identity.
-_SLOW_WS_RE = re.compile("[" + _GO_WS_STR.replace(" ", "") + "]|  ")
+# Fast-path detector: any non-space whitespace char, or (tested apart,
+# since an alternation defeats the regex's character-class scan) a double
+# space — if neither, the space-collapse mapping is the identity.
+_NON_SPACE_WS_RE = re.compile("[" + _GO_WS_STR.replace(" ", "") + "]")
 
 
 _WS_TO_SPACE = {ord(c): " " for c in GO_WHITESPACE}
@@ -190,7 +211,7 @@ def space_remove(s: str) -> tuple[str, bool, bool]:
 
 
 def _space_remove_impl(s: str) -> tuple[str, bool, bool]:
-    if not _SLOW_WS_RE.search(s):
+    if "  " not in s and _NON_SPACE_WS_RE.search(s) is None:
         return s, s.startswith(" "), s.endswith(" ")
     t = s.translate(_WS_TO_SPACE)
     if "  " in t:
@@ -447,6 +468,31 @@ def _token_counts_from_tokens(
 
 
 class ContentHandler:
+    """The handler's state, and the block flush.
+
+    Its text, start-tag and end-tag events are applied inline by the parse
+    loop in ``document.parse_document``; the tag actions above and
+    ``flush_block`` act on this object.  The token and text buffers are
+    emptied in place, so the loop may hold them in locals."""
+
+    __slots__ = (
+        "title",
+        "time",
+        "token_buffer",
+        "text_buffer",
+        "depth_body",
+        "depth_anchor",
+        "depth_ignoreable",
+        "depth_block_tag",
+        "last_was_whitespace",
+        "text_blocks",
+        "last_start_tag",
+        "offset_blocks",
+        "in_anchor_text",
+        "label_stack",
+        "buffer_src_end",
+    )
+
     def __init__(self):
         self.title = ""
         self.time: _dt.datetime | None = None
@@ -457,114 +503,23 @@ class ContentHandler:
         self.depth_body = 0
         self.depth_anchor = 0
         self.depth_ignoreable = 0
-
-        self.depth_tag = 0
         self.depth_block_tag = -1
 
         self.last_was_whitespace = False
-        self.text_element_index = 0
-
         self.text_blocks: list[TextBlock] = []
 
+        # Atom of the last start tag: flush_block only asks whether it was
+        # <title>, and unknown tags ("") never are.
         self.last_start_tag = ""
-        self.last_end_tag = ""
 
         self.offset_blocks = 0
-        self.flush = False
         self.in_anchor_text = False
 
         self.label_stack = LabelStack()
-        self.atom_stack: list[str] = []
 
-        self._buffer_src_end = -1
-
-    # -- events ------------------------------------------------------------
-
-    def start_element(self, name: str, attrs, atom: str | None = None) -> None:
-        a = atom_of(name) if atom is None else atom
-        self.atom_stack.append(a)
-
-        ta = TAG_ACTION_MAP.get(a) if a else None
-        if ta is not None:
-            if isinstance(ta, TATime):
-                for key, val in attrs:
-                    if key == "datetime":
-                        t = parse_rfc3339(val)
-                        if t is not None:
-                            self.time = t
-                        break
-            if ta.changes_tag_level:
-                self.depth_tag += 1
-            self.flush = ta.start(self) or self.flush
-        else:
-            self.depth_tag += 1
-            self.flush = True
-
-        self.last_start_tag = name
-
-    def end_element(self, name: str) -> None:
-        pa = self.atom_stack.pop() if self.atom_stack else ""
-        a = atom_of(name)
-        if pa != a:
-            return  # malformed HTML, missing closing tag
-
-        ta = TAG_ACTION_MAP.get(a) if a else None
-        if ta is not None:
-            self.flush = ta.end(self) or self.flush
-        else:
-            self.flush = True
-
-        if ta is None or ta.changes_tag_level:
-            self.depth_tag -= 1
-
-        if self.flush:
-            self.flush_block()
-        # NB: the flush flag is intentionally NOT cleared here (only
-        # TextToken clears it) — content_handler.go:145-147.
-
-        self.last_end_tag = name
-        self.label_stack.pop()
-
-    def text_token(self, data: str, src_end: int = -1) -> None:
-        self.text_element_index += 1
-
-        if self.flush:
-            self.flush_block()
-            self.flush = False
-
-        if self.depth_ignoreable != 0:
-            return
-        if len(data) == 0:
-            return
-
-        mapped, was_first, was_last = space_remove(data)
-        ch = mapped.strip(" ")  # mapped whitespace is all ' ' already
-
-        if len(ch) == 0:
-            if was_first or was_last:
-                if not self.last_was_whitespace:
-                    self.text_buffer.append(" ")
-                    self.token_buffer.append(" ")
-                self.last_was_whitespace = True
-            else:
-                self.last_was_whitespace = False
-            return
-
-        if was_first and not self.last_was_whitespace:
-            self.text_buffer.append(" ")
-            self.token_buffer.append(" ")
-
-        if self.depth_block_tag == -1:
-            self.depth_block_tag = self.depth_tag
-
-        self.text_buffer.append(ch)
-        self.token_buffer.append(ch)
-        if was_last:
-            self.text_buffer.append(" ")
-            self.token_buffer.append(" ")
-
-        self.last_was_whitespace = was_last
-        self._buffer_src_end = src_end
+        # Source offset where the last text token put into the buffer
+        # ended; -1 whenever the token buffer is empty.
+        self.buffer_src_end = -1
 
     def add_whitespace_if_necessary(self) -> None:
         if not self.last_was_whitespace:
@@ -579,7 +534,7 @@ class ContentHandler:
             # Empty buffer: every path below is a no-op (the title is only
             # set from a non-empty trimmed buffer; resets reset nothing).
             if self.depth_body == 0:
-                self._buffer_src_end = -1
+                self.buffer_src_end = -1
             return
         tok_str = "".join(self.token_buffer)
 
@@ -588,9 +543,9 @@ class ContentHandler:
                 title = go_trim_space(tok_str)
                 if title:
                     self.title = title
-            self.text_buffer = []
-            self.token_buffer = []
-            self._buffer_src_end = -1
+            self.text_buffer.clear()
+            self.token_buffer.clear()
+            self.buffer_src_end = -1
             return
 
         # Go switches on the buffer's BYTE length: 0 → bail (no reset);
@@ -598,9 +553,9 @@ class ContentHandler:
         if tok_str == "":
             return
         if len(tok_str) == 1 and ord(tok_str) < 128 and self.last_was_whitespace:
-            self.text_buffer = []
-            self.token_buffer = []
-            self._buffer_src_end = -1
+            self.text_buffer.clear()
+            self.token_buffer.clear()
+            self.buffer_src_end = -1
             return
 
         # Boilerplate is repeated by definition (nav/footer/header blocks
@@ -652,11 +607,11 @@ class ContentHandler:
                 tb.num_words_in_wrapped_lines = num_words
                 tb.num_wrapped_lines = 1
             tb.add_labels(*self.label_stack.pop_all())
-            tb.src_end = self._buffer_src_end
+            tb.src_end = self.buffer_src_end
             self.text_blocks.append(tb)
             self.offset_blocks += 1
 
-        self.text_buffer = []
-        self.token_buffer = []
-        self._buffer_src_end = -1
+        self.text_buffer.clear()
+        self.token_buffer.clear()
+        self.buffer_src_end = -1
         self.depth_block_tag = -1

@@ -12,6 +12,14 @@ Tokens are lightweight tuples; tag names and attribute keys are ASCII
 lowercased; attribute values are newline-converted and entity-unescaped in
 attribute context; text tokens are unescaped unless raw (script/style/...;
 title and textarea RCDATA *are* unescaped).
+
+The extraction parse does not iterate tokens: ``document.parse_document``
+scans the data state itself (the '<' search and ``_FAST_TAG_RE``, as
+``__iter__`` does) and calls the methods here for the rare states — raw
+text, RCDATA, script data and plaintext (``read_raw_text``), comments,
+doctype and bogus comments (``read_markup``, ``read_nameless_end_tag``)
+and attribute-reading start tags (``read_start_tag``).  ``__iter__`` is
+built on the same methods and serves the tokenizer tests and probes.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ DOCTYPE = 5
 _WS = " \n\r\t\f"
 
 # Tags that switch the tokenizer into raw-text mode (x/net/html readStartTag).
-_RAW_TAGS = frozenset(
+RAW_TAGS = frozenset(
     [
         "iframe",
         "noembed",
@@ -45,6 +53,12 @@ _RAW_TAGS = frozenset(
 )
 # RCDATA subset of the raw tags: their text is entity-unescaped.
 _RCDATA_TAGS = frozenset(["textarea", "title"])
+
+# Characters after '<' that begin markup (a tag, an end tag, a comment or
+# doctype, a bogus comment); after any other character the '<' is text.
+MARKUP_OPENERS = frozenset(
+    "/!?abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+)
 
 
 _ASCII_LOWER_CACHE: dict[str, str] = {}
@@ -186,8 +200,6 @@ def unescape(s: str, in_attribute: bool = False) -> str:
 #   data  — tag name (ASCII-lower) or text payload
 #   attrs — list[(key, val)] (keys lowered, vals unescaped) or None
 #   raw_* — source offsets of the raw token bytes
-# A tuple is ~2x cheaper to build than a __slots__ class, and the
-# tokenizer builds one per token on the hottest loop in the kernel.
 
 
 # One-regex scan of a whole tag (name + attribute soup), encoding exactly
@@ -219,16 +231,16 @@ _FAST_TAG_RE = _re.compile(
 )
 
 # Tags whose attributes are actually consumed downstream (script: ld+json
-# type check in parse_document; time: datetime in the handler) — routed to
-# the attribute-materializing char parser.
-_NEED_ATTRS = frozenset(["script", "time"])
+# type check; time: datetime; both in parse_document) — routed to the
+# attribute-materializing char parser.
+NEED_ATTRS = frozenset(["script", "time"])
 
 
 class Tokenizer:
     """Pull tokenizer over a str; ``__iter__`` yields Tokens until EOF.
 
     Fast path note: attribute lists are materialized only for tags in
-    ``_NEED_ATTRS`` (plus anything parsed via the slow path); other tags
+    ``NEED_ATTRS`` (plus anything parsed via the slow path); other tags
     carry ``attrs == []``.  Pass ``fast=False`` to force the reference
     char-by-char parser for every tag (used by differential tests)."""
 
@@ -276,6 +288,27 @@ class Tokenizer:
         self.pos = i
         self.raw_tag = ""
         return start, i
+
+    def read_raw_text(self) -> tuple[str, int, int]:
+        """The raw-text states (raw text, RCDATA, script data, plaintext) of
+        the element named by ``raw_tag``: consume its text up to the
+        matching end tag (to EOF for plaintext, which never leaves raw
+        mode).  Returns (text, start, end); text is '' when the element is
+        empty, in which case no token is produced."""
+        tag = self.raw_tag
+        if tag == "plaintext":
+            start = self.pos
+            end = self.pos = self.n
+        elif tag == "script":
+            start, end = self._read_script()
+        else:
+            start, end = self._read_raw_or_rcdata()
+        if end <= start:
+            return "", start, end
+        text = _convert_newlines(self.src[start:end]).replace("\x00", "\ufffd")
+        if tag in _RCDATA_TAGS:
+            text = unescape(text, False)
+        return text, start, end
 
     def _read_script(self) -> tuple[int, int]:
         """Script data state machine (x/net/html readScript): handles
@@ -593,21 +626,25 @@ class Tokenizer:
         self._name = name
         return attrs
 
-    def _read_start_tag(self, raw_start: int):
+    def read_start_tag(self, lt: int):
+        """Start tag at ``src[lt] == '<'`` with its attributes materialized
+        (the char-by-char parser).  Returns the START_TAG or SELF_CLOSING
+        token, or None for a tag truncated at EOF."""
+        self.pos = lt + 2  # one past the first name character
         attrs = self._read_tag(True)
         if self._eof_in_tag:
             # Go returns ErrorToken for a tag truncated at EOF: no token.
             return None
         name = self._name
         lname = _ascii_lower(name)
-        if lname in _RAW_TAGS:
+        if lname in RAW_TAGS:
             self.raw_tag = lname
         tt = START_TAG
         raw_end = self.pos
         # Self-closing: the byte before the final '>' is '/'.
         if raw_end >= 2 and self.src[raw_end - 2 : raw_end] == "/>":
             tt = SELF_CLOSING
-        return (tt, lname, attrs, raw_start, raw_end)
+        return (tt, lname, attrs, lt, raw_end)
 
     # -- comments / declarations -------------------------------------------
 
@@ -636,9 +673,16 @@ class Tokenizer:
             dash_count = 0
         self.pos = i
 
-    def _read_markup_declaration(self) -> int:
-        # self.pos is just past '<!'. Returns COMMENT or DOCTYPE.
+    def read_markup(self) -> int:
+        """'<!' or '<?' markup; self.pos is at the '!' or '?'.  Reads a
+        comment, a doctype or a bogus comment (which includes <![CDATA[ in
+        tokenizer-only mode, and every '<?') and returns COMMENT or
+        DOCTYPE."""
         s, n = self.src, self.n
+        if s[self.pos] == "?":
+            self._read_until_close_angle()  # the '?' is part of the comment
+            return COMMENT
+        self.pos += 1
         if self.pos + 2 <= n and s[self.pos : self.pos + 2] == "--":
             self.pos += 2
             self._read_comment()
@@ -647,9 +691,18 @@ class Tokenizer:
             self.pos += 7
             self._read_until_close_angle()
             return DOCTYPE
-        # Bogus comment (includes <![CDATA[ — tokenizer-only mode).
         self._read_until_close_angle()
         return COMMENT
+
+    def read_nameless_end_tag(self) -> bool:
+        """'</' followed by neither a letter nor EOF; self.pos is just past
+        the '/'.  '</>' produces no token; anything else is a bogus comment
+        up to the next '>'.  Returns whether a comment was read."""
+        if self.src[self.pos] == ">":
+            self.pos += 1
+            return False
+        self._read_until_close_angle()
+        return True
 
     # -- main loop ---------------------------------------------------------
 
@@ -659,76 +712,27 @@ class Tokenizer:
             if self.pos >= n:
                 return
             if self.raw_tag:
-                if self.raw_tag == "plaintext":
-                    start, self.pos = self.pos, n
-                    end = n
-                    # plaintext never leaves raw mode
-                    if end > start:
-                        yield (
-                            TEXT,
-                            _convert_newlines(s[start:end]).replace(
-                                "\x00", "�"
-                            ),
-                            None,
-                            start,
-                            end,
-                        )
-                    return
-                if self.raw_tag == "script":
-                    start, end = self._read_script()
-                else:
-                    rcdata = self.raw_tag in _RCDATA_TAGS
-                    start, end = self._read_raw_or_rcdata()
-                    if end > start:
-                        text = _convert_newlines(s[start:end]).replace(
-                            "\x00", "�"
-                        )
-                        if rcdata:
-                            text = unescape(text, False)
-                        yield (TEXT, text, None, start, end)
-                        continue
-                    continue
-                if end > start:
-                    text = _convert_newlines(s[start:end]).replace(
-                        "\x00", "�"
-                    )
+                text, start, end = self.read_raw_text()
+                if text:
                     yield (TEXT, text, None, start, end)
                 continue
 
             # Scan for '<' that begins markup; preceding run is text.
             text_start = self.pos
-            i = self.pos
-            tok_kind = None
-            while True:
-                lt_pos = s.find("<", i)
-                if lt_pos < 0 or lt_pos + 1 >= n:
-                    break
-                c2 = s[lt_pos + 1]
-                if ("a" <= c2 <= "z") or ("A" <= c2 <= "Z"):
-                    tok_kind = START_TAG
-                elif c2 == "/":
-                    tok_kind = END_TAG
-                elif c2 == "!" or c2 == "?":
-                    tok_kind = COMMENT
-                else:
-                    i = lt_pos + 1  # '<' is part of text
-                    continue
-                i = lt_pos + 1  # at the dispatch char (lt = i - 1 below)
-                break
-            if tok_kind is None:
+            lt = s.find("<", text_start)
+            while 0 <= lt < n - 1 and s[lt + 1] not in MARKUP_OPENERS:
+                lt = s.find("<", lt + 1)  # '<' is part of text
+            if lt < 0 or lt >= n - 1:
                 # EOF: trailing text
                 self.pos = n
-                if n > text_start:
-                    yield (
-                        TEXT,
-                        unescape(_convert_newlines(s[text_start:n]), False),
-                        None,
-                        text_start,
-                        n,
-                    )
+                yield (
+                    TEXT,
+                    unescape(_convert_newlines(s[text_start:n]), False),
+                    None,
+                    text_start,
+                    n,
+                )
                 return
-
-            lt = i - 1  # index of '<'
             if lt > text_start:
                 self.pos = lt
                 yield (
@@ -740,65 +744,52 @@ class Tokenizer:
                 )
                 continue
 
-            if tok_kind == START_TAG:
-                if self.fast:
-                    m = _FAST_TAG_RE.match(s, lt + 1)
-                    g1, g2 = m.group(1, 2)
-                    lname = _ascii_lower(g1)
-                    if lname not in _NEED_ATTRS:
-                        if not g2:
-                            return  # tag truncated at EOF: no token
-                        end = m.end()
-                        self.pos = end
-                        if lname in _RAW_TAGS:
-                            self.raw_tag = lname
-                        tt2 = SELF_CLOSING if s[end - 2] == "/" else START_TAG
-                        yield (tt2, lname, [], lt, end)
-                        continue
-                self.pos = i + 1  # one past first name char
-                tok = self._read_start_tag(lt)
-                if tok is None:
-                    return
-                yield tok
-                continue
-
-            if tok_kind == END_TAG:
-                self.pos = i + 1  # just past '/'
+            c2 = s[lt + 1]
+            if c2 == "/":
+                self.pos = lt + 2  # just past '/'
                 if self.pos >= n:
                     return
                 c3 = s[self.pos]
-                if ("a" <= c3 <= "z") or ("A" <= c3 <= "Z"):
-                    if self.fast:
-                        m = _FAST_TAG_RE.match(s, self.pos)
-                        if not m.group(2):
-                            return
-                        self.pos = m.end()
-                        yield (
-                            END_TAG, _ascii_lower(m.group(1)), [], lt, self.pos
-                        )
-                        continue
-                    self.pos += 1
-                    self._read_tag(False)
-                    if self._eof_in_tag:
+                if not (("a" <= c3 <= "z") or ("A" <= c3 <= "Z")):
+                    if self.read_nameless_end_tag():
+                        yield (COMMENT, "", None, lt, self.pos)
+                    continue
+                if self.fast:
+                    m = _FAST_TAG_RE.match(s, self.pos)
+                    if not m.group(2):
                         return
-                    yield (
-                        END_TAG, _ascii_lower(self._name), [], lt, self.pos
-                    )
-                elif c3 == ">":
-                    # '</>' produces no token.
-                    self.pos += 1
-                else:
-                    # Bogus comment.
-                    self._read_until_close_angle()
-                    yield (COMMENT, "", None, lt, self.pos)
+                    self.pos = m.end()
+                    yield (END_TAG, _ascii_lower(m.group(1)), [], lt, self.pos)
+                    continue
+                self.pos += 1
+                self._read_tag(False)
+                if self._eof_in_tag:
+                    return
+                yield (END_TAG, _ascii_lower(self._name), [], lt, self.pos)
                 continue
 
-            # COMMENT-ish ('<!' or '<?')
-            if s[i] == "!":
-                self.pos = i + 1
-                tt = self._read_markup_declaration()
+            if c2 == "!" or c2 == "?":
+                self.pos = lt + 1
+                tt = self.read_markup()
                 yield (tt, "", None, lt, self.pos)
-            else:  # '<?'
-                self.pos = i  # include '?' in the bogus comment
-                self._read_until_close_angle()
-                yield (COMMENT, "", None, lt, self.pos)
+                continue
+
+            # START_TAG
+            if self.fast:
+                m = _FAST_TAG_RE.match(s, lt + 1)
+                g1, g2 = m.group(1, 2)
+                lname = _ascii_lower(g1)
+                if lname not in NEED_ATTRS:
+                    if not g2:
+                        return  # tag truncated at EOF: no token
+                    end = m.end()
+                    self.pos = end
+                    if lname in RAW_TAGS:
+                        self.raw_tag = lname
+                    tt2 = SELF_CLOSING if s[end - 2] == "/" else START_TAG
+                    yield (tt2, lname, [], lt, end)
+                    continue
+            tok = self.read_start_tag(lt)
+            if tok is None:
+                return
+            yield tok

@@ -215,7 +215,6 @@ def _reassemble_part(part: pa.Table) -> pa.Table:
     import numpy as np
     import pyarrow.compute as pc
 
-    spans_type = part.schema.field("spans").type
     if part.num_rows == 0:
         return ExtractDocuments()(part.select(["doc_id", "spans"]))
     ids = part.column("doc_id").combine_chunks()
@@ -230,9 +229,10 @@ def _reassemble_part(part: pa.Table) -> pa.Table:
     frag_lens = pc.list_value_length(spans).to_numpy(zero_copy_only=False)
     doc_lens = np.add.reduceat(frag_lens.astype(np.int64), starts)
     offsets = np.concatenate([[0], np.cumsum(doc_lens)])
-    regrouped = pa.ListArray.from_arrays(
-        pa.array(offsets, pa.int32()), pc.list_flatten(spans)
-    ).cast(spans_type)
+    # int64 offsets: a partition may hold more than 2^31 spans in all.
+    regrouped = pa.LargeListArray.from_arrays(
+        pa.array(offsets, pa.int64()), pc.list_flatten(spans)
+    )
     batch = pa.table(
         {"doc_id": ids.take(pa.array(starts, pa.int64())), "spans": regrouped}
     )

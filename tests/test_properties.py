@@ -98,6 +98,34 @@ def test_tokenize_matches_reference_3pass(text):
     assert tokenize(text) == _tokenize_reference(text)
 
 
+# Plain text: ASCII word characters, spaces, glue punctuation and the
+# anchor sentinels, alone or glued to words, which is where tokenize
+# splits at spaces without its regex.  The counts flush_block takes from
+# the tokens must agree too.
+_plain_text = st.lists(
+    st.sampled_from(
+        list("abZ09_ .,-!@:;$?()/'\"<>") + ["$<", ">$", " $< ", " >$ ", "word", "  ", "\xa0"]
+    ),
+    max_size=40,
+).map("".join)
+
+
+@given(_plain_text, st.booleans())
+@settings(max_examples=600, deadline=None)
+def test_tokenize_plain_text_matches_reference_3pass(text, in_anchor):
+    from go_boilerpipe_ray.kernel.handler import (
+        _token_counts_from_tokens,
+        _tokenize_reference,
+        tokenize,
+    )
+
+    tokens = tokenize(text)
+    assert tokens == _tokenize_reference(text)
+    assert _token_counts_from_tokens(tokens, in_anchor) == _token_counts_from_tokens(
+        _tokenize_reference(text), in_anchor
+    )
+
+
 # -- combiner laws for the wide-operator partials (pure pyarrow, no Ray) ----
 #
 # Every "pre-aggregate in the batch, roll up in the groupby" operator is

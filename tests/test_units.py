@@ -736,3 +736,42 @@ def test_extract_documents_empties_flush_memo_per_batch():
     second = set(H._FLUSH_COUNT_CACHE)
     assert not any("first batch words" in k[0] for k in second)
     assert any("second batch words" in k[0] for k in second)
+
+
+def test_extraction_accepts_large_list_spans():
+    """The reassembly regroups spans into a large_list column (int64
+    offsets) and hands it to the extractor uncast: both the extractor and
+    the reassembly give the same rows for large_list input as for list."""
+    import pyarrow as pa
+
+    from go_boilerpipe_ray.pipelines.article import _reassemble_part
+    from go_boilerpipe_ray.sources.fixtures import (
+        html_for_document,
+        media_span,
+        spans_table,
+        split_chunks,
+        text_span,
+    )
+    from go_boilerpipe_ray.stages.extract import ExtractDocuments
+
+    rows = []
+    for d in range(4):
+        chunks = split_chunks(html_for_document(d, "alpha beta, gamma delta " * 8, 2), 4)
+        spans = [text_span(c, i) for i, c in enumerate(chunks)]
+        spans.insert(2, media_span("image", f"media://{d}", 2))
+        for i, c in enumerate(spans):
+            c["offset"] = i
+        # Two fragment rows per document, the second written first.
+        rows += [(f"d{d}", spans[3:]), (f"d{d}", spans[:3])]
+    table = spans_table(rows)
+    list_type = table.schema.field("spans").type
+    large = table.set_column(
+        1, "spans", table.column("spans").cast(pa.large_list(list_type.value_type))
+    )
+    assert pa.types.is_large_list(large.schema.field("spans").type)
+
+    assert ExtractDocuments()(large).equals(ExtractDocuments()(table))
+    out = _reassemble_part(large)
+    assert out.equals(_reassemble_part(table))
+    assert out.num_rows == 4
+    assert all(n > 0 for n in out.column("n_blocks_kept").to_pylist())
