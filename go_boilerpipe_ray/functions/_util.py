@@ -12,13 +12,13 @@ _EMPTY_SCHEMA_FILTER_INSTALLED = False
 
 def install_empty_block_schema_filter() -> None:
     """Drop Ray's "RefBundle with a different schema ... new schema: ."
-    warning for SCHEMALESS EMPTY bundles only.  A map_groups task whose
-    sorted input partition is empty yields zero batches (the group-UDF
-    wrapper iterates group boundaries and never calls the kernel —
-    ray/data/grouped_data.py:_apply_udf_to_groups), so Ray emits an
-    empty RefBundle with no schema and the executor warns on the
+    warning for SCHEMALESS EMPTY bundles only.  Still needed: an
+    ``exchange`` task whose fixed pk range holds no row yields zero
+    batches (its UDF skips an empty block, as map_groups' group wrapper
+    does — ray/data/grouped_data.py:_apply_udf_to_groups), so Ray emits
+    an empty RefBundle with no schema and the executor warns on the
     mismatch.  Downstream operators skip empty bundles, so the message
-    is benign noise at small sf (empty hash partitions); a REAL schema
+    is benign noise at small sf (empty pk ranges); a REAL schema
     divergence between two non-empty bundles prints a non-empty new
     schema and still warns.  Known trade-offs, accepted: (a) a
     hypothetical non-empty ZERO-COLUMN bundle renders the same empty
@@ -116,21 +116,57 @@ def md5_u64(vals) -> "np.ndarray":
     return out
 
 
+# Rows per call of partitioned_by_key's tagging map.  Ray bundles input
+# blocks smaller than this into one task (a small input is read into many
+# ~1 MB blocks, and each block would otherwise be a map task of the sort
+# that follows), and slices larger blocks into calls of this many rows.
+TAG_BATCH_ROWS = 4096
+
+
+def exchange(ds, pk_col: str, P: int, kernel):
+    """THE keyed exchange: every hash shuffle of the engine runs here.
+
+    ``pk_col`` is an int partition column in [0, P).  Rows are sorted on
+    it at fixed, equal pk ranges into R = min(P, 2 × cluster CPUs) blocks
+    (boundaries ``P*i//R``), and ``kernel(block)`` runs once per
+    non-empty block, so each call holds every row of about P/R partition
+    values and the kernel must group by its own key, never by pk.  pk is
+    a uniform hash, so equal ranges are what a sampled sort would
+    estimate, without its sampling tasks; every pk lands in the same
+    block on every run, so the per-block work repeats.  This is
+    ``groupby(pk).map_groups`` (a sort, then ``map_batches(batch_size=
+    None)``) with the sampling pass and the per-pk calls dropped.  An
+    empty block yields no output, as map_groups calls no UDF on one."""
+    R = min(P, wide_partitions(floor=1))
+    # An empty list would make Ray sample boundaries; [P] puts every row
+    # in the first of two blocks.
+    bounds = [P * i // R for i in range(1, R)] or [P]
+
+    def run(block):
+        if block.num_rows:
+            yield kernel(block)
+
+    # Ray names the operator after the UDF.
+    run.__name__ = kernel.__name__
+    return ds.sort(pk_col, boundaries=bounds).map_batches(
+        run, batch_format="pyarrow", batch_size=None
+    )
+
+
 def partitioned_by_key(ds, key_col: str, kernel, P: int | None = None):
     """Partition-vectorized per-key execution: the scalable replacement
     for ``groupby(key).map_groups(per_key_fn)`` when the key has
     unbounded cardinality (e.g. user_id at 10⁹ users = 10⁹ Python
     invocations and 10⁹ tiny Arrow tables).
 
-    Appends ``pk = key % P`` (P = wide_partitions(), scales with the
-    cluster) and runs ONE ``kernel(partition_table)`` call per hash
-    partition — every key's rows are co-located, so the kernel computes
-    all per-key results at once with a numpy lexsort + run-boundary
-    sweep (see ``run_bounds``).  Same single keyed shuffle as the naive
-    shape, but UDF calls are bounded by P instead of key cardinality —
-    the pattern dedup.ngram_jaccard_pairs and salted_event_stats
-    established.  The kernel receives (and should ignore/drop) the
-    ``pk`` column."""
+    Appends ``pk = key % P`` for an integer key, ``blake2_u63(key) % P``
+    for a string key (P = wide_partitions(), scales with the cluster),
+    in calls of TAG_BATCH_ROWS rows, then runs ``exchange``: ONE
+    ``kernel(block)`` call per fixed pk range — every key's rows are
+    co-located, so the kernel computes all per-key results at once with
+    a numpy lexsort + run-boundary sweep (see ``run_bounds``).  UDF
+    calls are bounded by the cluster size instead of key cardinality.
+    The kernel receives (and should ignore/drop) the ``pk`` column."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
@@ -138,18 +174,22 @@ def partitioned_by_key(ds, key_col: str, kernel, P: int | None = None):
         P = wide_partitions()
 
     def add_pk(batch):
-        k = pc.cast(batch.column(key_col), pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
+        key = batch.column(key_col)
+        if pa.types.is_string(key.type) or pa.types.is_large_string(key.type):
+            h = blake2_u63(key.to_pylist())
+        else:
+            h = pc.cast(key, pa.int64()).to_numpy(zero_copy_only=False)
         return batch.append_column(
-            "pk", pa.array((k % P).astype("int32"), pa.int32())
+            "pk", pa.array((h % P).astype("int32"), pa.int32())
         )
 
-    return (
-        ds.map_batches(add_pk, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("pk")
-        .map_groups(kernel, batch_format="pyarrow")
+    tagged = ds.map_batches(
+        add_pk,
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        batch_size=TAG_BATCH_ROWS,
     )
+    return exchange(tagged, "pk", P, kernel)
 
 
 def batch_distinct_int64(column: str):

@@ -35,7 +35,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ._util import cut_lineage, wide_partitions
+from ._util import cut_lineage, exchange, partitioned_by_key, wide_partitions
 
 from ._util import TOKEN_PATTERN
 
@@ -207,15 +207,15 @@ def ngram_jaccard_pairs(
     wide steps shuffle on a *hash partition* key (a bounded number of
     groups) and run vectorized numpy kernels inside each partition:
 
-      shingles → groupby(shingle % P)   → per-partition pair emission
-      pairs    → groupby(pair-hash % P) → per-partition count + filter
+      shingles → exchange on shingle % P   → per-block pair emission
+      pairs    → exchange on pair-hash % P → per-block count + filter
 
     The Jaccard denominators (per-doc distinct-shingle counts) are
     computed at shingling time and CARRIED in the data rows, so the
     threshold filter needs no size lookup — no broadcast table, no join,
     nothing driver-side, at any corpus size.  Two int-keyed shuffles,
-    2·P UDF calls total, all inner loops numpy; P scales with cluster
-    CPUs (wide_partitions)."""
+    at most 2 × min(P, 2 × CPUs) UDF calls, all inner loops numpy; P
+    scales with cluster CPUs (wide_partitions)."""
     shingled = dup_corpus(sf_dir).map_batches(
         lambda b: _shingle_batch(b, k),
         batch_format="pyarrow",
@@ -223,10 +223,6 @@ def ngram_jaccard_pairs(
     )
 
     P = wide_partitions()
-
-    def add_shingle_pk(batch: pa.Table) -> pa.Table:
-        sh = batch.column("shingle").to_numpy(zero_copy_only=False)
-        return batch.append_column("pk", pa.array(sh % P, pa.int32()))
 
     def partition_pairs(group: pa.Table) -> pa.Table:
         """Emit candidate pairs for every shingle in this hash partition —
@@ -269,13 +265,7 @@ def ngram_jaccard_pairs(
             }
         )
 
-    pairs = (
-        shingled.map_batches(
-            add_shingle_pk, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("pk")
-        .map_groups(partition_pairs, batch_format="pyarrow")
-    )
+    pairs = partitioned_by_key(shingled, "shingle", partition_pairs, P)
 
     def add_pair_pk(batch: pa.Table) -> pa.Table:
         a = batch.column("id_a").to_numpy(zero_copy_only=False)
@@ -300,10 +290,11 @@ def ngram_jaccard_pairs(
             {"id_a": kept.column("id_a"), "id_b": kept.column("id_b")}
         )
 
-    return (
-        pairs.map_batches(add_pair_pk, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("pk")
-        .map_groups(count_and_filter, batch_format="pyarrow")
+    return exchange(
+        pairs.map_batches(add_pair_pk, batch_format="pyarrow", zero_copy_batch=True),
+        "pk",
+        P,
+        count_and_filter,
     )
 
 
@@ -494,9 +485,7 @@ def _minhash_verify_carry(
             }
         )
 
-    pairs = banded.groupby("pk").map_groups(
-        verify_in_bucket, batch_format="pyarrow"
-    )
+    pairs = exchange(banded, "pk", P, verify_in_bucket)
 
     def dedup_pairs(group: pa.Table) -> pa.Table:
         a = group.column("id_a").to_numpy(zero_copy_only=False)
@@ -513,7 +502,7 @@ def _minhash_verify_carry(
             }
         )
 
-    return pairs.groupby("pp").map_groups(dedup_pairs, batch_format="pyarrow")
+    return exchange(pairs, "pp", P, dedup_pairs)
 
 
 def minhash_lsh_pairs(
@@ -536,15 +525,15 @@ def minhash_lsh_pairs(
     partition where the estimate is computed vectorized.  The signature
     table never collapses onto the driver (at 10^12 documents a
     512-byte/doc broadcast is petabytes; here each signature is shuffled
-    a bounded number of times).  The join is expressed as union +
-    groupby(pk).map_groups rather than Dataset.join because Ray's
-    hash-join spins up an aggregator actor pool per join (num_partitions
-    actors) whose spin-up dominates at small scale and whose partition
-    count is resource-capped; the sort-shuffle map_groups path expresses
-    the same partitioned hash join with plain tasks and the module's one
-    partitioning discipline (pk = key % P).  All wide steps stay
-    partition-vectorized (bounded group counts, numpy inner loops), like
-    ngram_jaccard_pairs.
+    a bounded number of times).  The join is expressed as union + the
+    engine's keyed exchange (``_util.exchange``) rather than Dataset.join
+    because Ray's hash-join spins up an aggregator actor pool per join
+    (num_partitions actors) whose spin-up dominates at small scale and
+    whose partition count is resource-capped; the exchange's fixed-range
+    sort expresses the same partitioned hash join with plain tasks and
+    the module's one partitioning discipline (pk = key % P).  All wide
+    steps stay partition-vectorized (one kernel call per pk range, numpy
+    inner loops), like ngram_jaccard_pairs.
 
     ``verify="carry"`` (the small-corpus plan): each band row carries its
     document's full signature, so the bucket partition verifies pairs
@@ -659,9 +648,7 @@ def minhash_lsh_pairs(
             }
         )
 
-    candidates = banded.groupby("pk").map_groups(
-        partition_pairs, batch_format="pyarrow"
-    )
+    candidates = exchange(banded, "pk", P, partition_pairs)
 
     # -- distributed verify: repartition join on doc id -----------------
     def _empty_sigs(n: int) -> pa.ListArray:
@@ -753,7 +740,7 @@ def minhash_lsh_pairs(
             }
         )
 
-    attached = halves.groupby("kp").map_groups(attach_sig, batch_format="pyarrow")
+    attached = exchange(halves, "kp", P, attach_sig)
 
     def combine_and_estimate(group: pa.Table) -> pa.Table:
         """Inside a pair-hash partition: drop cross-band duplicate halves
@@ -787,9 +774,7 @@ def minhash_lsh_pairs(
             }
         )
 
-    return attached.groupby("pp").map_groups(
-        combine_and_estimate, batch_format="pyarrow"
-    )
+    return exchange(attached, "pp", P, combine_and_estimate)
 
 
 def _minhash_lsh_sql(
@@ -1048,7 +1033,7 @@ def simhash_pairs(
             }
         )
 
-    pairs = banded.groupby("pk").map_groups(bucket_pairs, batch_format="pyarrow")
+    pairs = exchange(banded, "pk", P, bucket_pairs)
     # The same pair surfaces from every agreeing band — keyed dedup.
     return (
         pairs.groupby(["id_a", "id_b"])
@@ -1289,8 +1274,7 @@ def connected_components(
             ),
         )
         labels = (
-            rows.groupby("kp")
-            .map_groups(propose, batch_format="pyarrow")
+            exchange(rows, "kp", P, propose)
             .groupby("node")
             .min("label")
             .rename_columns({"min(label)": "label"})
@@ -1885,7 +1869,7 @@ def incremental_dedup_confirmed(
             }
         )
 
-    confirmed = halves.groupby("pk").map_groups(confirm, batch_format="pyarrow")
+    confirmed = exchange(halves, "pk", P, confirm)
     return definite_new.union(confirmed)
 
 
@@ -1923,7 +1907,7 @@ def dedup_keep_best(sf_dir: str) -> "ray.data.Dataset":
 
     Two keyed shuffles, both on hash partitions with vectorized kernels:
 
-      1. repartition join (union + groupby(pk).map_groups) attaching each
+      1. repartition join (union + the keyed exchange) attaching each
          corpus doc's component label on doc_id hash; docs absent from
          the pair graph are singletons (component = own id) via the
          miss branch of the sorted-key lookup — the LEFT JOIN semantics.
@@ -1991,7 +1975,7 @@ def dedup_keep_best(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    labeled = halves.groupby("pk").map_groups(attach, batch_format="pyarrow")
+    labeled = exchange(halves, "pk", P, attach)
 
     def select_best(group: pa.Table) -> pa.Table:
         comps = group.column("component").to_numpy(zero_copy_only=False)
@@ -2010,10 +1994,8 @@ def dedup_keep_best(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    return (
-        labeled.groupby("ck")
-        .map_groups(select_best, batch_format="pyarrow")
-        .select_columns(["component", "keep_id", "n_members"])
+    return exchange(labeled, "ck", P, select_best).select_columns(
+        ["component", "keep_id", "n_members"]
     )
 
 
@@ -2252,7 +2234,7 @@ def fuzzy_name_pairs(sf_dir: str) -> "ray.data.Dataset":
     verified pair — never the corpus text, never a quadratic blow-up
     (identical hot names are the only quadratic term, and that is
     output-bound)."""
-    from ._util import blake2_u63, partitioned_by_key, read_parquet_clean, run_bounds
+    from ._util import blake2_u63, read_parquet_clean, run_bounds
 
     ds = read_parquet_clean(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]
@@ -2495,7 +2477,7 @@ def snm_dup_pairs(sf_dir: str, w: int = 4, prefix: int = 32) -> "ray.data.Datase
     the kernel finds partners by pure position offset (consecutive
     ranks), never a per-row scan.  Nothing materializes beyond the
     histogram."""
-    from ._util import partitioned_by_key, run_bounds
+    from ._util import run_bounds
     from .text import read_documents
 
     import ray
@@ -2525,7 +2507,7 @@ def _snm_window_pairs(feats: "ray.data.Dataset", w: int) -> "ray.data.Dataset":
     for the (n, doc_id) order via the bounded-histogram trick, then
     bucket-ghost co-location with position-offset partners.  ``feats``
     must carry (doc_id, n, p); a pair qualifies when p is equal."""
-    from ._util import partitioned_by_key, run_bounds
+    from ._util import run_bounds
 
     import ray
 
@@ -2779,7 +2761,7 @@ def gram_novelty(sf_dir: str, k: int = 3) -> pa.Table:
     n_sh, so no size table is ever broadcast or joined.  Grams shuffle
     as 8-byte hashes, never strings (same collision caveat as
     ngram_jaccard_pairs: exact absent 64-bit collisions)."""
-    from ._util import partitioned_by_key, read_parquet_clean, run_bounds
+    from ._util import read_parquet_clean, run_bounds
 
     ds = read_parquet_clean(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
@@ -2916,10 +2898,6 @@ def containment_pairs(
 
     P = wide_partitions()
 
-    def add_shingle_pk(batch: pa.Table) -> pa.Table:
-        sh = batch.column("shingle").to_numpy(zero_copy_only=False)
-        return batch.append_column("pk", pa.array(sh % P, pa.int32()))
-
     def partition_pairs(group: pa.Table) -> pa.Table:
         sh = group.column("shingle").to_numpy(zero_copy_only=False)
         ids = group.column("doc_id").to_numpy(zero_copy_only=False)
@@ -2945,13 +2923,7 @@ def containment_pairs(
             {n: pa.array(np.concatenate(v), pa.int64()) for n, v in out.items()}
         )
 
-    pairs = (
-        shingled.map_batches(
-            add_shingle_pk, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("pk")
-        .map_groups(partition_pairs, batch_format="pyarrow")
-    )
+    pairs = partitioned_by_key(shingled, "shingle", partition_pairs, P)
 
     def add_pair_pk(batch: pa.Table) -> pa.Table:
         a = batch.column("id_a").to_numpy(zero_copy_only=False)
@@ -2984,10 +2956,11 @@ def containment_pairs(
             }
         )
 
-    return (
-        pairs.map_batches(add_pair_pk, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("pk")
-        .map_groups(count_and_emit, batch_format="pyarrow")
+    return exchange(
+        pairs.map_batches(add_pair_pk, batch_format="pyarrow", zero_copy_batch=True),
+        "pk",
+        P,
+        count_and_emit,
     )
 
 
@@ -3240,7 +3213,7 @@ def survivorship_merge(sf_dir: str) -> pa.Table:
     certification note as entity_clusters)."""
     import ray
 
-    from ._util import partitioned_by_key, read_parquet_clean, run_bounds
+    from ._util import read_parquet_clean, run_bounds
 
     ent = ray.data.from_arrow(entity_clusters(sf_dir))
 
@@ -3429,7 +3402,7 @@ def allpairs_jaccard(sf_dir: str, threshold_pct: int = 70, k: int = 3) -> "ray.d
           the intersection) — no per-pair Python loop.
     Threshold is integer-exact: keep iff 100*inter >= pct*(na+nb-inter).
     """
-    from ._util import partitioned_by_key, run_bounds
+    from ._util import run_bounds
 
     P = wide_partitions()
     shingled = dup_corpus(sf_dir).map_batches(
@@ -3639,7 +3612,7 @@ def allpairs_jaccard(sf_dir: str, threshold_pct: int = 70, k: int = 3) -> "ray.d
             }
         )
 
-    attached = halves.groupby("kp").map_groups(attach_set, batch_format="pyarrow")
+    attached = exchange(halves, "kp", P, attach_set)
 
     def combine_and_verify(group: pa.Table) -> pa.Table:
         """Dedup duplicate halves (same pair via several prefix tokens),
@@ -3693,9 +3666,7 @@ def allpairs_jaccard(sf_dir: str, threshold_pct: int = 70, k: int = 3) -> "ray.d
             }
         )
 
-    return attached.groupby("pp").map_groups(
-        combine_and_verify, batch_format="pyarrow"
-    )
+    return exchange(attached, "pp", P, combine_and_verify)
 
 
 ALLPAIRS_JACCARD_SQL = f"""

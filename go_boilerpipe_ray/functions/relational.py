@@ -14,7 +14,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ._util import money_cents, quantile_disc_pick
+from ._util import exchange, money_cents, quantile_disc_pick
 
 
 def _read(sf_dir: str, table: str, columns: list[str]) -> "ray.data.Dataset":
@@ -1044,10 +1044,11 @@ def repartition_join(
     joined inside each partition with a vectorized sorted-key probe that
     handles 1:N fan-out.  This is the large-large complement of
     top_customers' broadcast join: each row is shuffled exactly once and
-    no side is materialized anywhere.  Expressed as union +
-    groupby(pk).map_groups rather than ``Dataset.join`` because Ray's
-    hash join spins a num_partitions aggregator-actor pool whose spin-up
-    dominates at small scale (see dedup.minhash_lsh_pairs).
+    no side is materialized anywhere.  Expressed as union + the engine's
+    keyed exchange (``_util.exchange`` over the ``pk`` column, P × S
+    partitions) rather than ``Dataset.join`` because Ray's hash join
+    spins a num_partitions aggregator-actor pool whose spin-up dominates
+    at small scale (see dedup.minhash_lsh_pairs).
 
     ``left_cols`` / ``right_cols`` name the payload columns (with types)
     each side contributes; the join key arrives as ``left_on``.
@@ -1059,7 +1060,9 @@ def repartition_join(
     REPLICATED S times (once per salt bucket).  Each bucket then holds
     the full build set for its keys plus a 1/S slice of the probe rows,
     so per-row match logic (inner/left/semi/anti alike) is unchanged
-    and the output is salt-invariant (pinned by test).  Cost: S× the
+    and the output is salt-invariant (pinned by test).  An exchange
+    block holds several salt buckets of one key, so rows match on
+    (key, salt = pk % S), never on the key alone.  Cost: S× the
     build-side shuffle volume — pick S ~ hot-key fan-out / mean, keep
     the smaller side on the right.
 
@@ -1146,6 +1149,12 @@ def repartition_join(
     def join_group(group: pa.Table) -> pa.Table:
         side = group.column("side").to_numpy(zero_copy_only=False)
         keys = group.column("k").to_numpy(zero_copy_only=False)
+        if S > 1:
+            # Dense key codes with the salt in the low digit: each replica
+            # of a build row meets only the probe rows of its own bucket.
+            _, codes = np.unique(keys, return_inverse=True)
+            salt = group.column("pk").to_numpy(zero_copy_only=False) % S
+            keys = codes.astype(np.int64) * S + salt
         lsel = np.flatnonzero(side == 0)
         rsel = np.flatnonzero(side == 1)
         rkeys = keys[rsel]
@@ -1192,7 +1201,7 @@ def repartition_join(
         }
         return pa.concat_tables([matched, pa.table(miss_cols)])
 
-    return both.groupby("pk").map_groups(join_group, batch_format="pyarrow")
+    return exchange(both, "pk", P * S, join_group)
 
 
 def join_customer_orders(sf_dir: str) -> "ray.data.Dataset":
@@ -6020,13 +6029,13 @@ def _copurchase_edges(sf_dir: str, P: int) -> "ray.data.Dataset":
         k = np.unique(group.column("k").to_numpy(zero_copy_only=False))
         return pa.table({"k": pa.array(k, pa.int64())})
 
-    return (
-        li.map_batches(order_pk, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("pk")
-        .map_groups(order_pairs, batch_format="pyarrow")
-        .groupby("epk")
-        .map_groups(dedup_edges, batch_format="pyarrow")
-    ).materialize()
+    by_order = exchange(
+        li.map_batches(order_pk, batch_format="pyarrow", zero_copy_batch=True),
+        "pk",
+        P,
+        order_pairs,
+    )
+    return exchange(by_order, "epk", P, dedup_edges).materialize()
 
 
 def copurchase_triangles(sf_dir: str) -> pa.Table:
@@ -6118,10 +6127,11 @@ def copurchase_triangles(sf_dir: str) -> pa.Table:
             }
         )
 
-    wedges = (
-        edges.map_batches(orient, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("spk")
-        .map_groups(wedge_kernel, batch_format="pyarrow")
+    wedges = exchange(
+        edges.map_batches(orient, batch_format="pyarrow", zero_copy_batch=True),
+        "spk",
+        P,
+        wedge_kernel,
     )
 
     def edge_side(batch: pa.Table) -> pa.Table:
@@ -6143,10 +6153,7 @@ def copurchase_triangles(sf_dir: str) -> pa.Table:
     both = wedges.union(
         edges.map_batches(edge_side, batch_format="pyarrow", zero_copy_batch=True)
     )
-    parts = (
-        both.groupby("mpk").map_groups(match_count, batch_format="pyarrow")
-        .to_pandas()
-    )
+    parts = exchange(both, "mpk", P, match_count).to_pandas()
     total = int(parts["n"].sum()) if len(parts) else 0
     return pa.table({"n_triangles": pa.array([total], pa.int64())})
 
@@ -6523,8 +6530,7 @@ def order_priority_exists(sf_dir: str) -> pa.Table:
         )
 
     out = (
-        both.groupby("pk")
-        .map_groups(kernel, batch_format="pyarrow")
+        exchange(both, "pk", P, kernel)
         .groupby("o_orderpriority")
         .aggregate(ray.data.aggregate.Sum("n", alias_name="n_orders"))
         .to_pandas()
@@ -6644,8 +6650,7 @@ def customer_order_distribution(sf_dir: str) -> pa.Table:
         )
 
     out = (
-        both.groupby("pk")
-        .map_groups(kernel, batch_format="pyarrow")
+        exchange(both, "pk", P, kernel)
         .groupby("c_count")
         .aggregate(ray.data.aggregate.Sum("custdist", alias_name="custdist"))
         .to_pandas()
@@ -10085,22 +10090,9 @@ def top_paths(sf_dir: str, cap: int = 5, k: int = 10) -> pa.Table:
     partition (strings shuffle once, bounded by users, not events),
     folds with a per-partition group count, and the final top-k is a
     per-block select_k + bounded driver merge — no global sort."""
-    from ._util import blake2_u63, ensure_columns
+    from ._util import ensure_columns, partitioned_by_key
 
     paths = user_event_path(sf_dir, cap=cap)
-
-    P_local = 64
-
-    def add_pk(batch: pa.Table) -> pa.Table:
-        p = batch.column("path").to_pylist()
-        return pa.table(
-            {
-                "path": batch.column("path"),
-                "pk": pa.array(
-                    (blake2_u63(p) % P_local).astype(np.int32), pa.int32()
-                ),
-            }
-        )
 
     def count_kernel(group: pa.Table) -> pa.Table:
         t = (
@@ -10120,10 +10112,9 @@ def top_paths(sf_dir: str, cap: int = 5, k: int = 10) -> pa.Table:
         return t.take(idx)
 
     cand = ensure_columns(
-        paths.map_batches(add_pk, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("pk")
-        .map_groups(count_kernel, batch_format="pyarrow")
-        .to_pandas(),  # bounded: ≤ P × k candidate rows
+        partitioned_by_key(
+            paths.select_columns(["path"]), "path", count_kernel, P=64
+        ).to_pandas(),  # bounded: ≤ 2 × CPUs × k candidate rows
         ["path", "n"],
     )
     cand = cand.sort_values(["n", "path"], ascending=[False, True]).head(k)

@@ -161,26 +161,17 @@ def domain_cap(sf_dir: str, n: int = DOMAIN_CAP_N) -> "ray.data.Dataset":
 
     def cap_part(part: pa.Table) -> pa.Table:
         # lowest_n_per_source already caps every source in its input
-        # independently, so the per-partition finisher IS the batch
-        # combiner — one call per blake2(source) % P partition instead
-        # of one Python call per domain.
+        # independently, so the per-block finisher IS the batch
+        # combiner — one call per exchange block instead of one Python
+        # call per domain.
         return cap(part.select(["doc_id", "source"]))
 
-    from ._util import blake2_u63, wide_partitions
+    from ._util import partitioned_by_key
 
-    P = wide_partitions()
-
-    def add_pk(batch: pa.Table) -> pa.Table:
-        h = blake2_u63(batch.column("source").to_pylist())
-        return batch.append_column(
-            "pk", pa.array((h % P).astype("int32"), pa.int32())
-        )
-
-    return (
-        ds.map_batches(cap, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(add_pk, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("pk")
-        .map_groups(cap_part, batch_format="pyarrow")
+    return partitioned_by_key(
+        ds.map_batches(cap, batch_format="pyarrow", zero_copy_batch=True),
+        "source",
+        cap_part,
     )
 
 

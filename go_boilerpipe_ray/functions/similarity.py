@@ -815,7 +815,7 @@ def _load_centroids(sf_dir: str, k: int) -> np.ndarray:
     )
     t = t.filter(pc.less(t.column("vec_id"), k))
     order = np.argsort(np.asarray(t.column("vec_id").to_pylist(), dtype=np.int64))
-    cm = np.asarray(t.column("embedding").to_pylist(), dtype=np.float64)[order]
+    cm = _embedding_matrix(t.column("embedding"))[order]
     return _quantize(cm)  # (k, d) int64
 
 
@@ -2225,9 +2225,7 @@ def matryoshka_recall(
                 "n_overlap": pa.array([], pa.int64()),
             }
         )
-    qm = np.asarray(qt.column("embedding").to_pylist(), dtype=np.float64)[
-        :, :trunc_dim
-    ]
+    qm = _embedding_matrix(qt.column("embedding"))[:, :trunc_dim]
     qm = qm / np.linalg.norm(qm, axis=1, keepdims=True)
     q_ref = ray.put((qids, qm))
 
@@ -2344,7 +2342,7 @@ def mmr_select(sf_dir: str, k: int = 8) -> pa.Table:
         return pa.table(
             {"rank": pa.array([], pa.int64()), "vec_id": pa.array([], pa.int64())}
         )
-    q = np.asarray(qt.column("embedding").to_pylist(), dtype=np.float64)[0]
+    q = _embedding_matrix(qt.column("embedding"))[0]
     q = q / np.linalg.norm(q)
 
     ds = read_parquet_clean(

@@ -731,21 +731,12 @@ def tfidf_topk(sf_dir: str, k: int = TFIDF_K) -> "ray.data.Dataset":
             }
         )
 
-    from ._util import blake2_u63, partitioned_by_key, wide_partitions
+    from ._util import partitioned_by_key
 
-    P = wide_partitions()
-
-    def add_token_pk(batch: pa.Table) -> pa.Table:
-        h = blake2_u63(batch.column("token").to_pylist())
-        return batch.append_column(
-            "pk", pa.array((h % P).astype("int32"), pa.int32())
-        )
-
-    with_df = (
-        ds.map_batches(term_counts, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(add_token_pk, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("pk")
-        .map_groups(attach_df_part, batch_format="pyarrow")
+    with_df = partitioned_by_key(
+        ds.map_batches(term_counts, batch_format="pyarrow", zero_copy_batch=True),
+        "token",
+        attach_df_part,
     )
     return partitioned_by_key(with_df, "doc_id", topk_part)
 
@@ -2945,26 +2936,16 @@ def heavy_hitters_by_source(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    from ._util import blake2_u63, wide_partitions
+    from ._util import partitioned_by_key
 
-    P = wide_partitions()
-
-    def add_src_pk(batch: pa.Table) -> pa.Table:
-        h = blake2_u63(batch.column("source").to_pylist())
-        return batch.append_column(
-            "pk", pa.array((h % P).astype("int32"), pa.int32())
-        )
-
-    return (
+    counted = (
         read_documents(sf_dir, columns=["source", "text"])
         .map_batches(pair_counts, batch_format="pyarrow", zero_copy_batch=True)
         .groupby(["source", "token"])
         .sum("n_part")
         .rename_columns({"sum(n_part)": "n"})
-        .map_batches(add_src_pk, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("pk")
-        .map_groups(topk_part, batch_format="pyarrow")
     )
+    return partitioned_by_key(counted, "source", topk_part)
 
 
 HEAVY_HITTERS_SQL = f"""

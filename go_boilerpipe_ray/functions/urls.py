@@ -152,15 +152,7 @@ def url_dedup(sf_dir: str) -> "ray.data.Dataset":
         ds.map_batches(build, batch_format="pyarrow", zero_copy_batch=True)
     ).select_columns(["doc_id", "url_norm"])
 
-    from ._util import blake2_u63, wide_partitions
-
-    P = wide_partitions()
-
-    def add_pk(batch: pa.Table) -> pa.Table:
-        h = blake2_u63(batch.column("url_norm").to_pylist())
-        return batch.append_column(
-            "pk", pa.array((h % P).astype("int32"), pa.int32())
-        )
+    from ._util import partitioned_by_key
 
     def keep_min_part(part: pa.Table) -> pa.Table:
         import numpy as np
@@ -177,11 +169,7 @@ def url_dedup(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    return (
-        normed.map_batches(add_pk, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("pk")
-        .map_groups(keep_min_part, batch_format="pyarrow")
-    )
+    return partitioned_by_key(normed, "url_norm", keep_min_part)
 
 
 # Scheme in the canonical form: explicit https on even doc_ids survives

@@ -181,13 +181,6 @@ class Document:
         # (boilerpipe.go:84-86).
         return self.date is not None
 
-    def content_block_texts(self) -> list[str]:
-        """Escaped text of each content block, in document order; joining
-        with '\\n' reproduces ``text(True, False)`` exactly (block text is
-        never empty and never starts/ends with ' ' or '\\n' at creation —
-        merged blocks only contain internal newlines)."""
-        return [escape_string(tb.text) for tb in self.text_blocks if tb.is_content]
-
 
 # One lookup per tag name gives everything the parse loop needs: the
 # atom, the tag action (None: an unknown tag, which changes the tag level

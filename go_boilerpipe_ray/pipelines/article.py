@@ -2,9 +2,10 @@
 
 One extraction stage, ``ExtractDocuments``, runs in stateless Ray tasks
 on either path: whole-document rows go through one task ``map_batches``
-(``extract_dataset``, no shuffle); fragment rows are co-located by a
-fixed-range sort on a doc_id hash and extracted inside the sort's output
-tasks (``reassemble_and_extract``).  Design notes for 100 TB
+(``extract_dataset``, no shuffle); fragment rows are co-located by the
+engine's one keyed exchange (``functions._util.partitioned_by_key``, a
+fixed-range sort on a doc_id hash) and extracted once per output block
+(``reassemble_and_extract``).  Design notes for 100 TB
 scale are inline.
 """
 
@@ -215,8 +216,6 @@ def _reassemble_part(part: pa.Table) -> pa.Table:
     import numpy as np
     import pyarrow.compute as pc
 
-    if part.num_rows == 0:
-        return ExtractDocuments()(part.select(["doc_id", "spans"]))
     ids = part.column("doc_id").combine_chunks()
     spans = part.column("spans").combine_chunks()
     codes = pc.dictionary_encode(ids).indices.to_numpy(zero_copy_only=False)
@@ -241,38 +240,12 @@ def _reassemble_part(part: pa.Table) -> pa.Table:
 
 def reassemble_and_extract(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     """Sharded-ingest path: input rows carry *fragments* of a document's
-    span list (same doc_id on multiple rows).  One shuffle keyed on
-    blake2(doc_id) % P co-locates fragments; extraction then runs once
-    per output block over a multi-document batch (doc_id is a string —
-    the int-keyed shuffle also avoids sorting strings).
+    span list (same doc_id on multiple rows).  One keyed exchange on
+    blake2(doc_id) % P (``partitioned_by_key``) co-locates fragments at
+    fixed pk ranges; extraction then runs once per output block over a
+    multi-document batch, so every document lands in the same block on
+    every run and the per-block kernel work repeats (doc_id is a string
+    — the int-keyed exchange also avoids sorting strings)."""
+    from ..functions._util import partitioned_by_key
 
-    The shuffle range-partitions pk into R = min(P, 2 × cluster CPUs)
-    blocks at fixed boundaries.  pk is a uniform hash, so equal ranges are
-    what a sampled sort would estimate, without its sampling tasks; and
-    every document lands in the same block on every run, so the
-    per-block kernel work and the job's wall time repeat.  ``add_pk``
-    takes DEFAULT_BATCH_SIZE rows per task, which bundles the ~1 MB blocks
-    a small input is read into, so the shuffle's map tasks (one per input
-    block) stay few: on a short job, per-task overhead is the part of the
-    wall time that swings with the load on a shared host."""
-    from ..functions._util import blake2_u63, wide_partitions
-
-    P = wide_partitions()
-    R = min(P, wide_partitions(floor=1))
-
-    def add_pk(batch: pa.Table) -> pa.Table:
-        h = blake2_u63(batch.column("doc_id").to_pylist())
-        return batch.append_column(
-            "pk", pa.array((h % P).astype("int32"), pa.int32())
-        )
-
-    return (
-        ds.map_batches(
-            add_pk,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=DEFAULT_BATCH_SIZE,
-        )
-        .sort("pk", boundaries=[P * i // R for i in range(1, R)])
-        .map_batches(_reassemble_part, batch_format="pyarrow", batch_size=None)
-    )
+    return partitioned_by_key(ds, "doc_id", _reassemble_part)

@@ -86,6 +86,83 @@ def test_no_ray_init_calls_in_library_or_entry():
     assert not offenders, offenders
 
 
+def _mod_partition_count(node) -> bool:
+    """True when the expression takes something ``% P`` (any name that
+    starts with P: P, P_local, ...)."""
+    return any(
+        isinstance(n, ast.BinOp)
+        and isinstance(n.op, ast.Mod)
+        and isinstance(n.right, ast.Name)
+        and n.right.id.startswith("P")
+        for n in ast.walk(node)
+    )
+
+
+def test_one_keyed_exchange():
+    """Every hash shuffle runs through functions/_util.py:exchange.  Fails
+    when the package again holds a ``.groupby("<col>").map_groups(`` over
+    a ``% P`` partition column, or passes ``boundaries=`` to ``sort``
+    anywhere but in ``exchange``."""
+    trees = {
+        p.relative_to(REPO): ast.parse(p.read_text())
+        for p in sorted((REPO / "go_boilerpipe_ray").rglob("*.py"))
+    }
+    pk_cols = {"pk", "pp", "kp", "ck", "epk", "spk", "mpk"}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Dict):
+                pk_cols.update(
+                    k.value
+                    for k, v in zip(node.keys, node.values)
+                    if isinstance(k, ast.Constant) and _mod_partition_count(v)
+                )
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "append_column"
+                and len(node.args) == 2
+                and isinstance(node.args[0], ast.Constant)
+                and _mod_partition_count(node.args[1])
+            ):
+                pk_cols.add(node.args[0].value)
+    offenders = []
+    for path, tree in trees.items():
+        exchange = next(
+            (
+                n
+                for n in tree.body
+                if isinstance(n, ast.FunctionDef) and n.name == "exchange"
+            ),
+            None,
+        )
+        allowed = (
+            {id(n) for n in ast.walk(exchange)}
+            if exchange and str(path).endswith("functions/_util.py")
+            else set()
+        )
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            if node.func.attr == "sort" and id(node) not in allowed and any(
+                kw.arg == "boundaries" for kw in node.keywords
+            ):
+                offenders.append(f"{path}:{node.lineno} sort(boundaries=...)")
+            grouped = node.func.value
+            if (
+                node.func.attr == "map_groups"
+                and isinstance(grouped, ast.Call)
+                and isinstance(grouped.func, ast.Attribute)
+                and grouped.func.attr == "groupby"
+                and grouped.args
+                and isinstance(grouped.args[0], ast.Constant)
+                and grouped.args[0].value in pk_cols
+            ):
+                offenders.append(
+                    f"{path}:{node.lineno} groupby({grouped.args[0].value!r}).map_groups"
+                )
+    assert not offenders, offenders
+
+
 def test_every_oracle_sql_plans_in_duckdb():
     """EXPLAIN every oracle_sql() entry against the real sf0.001 views —
     catches SQL syntax/column drift instantly, without executing any

@@ -1405,6 +1405,102 @@ def test_pivot_event_counts_matches_counter():
             assert r[f"n_{name}"] == true.get((r["user_id"], name), 0)
 
 
+def _exchange_calls(key_col, keys, P):
+    """Run partitioned_by_key over (key, v) rows in 6 input blocks with a
+    kernel that returns one row per call: its row count, the pk of every
+    row, and its per-key count and sum of v."""
+    import pandas as pd
+    import pyarrow as pa
+    import ray.data
+
+    from go_boilerpipe_ray.functions._util import partitioned_by_key
+
+    df = pd.DataFrame({key_col: keys, "v": np.arange(len(keys), dtype=np.int64)})
+    n = len(df)
+    ds = ray.data.from_pandas([df.iloc[i * n // 6 : (i + 1) * n // 6] for i in range(6)])
+
+    def kernel(block: pa.Table) -> pa.Table:
+        part = block.to_pandas()
+        agg = part.groupby(key_col)["v"].agg(["count", "sum"])
+        return pa.table(
+            {
+                "rows": [block.num_rows],
+                "pks": [part["pk"].tolist()],
+                "keys": [agg.index.tolist()],
+                "counts": [agg["count"].tolist()],
+                "sums": [agg["sum"].tolist()],
+            }
+        )
+
+    return df, partitioned_by_key(ds, key_col, kernel, P=P).take_all()
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["int", "int_one_pk", "int_sparse", "str", "str_one_key"],
+)
+@pytest.mark.parametrize("P", [1, 5, 64])
+def test_exchange_runs_kernel_once_per_fixed_range(case, P):
+    """The keyed exchange at P below and above 2 × CPUs (8 here): each
+    kernel call gets rows of exactly one fixed pk range, never zero rows;
+    the layout repeats from run to run; the union of the calls' outputs
+    equals a pandas groupby.  Most ranges hold no row in the one-pk and
+    sparse cases."""
+    import bisect
+
+    import ray
+
+    from go_boilerpipe_ray.functions._util import blake2_u63, wide_partitions
+
+    rng = np.random.default_rng(7)
+    keys = {
+        "int": rng.integers(-500, 5000, 900),
+        "int_one_pk": np.full(300, 12_345),
+        "int_sparse": np.array([3, 3 + 64 * 5, 40, 2**40] * 50),
+        "str": [f"key-{i}" for i in rng.integers(0, 97, 700)],
+        "str_one_key": ["only"] * 200,
+    }[case]
+    key_col = "doc" if case.startswith("str") else "user_id"
+    R = min(P, 2 * int(ray.cluster_resources()["CPU"]))
+    assert R == min(P, wide_partitions(floor=1))
+    bounds = [P * i // R for i in range(1, R)]
+
+    def range_of(pk):
+        return bisect.bisect_right(bounds, pk)
+
+    def tag(k):
+        if isinstance(k, str):
+            return int(blake2_u63([k])[0] % P)
+        return int(k) % P
+
+    df, calls = _exchange_calls(key_col, keys, P)
+    layout = sorted(sorted(set(c["pks"])) for c in calls)
+    seen_ranges = []
+    for c in calls:
+        assert c["rows"] == len(c["pks"]) > 0
+        ranges = {range_of(pk) for pk in c["pks"]}
+        assert len(ranges) == 1, c["pks"]
+        seen_ranges.append(ranges.pop())
+        assert {tag(k) for k in c["keys"]} <= set(c["pks"])
+    assert len(seen_ranges) == len(set(seen_ranges))
+    assert set(seen_ranges) == {range_of(tag(k)) for k in set(keys)}
+    if case in ("int_one_pk", "int_sparse", "str_one_key") and R > 1:
+        assert len(calls) < R
+
+    got = sorted(
+        (k, n, s)
+        for c in calls
+        for k, n, s in zip(c["keys"], c["counts"], c["sums"])
+    )
+    want = df.groupby(key_col)["v"].agg(["count", "sum"])
+    assert got == sorted(
+        (k, int(n), int(s)) for k, n, s in zip(want.index, want["count"], want["sum"])
+    )
+
+    _, again = _exchange_calls(key_col, keys, P)
+    assert sorted(sorted(set(c["pks"])) for c in again) == layout
+
+
 def test_kmeans_assign_and_update_reference():
     """Seeds assign to themselves (zero distance, ties to lower cid);
     registers equal a numpy recomputation of per-cell component sums."""
@@ -1774,6 +1870,34 @@ def test_curate_corpus_is_conjunction_of_gates_plus_dedup():
         if lang == "en" and g[did] and c[did] and t not in first_by_text:
             first_by_text[t] = did
     assert kept == sorted(first_by_text.values())
+
+
+def test_embedding_matrix_sites_pinned():
+    """The three query paths that build their float64 embedding matrix
+    from the flat Arrow values (``_embedding_matrix``): the seed
+    centroids, the truncated query matrix of matryoshka_recall and the
+    first vector of mmr_select.  Values recorded from the Python-list
+    build they replaced; float32 widens exactly, so they must not move."""
+    import hashlib
+
+    from go_boilerpipe_ray.functions import similarity as sim
+
+    c = sim._load_centroids(SF, sim.KMEANS_K)
+    assert c.shape == (8, 64) and c.dtype == np.int64
+    assert hashlib.sha256(np.ascontiguousarray(c).tobytes()).hexdigest() == (
+        "f9ce8de1e61319a009bee56b0bce21d28c38ffab3833b0883a54290061862ccb"
+    )
+
+    def overlaps(**kw):
+        return [r["n_overlap"] for r in sim.matryoshka_recall(SF, **kw).to_pylist()]
+
+    assert overlaps() == [2, 2, 4, 3, 2, 3, 3, 2]
+    assert overlaps(trunc_dim=4) == [2, 1, 3, 2, 1, 1, 1, 1]
+    assert overlaps(trunc_dim=8) == [3, 1, 1, 2, 2, 3, 2, 2]
+    picks = [r["vec_id"] for r in sim.mmr_select(SF, k=16).to_pylist()]
+    assert picks == [
+        17, 104, 442, 225, 73, 12, 258, 483, 453, 398, 380, 260, 59, 497, 257, 11
+    ]
 
 
 def test_kmeans_inertia_matches_numpy():
@@ -3989,8 +4113,10 @@ def test_partitioned_by_key_invariant_to_partition_count(monkeypatch):
     depend on the hash-partition count P (pure partitioning detail) —
     re-run a representative set at a tiny non-default P and compare
     row-for-row."""
+    import functools
+
     import go_boilerpipe_ray.functions._util as util
-    from go_boilerpipe_ray.functions import relational, text
+    from go_boilerpipe_ray.functions import relational, sampling, text, urls
 
     cases = {
         "sessionize": relational.sessionize,
@@ -4031,16 +4157,34 @@ def test_partitioned_by_key_invariant_to_partition_count(monkeypatch):
             "temporal_split": relational.temporal_split,
             "cohort_revenue": relational.cohort_revenue,
             "cascade_delete_audit": relational.cascade_delete_audit,
+            "simhash_pairs": dedup.simhash_pairs,
+            "ngram_jaccard_pairs": dedup.ngram_jaccard_pairs,
+            "minhash_lsh_pairs_carry": functools.partial(
+                dedup.minhash_lsh_pairs, verify="carry"
+            ),
+            "minhash_lsh_pairs_join": functools.partial(
+                dedup.minhash_lsh_pairs, verify="join"
+            ),
+            "dedup_dbscan_distributed": functools.partial(
+                dedup.dedup_dbscan_clusters, small_pair_limit=0
+            ),
+            "left_join_orders": relational.left_join_orders,
+            "url_dedup": urls.url_dedup,
+            "domain_cap": sampling.domain_cap,
+            "heavy_hitters_by_source": text.heavy_hitters_by_source,
         }
     )
 
     def rows(fn):
         out = fn(SF)
         recs = out.take_all() if hasattr(out, "take_all") else out.to_pylist()
-        return sorted(tuple(sorted(r.items())) for r in recs)
+        # repr orders rows whose columns hold None next to values.
+        return sorted((tuple(sorted(r.items())) for r in recs), key=repr)
 
     base = {name: rows(fn) for name, fn in cases.items()}
     monkeypatch.setattr(util, "wide_partitions", lambda floor=64: 5)
+    # dedup binds wide_partitions at import.
+    monkeypatch.setattr(dedup, "wide_partitions", lambda floor=64: 5)
     for name, fn in cases.items():
         assert rows(fn) == base[name] and base[name], name
 
