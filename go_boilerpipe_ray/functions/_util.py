@@ -153,6 +153,28 @@ def exchange(ds, pk_col: str, P: int, kernel):
     )
 
 
+def _key_partition(batch, keys, P: int):
+    """pk of each row of ``batch``: ``key % P`` for one int key,
+    ``blake2_u63(key) % P`` for one string key.  Several key columns fold
+    into one 64-bit value (base-``GRAM_BASE`` polynomial over the
+    per-column values) first.  A null key hashes as 0 or ""."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    h = None
+    for k in keys:
+        col = batch.column(k)
+        if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+            v = blake2_u63(col.fill_null("").to_pylist())
+        else:
+            v = pc.cast(col, pa.int64()).fill_null(0).to_numpy(zero_copy_only=False)
+        h = v if h is None else h.astype(np.uint64) * np.uint64(GRAM_BASE) + (
+            v.astype(np.uint64)
+        )
+    return pa.array((h % P).astype("int32"), pa.int32())
+
+
 def partitioned_by_key(ds, key_col: str, kernel, P: int | None = None):
     """Partition-vectorized per-key execution: the scalable replacement
     for ``groupby(key).map_groups(per_key_fn)`` when the key has
@@ -167,21 +189,11 @@ def partitioned_by_key(ds, key_col: str, kernel, P: int | None = None):
     a numpy lexsort + run-boundary sweep (see ``run_bounds``).  UDF
     calls are bounded by the cluster size instead of key cardinality.
     The kernel receives (and should ignore/drop) the ``pk`` column."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
     if P is None:
         P = wide_partitions()
 
     def add_pk(batch):
-        key = batch.column(key_col)
-        if pa.types.is_string(key.type) or pa.types.is_large_string(key.type):
-            h = blake2_u63(key.to_pylist())
-        else:
-            h = pc.cast(key, pa.int64()).to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "pk", pa.array((h % P).astype("int32"), pa.int32())
-        )
+        return batch.append_column("pk", _key_partition(batch, [key_col], P))
 
     tagged = ds.map_batches(
         add_pk,
@@ -192,12 +204,60 @@ def partitioned_by_key(ds, key_col: str, kernel, P: int | None = None):
     return exchange(tagged, "pk", P, kernel)
 
 
+# How keyed_aggregate merges one partial aggregate into the final one.
+_MERGE_OP = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
+
+
+def keyed_aggregate(ds, keys, aggs: dict):
+    """Grouped aggregate through the keyed exchange: the replacement for
+    ``Dataset.groupby(keys).<agg>``, which runs a second, sampled sort.
+
+    ``keys`` is a column name or a list of them; ``aggs`` maps each
+    output column to ``(column, op)`` with op one of sum, count (rows of
+    the group), min or max; an int64 sum wraps on overflow, as Arrow's
+    grouped sum does.  Each call of TAG_BATCH_ROWS rows
+    pre-combines with one Arrow ``group_by`` and tags pk as
+    ``partitioned_by_key`` does (several key columns hash as one value);
+    ``exchange`` then merges the partials with one Arrow ``group_by`` per
+    block.  Output columns are ``keys`` then the ``aggs`` names, in no
+    particular row order.  An empty input gives a dataset with no
+    blocks, so its ``to_pandas()`` has no columns (see
+    ``ensure_columns``)."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    names = list(aggs)
+    P = wide_partitions()
+
+    def combine(batch, specs):
+        out = batch.group_by(keys, use_threads=False).aggregate(specs)
+        return out.rename_columns(keys + names)
+
+    partial_specs = [
+        ([], "count_all") if op == "count" else (col, op)
+        for col, op in aggs.values()
+    ]
+    final_specs = [(n, _MERGE_OP[op]) for n, (_, op) in zip(names, aggs.values())]
+
+    def pre_combine(batch):
+        part = combine(batch, partial_specs)
+        return part.append_column("pk", _key_partition(part, keys, P))
+
+    def merge_partials(block):
+        return combine(block, final_specs)
+
+    tagged = ds.map_batches(
+        pre_combine,
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+        batch_size=TAG_BATCH_ROWS,
+    )
+    return exchange(tagged, "pk", P, merge_partials)
+
+
 def batch_distinct_int64(column: str):
     """Per-batch distinct int64 values of ``column`` — the standard
     build-side pre-dedup before a keyed shuffle (shrinks wire volume
-    roughly rows/distinct× per block).  Shared by
-    distinct_estimators_report and customers_without_events' shuffle
-    anti arm."""
+    roughly rows/distinct× per block).  Used by customers_without_events'
+    shuffle anti arm."""
     import numpy as np
     import pyarrow as pa
 

@@ -2,8 +2,8 @@
 
 Scale design notes:
 - Exact dedup never shuffles full text: a content hash is computed in a
-  narrow map_batches, then a small ``groupby(hash).min(doc_id)`` runs on
-  (hash, doc_id) pairs only.
+  narrow map_batches, then a ``keyed_aggregate`` min(doc_id) per hash
+  runs on (hash, doc_id) pairs only.
 - N-gram Jaccard uses the inverted-index pattern, partition-vectorized:
   distinct (doc, shingle-hash, n_sh) int rows → hash-partitioned pair
   emission → hash-partitioned pair counting + threshold filter.  The
@@ -35,7 +35,13 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ._util import cut_lineage, exchange, partitioned_by_key, wide_partitions
+from ._util import (
+    cut_lineage,
+    exchange,
+    keyed_aggregate,
+    partitioned_by_key,
+    wide_partitions,
+)
 
 from ._util import TOKEN_PATTERN
 
@@ -161,8 +167,8 @@ def exact_dedup(sf_dir: str) -> "ray.data.Dataset":
     ds = dup_corpus(sf_dir).map_batches(
         _hash_batch, batch_format="pyarrow", zero_copy_batch=True
     )
-    kept = ds.groupby("text_hash").min("doc_id")
-    return kept.select_columns(["min(doc_id)"]).rename_columns({"min(doc_id)": "doc_id"})
+    kept = keyed_aggregate(ds, "text_hash", {"doc_id": ("doc_id", "min")})
+    return kept.select_columns(["doc_id"])
 
 
 EXACT_DEDUP_SQL = f"""
@@ -949,7 +955,7 @@ def simhash_pairs(
     max_hamming < bands.  Distributed shape mirrors minhash: band rows
     carry (bucket key, doc_id, simhash); pairs are generated and
     hamming-verified vectorized inside each bucket partition and
-    deduplicated by a keyed groupby — nothing driver-side."""
+    deduplicated by ``keyed_aggregate`` — nothing driver-side."""
     if max_hamming >= bands:
         raise ValueError("pigeonhole guarantee needs max_hamming < bands")
     chunk_bits = bits // bands
@@ -1035,11 +1041,7 @@ def simhash_pairs(
 
     pairs = exchange(banded, "pk", P, bucket_pairs)
     # The same pair surfaces from every agreeing band — keyed dedup.
-    return (
-        pairs.groupby(["id_a", "id_b"])
-        .min("hamming")
-        .rename_columns({"min(hamming)": "hamming"})
-    )
+    return keyed_aggregate(pairs, ["id_a", "id_b"], {"hamming": ("hamming", "min")})
 
 
 # -- duplicate-cluster connected components ----------------------------------
@@ -1113,8 +1115,8 @@ def connected_components(
     label is min(label(v), min_{u~v} label(u), label(label(v))) — the
     doubling term makes convergence O(log diameter) rounds instead of
     O(diameter), which matters on real near-dup graphs (sf0.1 produces
-    a 4.9k-node component of eccentricity 12).  ``groupby(node)
-    .min(label)`` folds the proposals; labels only decrease, so
+    a 4.9k-node component of eccentricity 12).  ``keyed_aggregate``
+    min(label) per node folds the proposals; labels only decrease, so
     ``sum(labels)`` is a monotone convergence witness — the loop stops
     when it is unchanged.  Driver state is one scalar per round.
 
@@ -1165,13 +1167,13 @@ def connected_components(
 
     def init_labels(batch: pa.Table) -> pa.Table:
         # label0 = min(self, min neighbor): the first propagation round is
-        # folded into the init groupby — one less full round for the
+        # folded into the init aggregate — one less full round for the
         # shallow clusters dedup produces.
         nodes = batch.column("key")
         return pa.table(
             {
                 "node": nodes,
-                "label": pc.min_element_wise(nodes, batch.column("min(dst)")),
+                "label": pc.min_element_wise(nodes, batch.column("label")),
             }
         )
 
@@ -1185,8 +1187,7 @@ def connected_components(
     n_label_blocks = P
 
     labels = (
-        dir_edges.groupby("key")
-        .min("dst")
+        keyed_aggregate(dir_edges, "key", {"label": ("dst", "min")})
         .map_batches(init_labels, batch_format="pyarrow", zero_copy_batch=True)
         .repartition(n_label_blocks)
         .materialize()
@@ -1245,7 +1246,7 @@ def connected_components(
         pos = np.searchsorted(lkeys, ekeys)
         out_node = np.concatenate([edsts, lkeys])
         out_lab = np.concatenate([llabs[pos], llabs])
-        # combiner: local per-node min before the groupby-min shuffle —
+        # combiner: local per-node min before the keyed min shuffle —
         # proposals per partition collapse from O(edges) to O(distinct
         # nodes) rows (min is associative, result unchanged)
         order2 = np.lexsort((out_lab, out_node))
@@ -1274,10 +1275,9 @@ def connected_components(
             ),
         )
         labels = (
-            exchange(rows, "kp", P, propose)
-            .groupby("node")
-            .min("label")
-            .rename_columns({"min(label)": "label"})
+            keyed_aggregate(
+                exchange(rows, "kp", P, propose), "node", {"label": ("label", "min")}
+            )
             .repartition(n_label_blocks)
             .materialize()
         )
@@ -1455,7 +1455,7 @@ def dedup_dbscan_clusters(
         return pa.table({"node": pa.concat_arrays([a, b])})
 
     def core_mark(batch: pa.Table) -> pa.Table:
-        cnt = batch.column("count()").to_numpy(zero_copy_only=False)
+        cnt = batch.column("n").to_numpy(zero_copy_only=False)
         nodes = pc.cast(batch.column("node"), pa.int64()).to_numpy(
             zero_copy_only=False
         )[cnt >= DBSCAN_MINPTS]
@@ -1467,9 +1467,11 @@ def dedup_dbscan_clusters(
         )
 
     core = (
-        pairs.map_batches(directed, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("node")
-        .count()
+        keyed_aggregate(
+            pairs.map_batches(directed, batch_format="pyarrow", zero_copy_batch=True),
+            "node",
+            {"n": ("node", "count")},
+        )
         .map_batches(core_mark, batch_format="pyarrow", zero_copy_batch=True)
         .materialize()  # joined against twice
     )
@@ -1566,7 +1568,7 @@ def dedup_dbscan_clusters(
             }
         )
 
-    border = (
+    border = keyed_aggregate(
         repartition_join(
             tagged.map_batches(
                 border_rows, batch_format="pyarrow", zero_copy_batch=True
@@ -1577,16 +1579,16 @@ def dedup_dbscan_clusters(
             [("border_id", pa.int64())],
             [("component", pa.int64())],
             how="inner",
-        )
-        .groupby("border_id")
-        .min("component")
+        ),
+        "border_id",
+        {"component": ("component", "min")},
     )
 
     def finish_border(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "doc_id": pc.cast(batch.column("border_id"), pa.int64()),
-                "cluster": pc.cast(batch.column("min(component)"), pa.int64()),
+                "cluster": pc.cast(batch.column("component"), pa.int64()),
                 "role": pa.array(["border"] * batch.num_rows, pa.string()),
             }
         )
@@ -2339,46 +2341,17 @@ def dup_cluster_size_hist(sf_dir: str) -> "ray.data.Dataset":
     unrelated docs together.
 
     Scale shape: downstream of connected_components (keyed-shuffle
-    min-label rounds, no driver state): per-batch (component, partial
-    count) partials → one component-keyed rollup → bounded histogram
-    rollup over ≤ max-cluster-size rows.  Singleton docs (never paired)
-    are absent from the pair graph by construction, so sizes start
-    at 2."""
-    comp = dedup_components(sf_dir)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        c, n = np.unique(
-            batch.column("component").to_numpy(zero_copy_only=False),
-            return_counts=True,
-        )
-        return pa.table(
-            {
-                "component": pa.array(c, pa.int64()),
-                "n": pa.array(n.astype(np.int64), pa.int64()),
-            }
-        )
-
-    sizes = (
-        comp.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("component")
-        .aggregate(ray.data.aggregate.Sum("n", alias_name="size"))
+    min-label rounds, no driver state): a component-keyed count, then a
+    size-keyed count over ≤ max-cluster-size keys, both through
+    ``keyed_aggregate``.  Singleton docs (never paired) are absent from
+    the pair graph by construction, so sizes start at 2."""
+    sizes = keyed_aggregate(
+        dedup_components(sf_dir),
+        "component",
+        {"cluster_size": ("component", "count")},
     )
-
-    def hist(batch: pa.Table) -> pa.Table:
-        s, n = np.unique(
-            batch.column("size").to_numpy(zero_copy_only=False), return_counts=True
-        )
-        return pa.table(
-            {
-                "cluster_size": pa.array(s, pa.int64()),
-                "n": pa.array(n.astype(np.int64), pa.int64()),
-            }
-        )
-
-    return (
-        sizes.map_batches(hist, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("cluster_size")
-        .aggregate(ray.data.aggregate.Sum("n", alias_name="n_clusters"))
+    return keyed_aggregate(
+        sizes, "cluster_size", {"n_clusters": ("cluster_size", "count")}
     )
 
 
@@ -2405,35 +2378,28 @@ def split_leakage_audit(sf_dir: str) -> "ray.data.Dataset":
     Scale shape: downstream of simhash_pairs (banded, sub-quadratic);
     the split label derives locally from each id via the shared md5
     permille rule (sampling._split_names — no join against a split
-    table), pairs pre-aggregate per batch to ≤9 (split, split) rows,
-    and the final rollup is O(9)."""
+    table), and ``keyed_aggregate`` counts the pairs per (split, split)
+    key: each call pre-combines to ≤9 rows, and the final rollup is
+    O(9)."""
     from .sampling import _split_names
 
-    pairs = simhash_pairs(sf_dir)
-
-    def partial(batch: pa.Table) -> pa.Table:
-        a = batch.column("id_a").to_numpy(zero_copy_only=False)
-        b = batch.column("id_b").to_numpy(zero_copy_only=False)
-        sa = _split_names(a)  # _split_names hashes raw ids itself
-        sb = _split_names(b)
-        lo = np.minimum(sa, sb)
-        hi = np.maximum(sa, sb)
-        key = np.char.add(np.char.add(lo.astype(str), "|"), hi.astype(str))
-        u, c = np.unique(key, return_counts=True)
-        split_a = [k.split("|")[0] for k in u]
-        split_b = [k.split("|")[1] for k in u]
+    def splits(batch: pa.Table) -> pa.Table:
+        # _split_names hashes raw ids itself
+        sa = _split_names(batch.column("id_a").to_numpy(zero_copy_only=False))
+        sb = _split_names(batch.column("id_b").to_numpy(zero_copy_only=False))
         return pa.table(
             {
-                "split_a": pa.array(split_a, pa.string()),
-                "split_b": pa.array(split_b, pa.string()),
-                "n": pa.array(c.astype(np.int64), pa.int64()),
+                "split_a": pa.array(np.minimum(sa, sb), pa.string()),
+                "split_b": pa.array(np.maximum(sa, sb), pa.string()),
             }
         )
 
-    return (
-        pairs.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["split_a", "split_b"])
-        .aggregate(ray.data.aggregate.Sum("n", alias_name="n_pairs"))
+    return keyed_aggregate(
+        simhash_pairs(sf_dir).map_batches(
+            splits, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        ["split_a", "split_b"],
+        {"n_pairs": ("split_a", "count")},
     )
 
 
@@ -2477,10 +2443,7 @@ def snm_dup_pairs(sf_dir: str, w: int = 4, prefix: int = 32) -> "ray.data.Datase
     the kernel finds partners by pure position offset (consecutive
     ranks), never a per-row scan.  Nothing materializes beyond the
     histogram."""
-    from ._util import run_bounds
     from .text import read_documents
-
-    import ray
 
     TOKEN_RE = r"\S+"
 
@@ -2511,27 +2474,17 @@ def _snm_window_pairs(feats: "ray.data.Dataset", w: int) -> "ray.data.Dataset":
 
     import ray
 
-    # stage 1: bounded histogram of the sort key -> exact rank offsets
-    def n_counts(batch: pa.Table) -> pa.Table:
-        g = batch.select(["n"]).group_by("n").aggregate([([], "count_all")])
-        return pa.table(
-            {
-                "n": g.column("n"),
-                "c": pc.cast(g.column("count_all"), pa.int64()),
-            }
-        )
-
     from ._util import ensure_columns
 
+    # stage 1: bounded histogram of the sort key -> exact rank offsets
     hist = ensure_columns(
-        feats.map_batches(n_counts, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("n")
-        .sum("c")
-        .to_pandas(),  # bounded: token-count domain, not corpus size
-        ["n", "sum(c)"],
+        keyed_aggregate(
+            feats.select_columns(["n"]), "n", {"c": ("n", "count")}
+        ).to_pandas(),  # bounded: token-count domain, not corpus size
+        ["n", "c"],
     ).sort_values("n")
     nvals = hist["n"].to_numpy(dtype=np.int64)
-    counts = hist["sum(c)"].to_numpy(dtype=np.int64)
+    counts = hist["c"].to_numpy(dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]) if len(counts) else counts
     off_ref = ray.put((nvals, offsets))
 
@@ -2669,7 +2622,7 @@ def snm_multipass_pairs(
 
     Scale shape: each pass is the shared _snm_window_pairs engine (two
     bounded-histogram keyed shuffles of narrow rows); the union is a
-    stream concat and the distinct is ONE keyed groupby on the pair —
+    stream concat and the distinct is ONE ``keyed_aggregate`` on the pair —
     multi-pass costs exactly pass-count × single-pass, the published
     trade."""
     from .text import read_documents
@@ -2709,13 +2662,13 @@ def snm_multipass_pairs(
             }
         )
 
-    return (
-        p1.union(p2)
-        .map_batches(normalize, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["doc_a", "doc_b"])
-        .count()
-        .select_columns(["doc_a", "doc_b"])
-    )
+    return keyed_aggregate(
+        p1.union(p2).map_batches(
+            normalize, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        ["doc_a", "doc_b"],
+        {"n": ("doc_a", "count")},
+    ).select_columns(["doc_a", "doc_b"])
 
 
 SNM_MULTIPASS_PAIRS_SQL = r"""
@@ -3151,11 +3104,10 @@ def blocking_recall_report(sf_dir: str) -> pa.Table:
         )
 
     agg = (
-        t.union(c)
-        .groupby("k")
-        .aggregate(
-            Sum("is_true", alias_name="is_true"),
-            Sum("is_cand", alias_name="is_cand"),
+        keyed_aggregate(
+            t.union(c),
+            "k",
+            {"is_true": ("is_true", "sum"), "is_cand": ("is_cand", "sum")},
         )
         .map_batches(fold, batch_format="pyarrow", zero_copy_batch=True)
         .aggregate(Sum("n_true"), Sum("n_candidates"), Sum("n_hits"))

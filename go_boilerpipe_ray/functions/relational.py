@@ -14,7 +14,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ._util import exchange, money_cents, quantile_disc_pick
+from ._util import exchange, keyed_aggregate, money_cents, quantile_disc_pick
 
 
 def _read(sf_dir: str, table: str, columns: list[str]) -> "ray.data.Dataset":
@@ -244,8 +244,9 @@ def sessionize(sf_dir: str) -> "ray.data.Dataset":
     """Sessions per user: one keyed shuffle, count gaps > 30 min within
     each user's time-ordered stream.  Partition-vectorized: rows shuffle
     on user_id % P (P = wide_partitions()) and ONE numpy kernel per
-    partition computes every user's counts via lexsort + run boundaries
-    — P UDF calls total instead of one per user (10⁹ users = 10⁹ Python
+    exchange block computes every user's counts via lexsort + run
+    boundaries — at most min(P, 2 × CPUs) UDF calls instead of one per
+    user (10⁹ users = 10⁹ Python
     invocations under the naive groupby(user_id).map_groups shape)."""
     from ._util import partitioned_by_key, run_bounds
 
@@ -464,7 +465,8 @@ def top_event_per_user(sf_dir: str) -> "ray.data.Dataset":
     row_number()-per-partition window, partition-vectorized: rows
     shuffle on user_id % P and one lexsort-per-partition kernel picks
     every user's winner at once (first row of each user run under the
-    (user, -value, event_id) order) — P UDF calls, not one per user.
+    (user, -value, event_id) order) — at most min(P, 2 × CPUs) UDF
+    calls, not one per user.
 
     A per-batch combiner could pre-reduce each block to one candidate
     per user before the shuffle (like pivot_event_counts); skipped here
@@ -571,13 +573,15 @@ def customers_without_events(
             how="anti",
         )
 
+    # The keyed exchange leaves one row per distinct user, so the gather
+    # is bounded by the budget gate above: distinct users, not events.
     user_ids = (
-        _read(sf_dir, "events", ["user_id"])
-        .groupby("user_id")
-        .count()
+        keyed_aggregate(
+            _read(sf_dir, "events", ["user_id"]), "user_id", {"n": ("user_id", "count")}
+        )
         .select_columns(["user_id"])
         .take_all()
-    )  # bounded by the budget gate above: distinct users, not events
+    )
     active = ray.put(np.sort(np.array([r["user_id"] for r in user_ids], np.int64)))
 
     def anti(batch: pa.Table) -> pa.Table:
@@ -612,7 +616,8 @@ def asof_join_events_orders(sf_dir: str) -> "ray.data.Dataset":
     searchsorted per partition — probes and builds of all keys share a
     composite (key_index · span + ts) axis so a probe can never match
     into a neighbouring key's run.  One shuffle of (key, ts, id)
-    triples, P kernel calls — the inequality predicate never becomes an
+    triples, at most min(P, 2 × CPUs) kernel calls — the inequality
+    predicate never becomes an
     all-pairs join and no per-key Python call exists."""
 
     orders = _read(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_orderkey"])
@@ -731,7 +736,8 @@ def range_join_prior_events(sf_dir: str) -> "ray.data.Dataset":
     user_id % P: the searchsorted window bounds for ALL users come from
     one pass by offsetting each probe onto a per-user composite key
     (run_index · span) so a user's window can never cross into a
-    neighbouring run — no per-user Python call, P kernel calls total."""
+    neighbouring run — no per-user Python call, at most min(P, 2 × CPUs)
+    kernel calls total."""
     from ._util import partitioned_by_key, run_bounds
 
     win_us = RANGE_JOIN_HOURS * 3600 * 1_000_000
@@ -1957,8 +1963,9 @@ def event_throttle(sf_dir: str) -> "ray.data.Dataset":
     Scale shape: the bucket key is derived vectorized in a narrow
     stage; the only shuffle co-locates each user's rows (user_id % P,
     which contains every (user, type, bucket) group whole), and one
-    lexsort kernel per partition keeps each group's first row — P UDF
-    calls instead of one per (user, type, bucket) group."""
+    lexsort kernel per exchange block keeps each group's first row — at
+    most min(P, 2 × CPUs) UDF calls instead of one per (user, type,
+    bucket) group."""
     win_us = THROTTLE_MINUTES * 60 * 1_000_000
 
     def add_bucket(batch: pa.Table) -> pa.Table:
@@ -1975,8 +1982,6 @@ def event_throttle(sf_dir: str) -> "ray.data.Dataset":
         )
 
     def keep_first_part(part: pa.Table) -> pa.Table:
-        from ._util import run_bounds
-
         uid = part.column("user_id").to_numpy(zero_copy_only=False)
         bucket = part.column("bucket").to_numpy(zero_copy_only=False)
         ts = pc.cast(part.column("ts"), pa.int64()).to_numpy(zero_copy_only=False)
@@ -4551,7 +4556,7 @@ def supplier_pagerank(sf_dir: str) -> pa.Table:
     dedup is a PACKED-int64 keyed unique (sweep profiling showed Ray's
     sort groupby over ~1M (src, dst) groups costs 160 s at sf0.1 — the
     per-GROUP overhead disease again; a pk-keyed np.unique kernel is
-    P calls total); the ITERATION then runs on the driver over the
+    at most min(P, 2 × CPUs) calls total); the ITERATION then runs on the driver over the
     bounded node/edge tables (nodes ≤ supplier dimension, edges ≤
     nodes² — the same bounded-state pattern as kmeans' centroids).
     All arithmetic is integer ppb with floor division, mirrored exactly
@@ -4585,8 +4590,8 @@ def supplier_pagerank(sf_dir: str) -> pa.Table:
             }
         )
 
-    # Distinct (part, supplier) via pk-keyed np.unique — P kernel calls,
-    # never one reducer invocation per distinct pair.
+    # Distinct (part, supplier) via pk-keyed np.unique — one kernel call
+    # per exchange block, never one reducer invocation per distinct pair.
     ps = partitioned_by_key(
         _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"]).map_batches(
             packed_ps, batch_format="pyarrow", zero_copy_batch=True
@@ -7904,7 +7909,7 @@ def daily_churn(sf_dir: str) -> "ray.data.Dataset":
     successor trick — no membership hash, no self-join); per-partition
     (day, active, churned) partials roll up in a bounded day-keyed
     groupby.  The global max day is a one-column pre-aggregate."""
-    from ._util import partitioned_by_key, run_bounds
+    from ._util import partitioned_by_key
 
     DAY_US = 86_400 * 1_000_000
     ev = _read(sf_dir, "events", ["ts", "user_id"])
@@ -9831,7 +9836,7 @@ def scd2_history(sf_dir: str) -> pa.Table:
     The warehouse-dimension shape every CDC/state pipeline needs.
 
     Scale shape: partitioned_by_key(user_id) — ONE keyed shuffle, one
-    vectorized kernel per hash partition (lexsort + run-boundary sweep),
+    vectorized kernel per exchange block (lexsort + run-boundary sweep),
     never a per-user map_groups.  Ordering is made total with
     (ts, event_id) so ties are deterministic on both sides."""
     from ._util import ensure_columns, partitioned_by_key
@@ -10830,7 +10835,6 @@ def value_drift(sf_dir: str) -> pa.Table:
         .to_pandas(),  # bounded: 2 × bins rows
         ["event_type", "bin", "sum(c)"],
     )
-    import pandas as pd
 
     piv = (
         h.pivot_table(
@@ -11067,7 +11071,7 @@ def state_dwell_times(sf_dir: str) -> pa.Table:
     Scale shape: scd2_history's single user-keyed shuffle and run
     sweep, with the interval rows folded to a ≤-types rollup inside
     the same kernel — durations never leave the partition as rows."""
-    from ._util import ensure_columns, partitioned_by_key, run_bounds
+    from ._util import ensure_columns, partitioned_by_key
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
 
@@ -11168,7 +11172,6 @@ def pk_audit(sf_dir: str) -> pa.Table:
     rollups → key-keyed rollup → ≤-1-row fold (rows, distinct, dups
     are all sums over the bounded per-key count table — which itself
     never reaches the driver; the fold is a second tiny aggregate)."""
-    from ._util import ensure_columns
 
     specs = [
         ("orders", "o_orderkey"),
@@ -11547,7 +11550,6 @@ def expectations_report(sf_dir: str) -> pa.Table:
     O(#rules) rollup — a contract gate that costs one column-pruned
     pass per table at any corpus size.  Float-domain rules compare in
     integer units (cents / permille) so the oracle is hash-exact."""
-    from ray.data.aggregate import Sum
 
     def fold(rule: str, ok: np.ndarray) -> pa.Table:
         return pa.table(
@@ -12396,7 +12398,7 @@ def cohort_revenue(sf_dir: str) -> pa.Table:
     retention decomposition behind every growth dashboard.
 
     Scale shape: ONE custkey-keyed shuffle (partitioned_by_key), one
-    vectorized kernel per hash partition: lexsort + run bounds find
+    vectorized kernel per exchange block: lexsort + run bounds find
     each customer's first year (minimum.reduceat), tags broadcast by
     np.repeat, and the partition folds straight to (year, 4 sums)
     partials — per-customer state never leaves the kernel, and the
@@ -13580,9 +13582,9 @@ def item_similarity_topk(sf_dir: str) -> "ray.data.Dataset":
     count) with np.unique BEFORE leaving the task, so the wire carries
     pair partials, not the quadratic expansion re-counted downstream;
     (2) pair-keyed groupby sums partials into exact shared-order counts;
-    (3) src-keyed: one lexsort kernel per hash partition ranks every
+    (3) src-keyed: one lexsort kernel per exchange block ranks every
     part's neighbor list at once (partitioned_by_key — UDF calls bounded
-    by P, not by #parts).  Pair keys pack (src,dst) into ONE int64
+    by min(P, 2 × CPUs), not by #parts).  Pair keys pack (src,dst) into ONE int64
     (the sort-groupby ~10 µs/row finding: never group on two columns
     when one packed key works).  Giant orders are the skew risk: a
     k-item order emits k(k-1) pairs, bounded here by the order schema
@@ -13643,7 +13645,7 @@ def item_similarity_topk(sf_dir: str) -> "ray.data.Dataset":
         """Per-partition pair-count rollup: distinct-pair cardinality is
         far above the ~1e5 groups where Ray's sort-based groupby costs
         ~10 µs/row (the session-6 finding), so the sum runs as ONE
-        np.unique + reduceat kernel per hash partition instead."""
+        np.unique + reduceat kernel per exchange block instead."""
         k = part.column("k").to_numpy(zero_copy_only=False)
         n = part.column("n").to_numpy(zero_copy_only=False)
         if len(k) == 0:
@@ -13936,7 +13938,7 @@ def copurchase_bfs_depth(
                 )
             ),
             "node",
-            uniq_nodes,  # one np.unique kernel per hash partition — not a
+            uniq_nodes,  # one np.unique kernel per exchange block — not a
             P=P,  # sort groupby over node cardinality (the 10 µs/row rule)
         ).count()
     )

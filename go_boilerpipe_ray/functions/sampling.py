@@ -16,7 +16,14 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ._util import md5_u64, read_parquet_clean
+from ._util import (
+    ensure_columns,
+    keyed_aggregate,
+    md5_u64,
+    partitioned_by_key,
+    read_parquet_clean,
+    run_bounds,
+)
 
 # (name, permille upper bound): train = [0, 980), valid = [980, 990),
 # test = [990, 1000).  Mirrored exactly by SAMPLE_SPLIT_SQL.
@@ -40,19 +47,31 @@ def _split_names(keys: np.ndarray) -> np.ndarray:
     return names
 
 
-def _keep_smallest_hash(group: pa.Table, n: int) -> pa.Table:
-    """Keep the n rows with the smallest (key-hash, doc_id) — the shared
-    deterministic per-stratum truncation used by stratified_sample and
-    rebalance_mix (one tie-break rule, one hash dtype treatment)."""
-    h = group.column("h").to_numpy(zero_copy_only=False).astype(np.uint64)
-    ids = group.column("doc_id").to_numpy(zero_copy_only=False)
-    order = np.lexsort((ids, h))[:n]
-    return pa.table(
-        {
-            "doc_id": pa.array(ids[order], pa.int64()),
-            "lang": group.column("lang").take(pa.array(order, pa.int64())),
-        }
-    )
+def _rank_within(key: np.ndarray, *by: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row order that sorts by (key, *by), and each sorted row's
+    0-based rank among the rows of its key."""
+    order = np.lexsort((*reversed(by), key))
+    b = run_bounds(key[order])
+    return order, np.arange(len(order)) - np.repeat(b[:-1], np.diff(b))
+
+
+def _keep_smallest_hash(tbl: pa.Table, n: "int | dict[str, int]") -> pa.Table:
+    """Keep the n rows of each lang with the smallest (key-hash, doc_id)
+    — the shared deterministic per-stratum truncation used by
+    stratified_sample, rebalance_mix and group_sample_k (one tie-break
+    rule, one hash dtype treatment).  ``n`` is one count for every lang
+    or a count per lang (a lang it lacks keeps none).  It is its own
+    combiner: truncating truncated chunks equals truncating the whole,
+    so it runs per batch before the keyed exchange and per block
+    after it."""
+    lang = np.asarray(tbl.column("lang").to_pylist())
+    h = tbl.column("h").to_numpy(zero_copy_only=False).astype(np.uint64)
+    ids = tbl.column("doc_id").to_numpy(zero_copy_only=False)
+    order, pos = _rank_within(lang, h, ids)
+    if isinstance(n, dict):
+        langs, inv = np.unique(lang[order], return_inverse=True)
+        n = np.array([n.get(x, 0) for x in langs], np.int64)[inv]
+    return tbl.take(pa.array(order[pos < n], pa.int64()))
 
 
 def _split_batch(batch: pa.Table) -> pa.Table:
@@ -89,11 +108,10 @@ STRATIFIED_K = 20
 def stratified_sample(sf_dir: str, k: int = STRATIFIED_K) -> "ray.data.Dataset":
     """Exactly-k-per-stratum sample: within each language, keep the k
     documents with the smallest key hash (deterministic — no RNG state,
-    reproducible on any cluster size).  One shuffle on the stratum key;
-    the per-group top-k is a vectorized argpartition.  At crawl scale a
-    stratum is still one group — for huge strata, pre-filter with a
-    permille threshold slightly above k/N per stratum (local, no
-    shuffle) before the exact per-group top-k."""
+    reproducible on any cluster size).  Each batch keeps its own k
+    smallest per stratum, then one keyed exchange on the stratum key
+    runs the same cut once per block, so the shuffle moves ≤ k rows per
+    stratum per batch however large a stratum grows."""
     ds = read_parquet_clean(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"]
     )
@@ -101,15 +119,17 @@ def stratified_sample(sf_dir: str, k: int = STRATIFIED_K) -> "ray.data.Dataset":
     def add_hash(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
         h = md5_u64(ids)
-        return batch.append_column("h", pa.array(h.astype(np.int64), pa.int64()))
+        return _keep_smallest_hash(
+            batch.append_column("h", pa.array(h.astype(np.int64), pa.int64())), k
+        )
 
-    def topk(group: pa.Table) -> pa.Table:
-        return _keep_smallest_hash(group, k)
+    def topk(part: pa.Table) -> pa.Table:
+        return _keep_smallest_hash(part, k).select(["doc_id", "lang"])
 
-    return (
-        ds.map_batches(add_hash, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("lang")
-        .map_groups(topk, batch_format="pyarrow")
+    return partitioned_by_key(
+        ds.map_batches(add_hash, batch_format="pyarrow", zero_copy_batch=True),
+        "lang",
+        topk,
     )
 
 
@@ -128,17 +148,10 @@ def lowest_n_per_source(tbl: pa.Table, n: int) -> pa.Table:
     """Keep the n lowest doc_ids per source — domain_cap's combiner AND
     finisher (it is a homomorphism: capping capped chunks equals capping
     the whole, pinned by a hypothesis law test)."""
-    if tbl.num_rows == 0:
-        return tbl
     ids = tbl.column("doc_id").to_numpy(zero_copy_only=False)
     src = np.asarray(tbl.column("source").to_pylist())
-    order = np.lexsort((ids, src))
-    s = src[order]
-    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
-    run_len = np.diff(np.r_[starts, len(order)])
-    pos_in_run = np.arange(len(order)) - np.repeat(starts, run_len)
-    keep = np.sort(order[pos_in_run < n])
-    return tbl.take(pa.array(keep, pa.int64()))
+    order, pos = _rank_within(src, ids)
+    return tbl.take(pa.array(np.sort(order[pos < n]), pa.int64()))
 
 
 def domain_cap(sf_dir: str, n: int = DOMAIN_CAP_N) -> "ray.data.Dataset":
@@ -165,8 +178,6 @@ def domain_cap(sf_dir: str, n: int = DOMAIN_CAP_N) -> "ray.data.Dataset":
         # combiner — one call per exchange block instead of one Python
         # call per domain.
         return cap(part.select(["doc_id", "source"]))
-
-    from ._util import partitioned_by_key
 
     return partitioned_by_key(
         ds.map_batches(cap, batch_format="pyarrow", zero_copy_batch=True),
@@ -205,24 +216,20 @@ def shard_shuffle(sf_dir: str, n_shards: int = N_SHARDS) -> "ray.data.Dataset":
             }
         )
 
-    def rank_within(group: pa.Table) -> pa.Table:
-        ids = group.column("doc_id").to_numpy(zero_copy_only=False)
-        h = group.column("h").to_numpy(zero_copy_only=False).astype(np.uint64)
-        order = np.lexsort((ids, h))
-        pos = np.empty(len(ids), dtype=np.int64)
-        pos[order] = np.arange(len(ids), dtype=np.int64)
-        return pa.table(
-            {
-                "doc_id": group.column("doc_id"),
-                "shard": group.column("shard"),
-                "shard_pos": pa.array(pos, pa.int64()),
-            }
+    def rank_within(part: pa.Table) -> pa.Table:
+        order, pos = _rank_within(
+            part.column("shard").to_numpy(zero_copy_only=False),
+            part.column("h").to_numpy(zero_copy_only=False).astype(np.uint64),
+            part.column("doc_id").to_numpy(zero_copy_only=False),
         )
+        return part.take(pa.array(order, pa.int64())).select(
+            ["doc_id", "shard"]
+        ).append_column("shard_pos", pa.array(pos, pa.int64()))
 
-    return (
-        ds.map_batches(add_shard, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("shard")
-        .map_groups(rank_within, batch_format="pyarrow")
+    return partitioned_by_key(
+        ds.map_batches(add_shard, batch_format="pyarrow", zero_copy_batch=True),
+        "shard",
+        rank_within,
     )
 
 
@@ -355,13 +362,12 @@ def rebalance_mix(sf_dir: str) -> "ray.data.Dataset":
     like the oracle's inner join."""
     targets = dict(REBALANCE_TARGETS)
 
-    counts = (
-        read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["lang"])
-        .groupby("lang")
-        .count()
-        .to_pandas()  # O(#languages)
-    )
-    present = dict(zip(counts["lang"], counts["count()"]))
+    counts = keyed_aggregate(
+        read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["lang"]),
+        "lang",
+        {"n": ("lang", "count")},
+    ).to_pandas()  # O(#languages)
+    present = dict(zip(counts["lang"], counts["n"]))
     # A target language absent from the corpus caps the achievable size
     # at ZERO — emitting the other languages anyway would silently ship
     # a different mix than the declared target (mirrored in the SQL's
@@ -382,18 +388,20 @@ def rebalance_mix(sf_dir: str) -> "ray.data.Dataset":
         )
         batch = batch.filter(keep)
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "h", pa.array(md5_u64(ids).astype(np.int64), pa.int64())
+        return _keep_smallest_hash(
+            batch.append_column(
+                "h", pa.array(md5_u64(ids).astype(np.int64), pa.int64())
+            ),
+            keep_n,
         )
 
-    def truncate(group: pa.Table) -> pa.Table:
-        lang = group.column("lang")[0].as_py()
-        return _keep_smallest_hash(group, keep_n.get(lang, 0))
+    def truncate(part: pa.Table) -> pa.Table:
+        return _keep_smallest_hash(part, keep_n).select(["doc_id", "lang"])
 
-    return (
-        ds.map_batches(add_hash, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("lang")
-        .map_groups(truncate, batch_format="pyarrow")
+    return partitioned_by_key(
+        ds.map_batches(add_hash, batch_format="pyarrow", zero_copy_batch=True),
+        "lang",
+        truncate,
     )
 
 
@@ -427,14 +435,9 @@ def group_sample_k(sf_dir: str, k: int = 3) -> "pa.Table":
     examples per stratum" debugging/eval pick that is stable across
     runs, shards and cluster sizes (pure key hash, no RNG state).
 
-    Scale shape: per-batch local k-min per group (vectorized lexsort +
-    run-position cut), then a bounded per-group merge — candidate
+    Scale shape: per-batch local k-min per group (_keep_smallest_hash),
+    then the same cut per block of the keyed exchange — candidate
     volume is ≤ groups × blocks × k, never the corpus."""
-    import numpy as np
-    import pyarrow as pa
-
-    from ._util import ensure_columns, md5_u64, read_parquet_clean
-
     _MASK = (1 << 50) - 1
     ds = read_parquet_clean(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"]
@@ -442,42 +445,18 @@ def group_sample_k(sf_dir: str, k: int = 3) -> "pa.Table":
 
     def local_kmin(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        lang = np.asarray(batch.column("lang").to_pylist(), dtype=object)
         hv = (md5_u64(ids.tolist()) & np.uint64(_MASK)).astype(np.int64)
-        uniq, code = np.unique(lang.astype(str), return_inverse=True)
-        order = np.lexsort((ids, hv, code))
-        code, ids, hv = code[order], ids[order], hv[order]
-        new_g = np.r_[True, code[1:] != code[:-1]]
-        starts = np.flatnonzero(new_g)
-        pos = np.arange(len(code)) - np.repeat(
-            starts, np.diff(np.r_[starts, len(code)])
-        )
-        keep = pos < k
-        return pa.table(
-            {
-                "lang": pa.array(uniq[code[keep]].tolist(), pa.string()),
-                "doc_id": pa.array(ids[keep], pa.int64()),
-                "hv": pa.array(hv[keep], pa.int64()),
-            }
-        )
+        return _keep_smallest_hash(batch.append_column("h", pa.array(hv)), k)
 
-    def merge(group: pa.Table) -> pa.Table:
-        lang = group.column("lang")[0].as_py()
-        ids = group.column("doc_id").to_numpy(zero_copy_only=False)
-        hv = group.column("hv").to_numpy(zero_copy_only=False)
-        sel = np.lexsort((ids, hv))[:k]
-        return pa.table(
-            {
-                "lang": pa.array([lang] * len(sel), pa.string()),
-                "doc_id": pa.array(ids[sel], pa.int64()),
-            }
-        )
+    def merge(part: pa.Table) -> pa.Table:
+        return _keep_smallest_hash(part, k).select(["lang", "doc_id"])
 
     df = ensure_columns(
-        ds.map_batches(local_kmin, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("lang")
-        .map_groups(merge, batch_format="pyarrow")  # bounded: few langs
-        .to_pandas(),
+        partitioned_by_key(
+            ds.map_batches(local_kmin, batch_format="pyarrow", zero_copy_batch=True),
+            "lang",
+            merge,
+        ).to_pandas(),  # bounded: k rows per lang
         ["lang", "doc_id"],
     )
     return pa.Table.from_pandas(

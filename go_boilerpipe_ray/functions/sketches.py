@@ -1,11 +1,10 @@
 """Distributed sketches (HyperLogLog, Count-Min) as Ray Data combiners.
 
 The register update is the canonical "partial state merged by max/sum"
-shape: each batch folds its rows into one partial register table inside
-``map_batches``, the only shuffle is a tiny ``groupby(register)`` rollup
-over at most ``m`` rows per block — so at 100 TB the wide step moves a
-few KB per block regardless of row count, and the final sketch is ``m``
-rows.
+shape: ``keyed_aggregate`` folds each call's rows into one partial
+register table before its keyed exchange, so the only shuffle moves at
+most ``m`` rows per call — at 100 TB the wide step moves a few KB per
+call regardless of row count, and the final sketch is ``m`` rows.
 
 The hash layout is chosen so a SQL oracle can recompute the registers
 bit-exactly in DuckDB (md5_number_lower == low 8 bytes of md5,
@@ -22,7 +21,15 @@ import pyarrow as pa
 
 import ray.data
 
-from ._util import TOKEN_PATTERN, md5_u64, read_parquet_clean
+from ._util import (
+    TOKEN_PATTERN,
+    ensure_columns,
+    keyed_aggregate,
+    md5_u64,
+    partitioned_by_key,
+    read_parquet_clean,
+    run_bounds,
+)
 
 HLL_P = 9  # 512 registers: ~4.6% standard error
 _M = 1 << HLL_P
@@ -41,46 +48,39 @@ def _rho(suffix: np.ndarray) -> np.ndarray:
     return rho.astype(np.int64)
 
 
-def _partial_registers(batch: pa.Table, column: str) -> pa.Table:
-    ids = batch.column(column).to_numpy(zero_copy_only=False)
-    h = _md5_u64_str(ids)
-    reg = (h & np.uint64(_M - 1)).astype(np.int64)
+def _register_rho(batch: pa.Table, **other) -> pa.Table:
+    """(register, rho) of every row's md5(user_id), next to ``other``
+    columns of the same length."""
+    h = _md5_u64_str(batch.column("user_id").to_numpy(zero_copy_only=False))
     suffix = ((h >> np.uint64(HLL_P)) & np.uint64(0xFFFFFFFF)).astype(np.uint64)
-    rho = _rho(suffix)
-    # Fold the batch to one row per touched register before the shuffle.
-    maxes = np.zeros(_M, dtype=np.int64)
-    np.maximum.at(maxes, reg, rho)
-    touched = np.flatnonzero(maxes)
     return pa.table(
         {
-            "register": pa.array(touched, pa.int64()),
-            "rho": pa.array(maxes[touched], pa.int64()),
+            **other,
+            "register": pa.array((h & np.uint64(_M - 1)).astype(np.int64)),
+            "rho": pa.array(_rho(suffix), pa.int64()),
         }
     )
+
+
+def _max_rho(rows: "ray.data.Dataset", keys: list[str]) -> "pd.DataFrame":
+    """max(rho) per ``keys`` (which end in "register"), gathered sorted
+    by ``keys``: bounded by groups × m rows."""
+    out = keyed_aggregate(rows, keys, {"max_rho": ("rho", "max")}).to_pandas()
+    return ensure_columns(out, keys + ["max_rho"]).sort_values(keys)
 
 
 def hll_registers(sf_dir: str) -> pa.Table:
     """HLL register table for distinct events.user_id (one row per
     touched register; untouched registers are implicit zeros)."""
     ds = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["user_id"])
-    out = (
-        ds.map_batches(
-            _partial_registers,
-            fn_kwargs={"column": "user_id"},
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("register")
-        .max("rho")
-        .to_pandas()
+    out = _max_rho(
+        ds.map_batches(_register_rho, batch_format="pyarrow", zero_copy_batch=True),
+        ["register"],
     )
-    from ._util import ensure_columns
-
-    out = ensure_columns(out, ["register", "max(rho)"]).sort_values("register")
     return pa.table(
         {
             "register": pa.array(out["register"].to_numpy(), pa.int64()),
-            "max_rho": pa.array(out["max(rho)"].to_numpy(), pa.int64()),
+            "max_rho": pa.array(out["max_rho"].to_numpy(), pa.int64()),
         }
     )
 
@@ -141,9 +141,11 @@ def cms_registers(sf_dir: str) -> pa.Table:
     keyed rollup, constant-size result."""
     ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["text"])
     out = (
-        ds.map_batches(_cms_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("slot")
-        .sum("cnt")
+        keyed_aggregate(
+            ds.map_batches(_cms_partial, batch_format="pyarrow", zero_copy_batch=True),
+            "slot",
+            {"cnt": ("cnt", "sum")},
+        )
         .to_pandas()
         .sort_values("slot")
     )
@@ -152,7 +154,7 @@ def cms_registers(sf_dir: str) -> pa.Table:
         {
             "j": pa.array(slot // CMS_WIDTH, pa.int64()),
             "reg": pa.array(slot % CMS_WIDTH, pa.int64()),
-            "cnt": pa.array(out["sum(cnt)"].to_numpy(), pa.int64()),
+            "cnt": pa.array(out["cnt"].to_numpy(), pa.int64()),
         }
     )
 
@@ -230,26 +232,21 @@ def value_histogram(sf_dir: str) -> pa.Table:
     bounded distinct values; a fixed-bin histogram bounds the rollup at
     the bin count instead, with quantiles exact to one bin width).
     Same combiner shape as HLL/CMS: per-batch (bin, cnt) partials, one
-    tiny groupby-sum.  floor(value*100) is computed in float64 on both
+    keyed sum.  floor(value*100) is computed in float64 on both
     engines, so the oracle is bit-stable."""
     ds = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["value"])
-    out = (
-        ds.map_batches(_hist_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bin")
-        .sum("cnt")
-        .to_pandas()
-    )
-    if len(out) == 0:
-        # Empty events table: Ray's empty groupby loses the column
-        # names; return the typed empty histogram (GROUP BY of nothing).
-        return pa.table(
-            {"bin": pa.array([], pa.int64()), "cnt": pa.array([], pa.int64())}
-        )
-    out = out.sort_values("bin")
+    out = ensure_columns(
+        keyed_aggregate(
+            ds.map_batches(_hist_partial, batch_format="pyarrow", zero_copy_batch=True),
+            "bin",
+            {"cnt": ("cnt", "sum")},
+        ).to_pandas(),
+        ["bin", "cnt"],
+    ).sort_values("bin")
     return pa.table(
         {
-            "bin": pa.array(out["bin"].to_numpy(), pa.int64()),
-            "cnt": pa.array(out["sum(cnt)"].to_numpy().astype(np.int64), pa.int64()),
+            "bin": pa.array(out["bin"].to_numpy().astype(np.int64), pa.int64()),
+            "cnt": pa.array(out["cnt"].to_numpy().astype(np.int64), pa.int64()),
         }
     )
 
@@ -260,62 +257,28 @@ FROM events GROUP BY 1
 """
 
 
-def histogram_quantile(hist: pa.Table, q: float) -> float:
-    """Quantile estimate from the histogram: the left edge of the bin
-    holding the ceil(q*n)-th value (exact to one bin width)."""
-    bins = hist.column("bin").to_numpy(zero_copy_only=False)
-    cnt = hist.column("cnt").to_numpy(zero_copy_only=False)
-    if len(bins) == 0:
-        raise ValueError("empty histogram has no quantiles")
-    order = np.argsort(bins)
-    bins, cnt = bins[order], cnt[order]
-    target = int(np.ceil(q * cnt.sum()))
-    pos = np.searchsorted(np.cumsum(cnt), max(target, 1))
-    return float(bins[min(pos, len(bins) - 1)]) / HIST_BIN_CENTS
-
-
 def hll_by_group(sf_dir: str) -> pa.Table:
     """Per-group HLL: distinct-user registers PER event type — the
     sketch-per-group shape (approximate COUNT(DISTINCT x) GROUP BY g at
-    100 TB).  Each batch folds to ≤ groups·m (group, register, rho)
-    partial rows; the rollup is groupby((group, register)).max."""
+    100 TB).  ``keyed_aggregate`` folds each call to ≤ groups·m
+    (group, register, max rho) partial rows before the keyed max."""
     ds = read_parquet_clean(
         f"{sf_dir}/events.parquet", columns=["event_type", "user_id"]
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        et = np.asarray(batch.column("event_type").to_pylist())
-        h = md5_u64(batch.column("user_id").to_numpy(zero_copy_only=False))
-        reg = (h & np.uint64(_M - 1)).astype(np.int64)
-        suffix = ((h >> np.uint64(HLL_P)) & np.uint64(0xFFFFFFFF)).astype(
-            np.uint64
-        )
-        rho = _rho(suffix)
-        types, inv = np.unique(et, return_inverse=True)
-        maxes = np.zeros((len(types), _M), dtype=np.int64)
-        np.maximum.at(maxes, (inv, reg), rho)
-        gi, ri = np.nonzero(maxes)
-        return pa.table(
-            {
-                "event_type": pa.array(types[gi], pa.string()),
-                "register": pa.array(ri.astype(np.int64), pa.int64()),
-                "rho": pa.array(maxes[gi, ri], pa.int64()),
-            }
-        )
+        return _register_rho(batch, event_type=batch.column("event_type"))
 
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["event_type", "register"])
-        .max("rho")
-        .to_pandas()
-        .sort_values(["event_type", "register"])
+    out = _max_rho(
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        ["event_type", "register"],
     )
     return pa.table(
         {
             "event_type": pa.array(out["event_type"], pa.string()),
             "register": pa.array(out["register"].to_numpy(), pa.int64()),
             "max_rho": pa.array(
-                out["max(rho)"].to_numpy().astype(np.int64), pa.int64()
+                out["max_rho"].to_numpy().astype(np.int64), pa.int64()
             ),
         }
     )
@@ -402,27 +365,25 @@ def grouped_approx_percentiles(sf_dir: str) -> pa.Table:
     quantile walk runs on that bounded table with the same integer ceil
     target rule as the global sketch."""
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def bins(batch: pa.Table) -> pa.Table:
         v = batch.column("value").to_numpy(zero_copy_only=False)
-        t = pa.table(
+        return pa.table(
             {
                 "event_type": batch.column("event_type"),
                 "bin": pa.array(
                     np.floor(v * HIST_BIN_CENTS).astype(np.int64), pa.int64()
                 ),
-                "cnt": pa.array(np.ones(len(v), np.int64)),
             }
         )
-        g = t.group_by(["event_type", "bin"]).aggregate([("cnt", "sum")])
-        return g.rename_columns(["event_type", "bin", "cnt"])
 
     hist = (
-        read_parquet_clean(
-            f"{sf_dir}/events.parquet", columns=["event_type", "value"]
+        keyed_aggregate(
+            read_parquet_clean(
+                f"{sf_dir}/events.parquet", columns=["event_type", "value"]
+            ).map_batches(bins, batch_format="pyarrow", zero_copy_batch=True),
+            ["event_type", "bin"],
+            {"cnt": ("bin", "count")},
         )
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["event_type", "bin"])
-        .sum("cnt")
         .to_pandas()
         .sort_values(["event_type", "bin"])
     )
@@ -431,7 +392,7 @@ def grouped_approx_percentiles(sf_dir: str) -> pa.Table:
     out_b: list[int] = []
     for etype, grp in hist.groupby("event_type"):
         bins = grp["bin"].to_numpy()
-        cum = np.cumsum(grp["sum(cnt)"].to_numpy())
+        cum = np.cumsum(grp["cnt"].to_numpy())
         total = int(cum[-1])
         for pct in APPROX_PCTS:
             target = max((pct * total + 99) // 100, 1)
@@ -474,7 +435,56 @@ _KMV_K = 16
 _KMV_MASK = (1 << 50) - 1  # bounded hash space keeps (k-1)*2^50 in int64
 
 
-def kmv_distinct(sf_dir: str, k: int = _KMV_K) -> pa.Table:
+def _kmv_per_group(tbl: pa.Table, group: str) -> pa.Table:
+    """The ``_KMV_K`` smallest distinct ``hv`` of every ``group`` value
+    in ``tbl``, as (group, hv) rows: one KMV sketch per group.  The
+    sketch of a union is this over the union of the sketches, so the
+    same call is the per-batch partial and the per-block merge."""
+    t = (
+        tbl.group_by([group, "hv"], use_threads=False)
+        .aggregate([])
+        .sort_by([(group, "ascending"), ("hv", "ascending")])
+    )
+    b = run_bounds(t.column(group).to_numpy(zero_copy_only=False))
+    pos = np.arange(t.num_rows) - np.repeat(b[:-1], np.diff(b))
+    return t.filter(pa.array(pos < _KMV_K))
+
+
+def _kmv_sketches(ds: "ray.data.Dataset", group: str) -> "pd.DataFrame":
+    """KMV sketches of md5(user_id) per ``group`` value of ``ds``,
+    merged on the keyed exchange and gathered as (group, hv) rows
+    (bounded: ≤ groups × k rows)."""
+
+    def partial(batch: pa.Table) -> pa.Table:
+        uid = batch.column("user_id").to_pylist()
+        hv = (md5_u64(uid) & np.uint64(_KMV_MASK)).astype(np.int64)
+        return _kmv_per_group(
+            pa.table({group: batch.column(group), "hv": pa.array(hv)}), group
+        )
+
+    def merge(part: pa.Table) -> pa.Table:
+        return _kmv_per_group(part, group)
+
+    return ensure_columns(
+        partitioned_by_key(
+            ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+            group,
+            merge,
+        ).to_pandas(),
+        [group, "hv"],
+    )
+
+
+def _kmv_estimate(hs: np.ndarray) -> tuple[int, int]:
+    """(kth hash, distinct estimate) of one sorted KMV sketch; the exact
+    count when the sketch holds fewer than k hashes."""
+    if len(hs) >= _KMV_K:
+        kth = int(hs[_KMV_K - 1])
+        return kth, (_KMV_K - 1) * (_KMV_MASK + 1) // kth
+    return 0, len(hs)
+
+
+def kmv_distinct(sf_dir: str) -> pa.Table:
     """K-minimum-values distinct-count sketch (Bar-Yossef et al. 2002)
     per event type: keep the k smallest md5 hash values of the key;
     estimate = (k-1) · 2^50 // h_k (exact-count fallback when fewer
@@ -485,71 +495,21 @@ def kmv_distinct(sf_dir: str, k: int = _KMV_K) -> pa.Table:
 
     Scale shape: KMV is a bounded mergeable summary — each batch
     reduces to ≤ k hashes per type (the merge of k-min sets is the
-    k-min of the union), so the shuffle moves ≤ types × blocks × k
-    fixed-width rows into a bounded per-type merge; the type domain is
-    small (map_groups over it is bounded-group, the kmeans-centroid
-    precedent)."""
+    k-min of the union), so the keyed exchange moves ≤ types × blocks
+    × k fixed-width rows, and its per-block merge runs the same
+    reduction over every type the block holds."""
     ds = read_parquet_clean(
         f"{sf_dir}/events.parquet", columns=["event_type", "user_id"]
     )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        et = np.asarray(batch.column("event_type").to_pylist(), dtype=object)
-        uid = batch.column("user_id").to_pylist()
-        hv = (md5_u64(uid) & np.uint64(_KMV_MASK)).astype(np.int64)
-        types, code = np.unique(et.astype(str), return_inverse=True)
-        order = np.lexsort((hv, code))
-        code, hv = code[order], hv[order]
-        keep = np.zeros(len(code), dtype=bool)
-        # first k distinct hashes per type: mark run heads, cap position
-        new_t = np.r_[True, code[1:] != code[:-1]]
-        new_h = new_t | np.r_[True, hv[1:] != hv[:-1]]
-        starts = np.flatnonzero(new_t)
-        pos = np.cumsum(new_h) - np.repeat(
-            np.cumsum(new_h)[starts] - 1, np.diff(np.r_[starts, len(code)])
-        )
-        keep = new_h & (pos <= k)  # pos is 1-based: <= keeps exactly k
-        return pa.table(
-            {
-                "event_type": pa.array(types[code[keep]].tolist(), pa.string()),
-                "hv": pa.array(hv[keep], pa.int64()),
-            }
-        )
-
-    def merge(group: pa.Table) -> pa.Table:
-        t = group.column("event_type")[0].as_py()
-        hs = np.unique(group.column("hv").to_numpy(zero_copy_only=False))
-        m = len(hs)
-        if m >= k:
-            kth = int(hs[k - 1])
-            est = (k - 1) * (_KMV_MASK + 1) // kth
-        else:
-            kth = 0
-            est = m
-        return pa.table(
-            {
-                "event_type": pa.array([t], pa.string()),
-                "kth_hash": pa.array([kth], pa.int64()),
-                "est_distinct": pa.array([est], pa.int64()),
-            }
-        )
-
-    from ._util import ensure_columns
-
-    out = ensure_columns(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("event_type")
-        .map_groups(merge, batch_format="pyarrow")
-        .to_pandas(),  # bounded: one row per event type
-        ["event_type", "kth_hash", "est_distinct"],
-    ).sort_values("event_type")
+    est = {
+        str(t): _kmv_estimate(np.sort(g["hv"].to_numpy(np.int64)))
+        for t, g in _kmv_sketches(ds, "event_type").groupby("event_type")
+    }
     return pa.table(
         {
-            "event_type": pa.array(out["event_type"], pa.string()),
-            "kth_hash": pa.array(out["kth_hash"].astype("int64"), pa.int64()),
-            "est_distinct": pa.array(
-                out["est_distinct"].astype("int64"), pa.int64()
-            ),
+            "event_type": pa.array(list(est), pa.string()),
+            "kth_hash": pa.array([e[0] for e in est.values()], pa.int64()),
+            "est_distinct": pa.array([e[1] for e in est.values()], pa.int64()),
         }
     )
 
@@ -580,7 +540,7 @@ FROM r WHERE rn <= 16 GROUP BY 1 ORDER BY 1
 # -- KMV Jaccard (sketch-based set similarity between key sets) ----------------
 
 
-def kmv_jaccard(sf_dir: str, k: int = _KMV_K) -> pa.Table:
+def kmv_jaccard(sf_dir: str) -> pa.Table:
     """KMV-sketch Jaccard estimate between the USER SETS of every pair
     of event types (Beyer et al. 2007 "On synopses for distinct-value
     estimation"): per type keep the k smallest md5 hashes of user_id;
@@ -596,49 +556,11 @@ def kmv_jaccard(sf_dir: str, k: int = _KMV_K) -> pa.Table:
     fixed-width rows.  The pair combination runs on the merged bounded
     table (types × k rows, independent of corpus size) — same
     bounded-rollup-to-driver shape as brand_affinity_lift."""
-    ds = read_parquet_clean(
-        f"{sf_dir}/events.parquet", columns=["event_type", "user_id"]
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        et = np.asarray(batch.column("event_type").to_pylist(), dtype=object)
-        uid = batch.column("user_id").to_pylist()
-        hv = (md5_u64(uid) & np.uint64(_KMV_MASK)).astype(np.int64)
-        types, code = np.unique(et.astype(str), return_inverse=True)
-        order = np.lexsort((hv, code))
-        code, hv = code[order], hv[order]
-        new_t = np.r_[True, code[1:] != code[:-1]]
-        new_h = new_t | np.r_[True, hv[1:] != hv[:-1]]
-        starts = np.flatnonzero(new_t)
-        pos = np.cumsum(new_h) - np.repeat(
-            np.cumsum(new_h)[starts] - 1, np.diff(np.r_[starts, len(code)])
-        )
-        keep = new_h & (pos <= k)  # pos is 1-based: <= keeps exactly k
-        return pa.table(
-            {
-                "event_type": pa.array(types[code[keep]].tolist(), pa.string()),
-                "hv": pa.array(hv[keep], pa.int64()),
-            }
-        )
-
-    def merge(group: pa.Table) -> pa.Table:
-        t = group.column("event_type")[0].as_py()
-        hs = np.unique(group.column("hv").to_numpy(zero_copy_only=False))[:k]
-        return pa.table(
-            {
-                "event_type": pa.array([t] * len(hs), pa.string()),
-                "hv": pa.array(hs, pa.int64()),
-            }
-        )
-
-    from ._util import ensure_columns
-
-    sk = ensure_columns(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("event_type")
-        .map_groups(merge, batch_format="pyarrow")
-        .to_pandas(),  # bounded: ≤ types × k rows
-        ["event_type", "hv"],
+    sk = _kmv_sketches(
+        read_parquet_clean(
+            f"{sf_dir}/events.parquet", columns=["event_type", "user_id"]
+        ),
+        "event_type",
     )
     sketches = {
         str(t): set(g["hv"].astype("int64").tolist())
@@ -650,7 +572,7 @@ def kmv_jaccard(sf_dir: str, k: int = _KMV_K) -> pa.Table:
         for tb in types[i + 1 :]:
             a, b = sketches[ta], sketches[tb]
             union = sorted(a | b)
-            ku = min(k, len(union))
+            ku = min(_KMV_K, len(union))
             s = union[:ku]
             ov = sum(1 for h in s if h in a and h in b)
             out_a.append(ta)
@@ -712,7 +634,7 @@ GROUP BY 1, 2 ORDER BY 1, 2
 # -- KMV mergeability check ------------------------------------------------------
 
 
-def kmv_merge_check(sf_dir: str, k: int = _KMV_K) -> pa.Table:
+def kmv_merge_check(sf_dir: str) -> pa.Table:
     """Sketch-mergeability demonstrated end-to-end: split events by
     event_id parity, build an independent KMV distinct-user sketch per
     half, MERGE the two sketches (k-min of the union of k-min sets),
@@ -730,69 +652,16 @@ def kmv_merge_check(sf_dir: str, k: int = _KMV_K) -> pa.Table:
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id"]
     )
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def by_side(batch: pa.Table) -> pa.Table:
         eid = batch.column("event_id").to_numpy(zero_copy_only=False)
-        uid = batch.column("user_id").to_pylist()
-        hv = (md5_u64(uid) & np.uint64(_KMV_MASK)).astype(np.int64)
-        side = (eid % 2).astype(np.int64)
-        out_s, out_h = [], []
-        for s in (0, 1):
-            hs = np.unique(hv[side == s])[:k]
-            out_s.extend([s] * len(hs))
-            out_h.extend(hs.tolist())
         return pa.table(
-            {
-                "side": pa.array(out_s, pa.int64()),
-                "hv": pa.array(out_h, pa.int64()),
-            }
+            {"side": pa.array(eid % 2, pa.int64()), "user_id": batch.column("user_id")}
         )
 
-    from ._util import ensure_columns
-
-    sk = ensure_columns(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("side")
-        .map_groups(
-            lambda g: pa.table(
-                {
-                    "side": pa.array(
-                        [g.column("side")[0].as_py()]
-                        * min(
-                            k,
-                            len(
-                                np.unique(
-                                    g.column("hv").to_numpy(
-                                        zero_copy_only=False
-                                    )
-                                )
-                            ),
-                        ),
-                        pa.int64(),
-                    ),
-                    "hv": pa.array(
-                        np.unique(
-                            g.column("hv").to_numpy(zero_copy_only=False)
-                        )[:k],
-                        pa.int64(),
-                    ),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-        .to_pandas(),  # ≤ 2k rows
-        ["side", "hv"],
-    )
-
-    def estimate(hs: np.ndarray) -> tuple[int, int]:
-        hs = np.unique(hs)[:k]
-        if len(hs) >= k:
-            kth = int(hs[k - 1])
-            return kth, (k - 1) * (_KMV_MASK + 1) // kth
-        return 0, len(hs)
-
-    a = sk[sk["side"] == 0]["hv"].to_numpy()
-    b = sk[sk["side"] == 1]["hv"].to_numpy()
-    merged_kth, merged_est = estimate(np.concatenate([a, b]))
+    sk = _kmv_sketches(
+        ds.map_batches(by_side, batch_format="pyarrow", zero_copy_batch=True), "side"
+    )  # ≤ 2k rows
+    merged_kth, merged_est = _kmv_estimate(np.unique(sk["hv"].to_numpy(np.int64)))
     # full-corpus single-pass sketch (no parity split)
     full = ensure_columns(
         ds.map_batches(
@@ -804,7 +673,7 @@ def kmv_merge_check(sf_dir: str, k: int = _KMV_K) -> pa.Table:
                                 md5_u64(batch.column("user_id").to_pylist())
                                 & np.uint64(_KMV_MASK)
                             ).astype(np.int64)
-                        )[:k],
+                        )[:_KMV_K],
                         pa.int64(),
                     )
                 }
@@ -814,7 +683,7 @@ def kmv_merge_check(sf_dir: str, k: int = _KMV_K) -> pa.Table:
         ).to_pandas(),
         ["hv"],
     )
-    full_kth, full_est = estimate(full["hv"].to_numpy())
+    full_kth, full_est = _kmv_estimate(np.unique(full["hv"].to_numpy(np.int64)))
     return pa.table(
         {
             "scope": pa.array(["full", "merged"], pa.string()),
@@ -881,52 +750,22 @@ def hll_merge_check(sf_dir: str) -> pa.Table:
     corpus never changes the sketch.  The oracle recomputes both
     scopes independently in SQL.
 
-    Scale shape: each pass folds batches to <= m touched registers
-    before the shuffle; the merge is a <= 2m-row rollup."""
-    from ._util import ensure_columns
-
+    Scale shape: each pass folds its calls to <= m touched registers
+    before the keyed exchange; the merge is a <= 2m-row rollup."""
     ds = read_parquet_clean(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id"]
     )
 
     def partial(batch: pa.Table) -> pa.Table:
         eid = batch.column("event_id").to_numpy(zero_copy_only=False)
-        ids = batch.column("user_id").to_numpy(zero_copy_only=False)
-        h = _md5_u64_str(ids)
-        reg = (h & np.uint64(_M - 1)).astype(np.int64)
-        suffix = ((h >> np.uint64(HLL_P)) & np.uint64(0xFFFFFFFF)).astype(
-            np.uint64
-        )
-        rho = _rho(suffix)
-        side = (eid % 2).astype(np.int64)
-        out_side: list[int] = []
-        out_reg: list[int] = []
-        out_rho: list[int] = []
-        for s in (0, 1):
-            m = np.zeros(_M, dtype=np.int64)
-            sel = side == s
-            np.maximum.at(m, reg[sel], rho[sel])
-            touched = np.flatnonzero(m)
-            out_side.extend([s] * len(touched))
-            out_reg.extend(touched.tolist())
-            out_rho.extend(m[touched].tolist())
-        return pa.table(
-            {
-                "side": pa.array(out_side, pa.int64()),
-                "register": pa.array(out_reg, pa.int64()),
-                "rho": pa.array(out_rho, pa.int64()),
-            }
-        )
+        return _register_rho(batch, side=pa.array(eid % 2, pa.int64()))
 
-    side_reg = ensure_columns(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["side", "register"])
-        .max("rho")
-        .to_pandas(),  # <= 2m rows
-        ["side", "register", "max(rho)"],
-    )
+    side_reg = _max_rho(
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        ["side", "register"],
+    )  # <= 2m rows
     merged = (
-        side_reg.groupby("register")["max(rho)"].max().sort_index()
+        side_reg.groupby("register")["max_rho"].max().sort_index()
     )  # elementwise max of the two half sketches
     full = hll_registers(sf_dir)  # independent full-corpus single pass
     scopes = ["full"] * full.num_rows + ["merged"] * len(merged)
@@ -985,23 +824,13 @@ def distinct_estimators_report(sf_dir: str) -> pa.Table:
     a sketch for a 100 TB pipeline (where exact is unaffordable and
     the sketch's observed error at sample scale is the evidence).
 
-    Scale shape: exact = per-batch unique fold + one user-keyed rollup
+    Scale shape: exact = one user-keyed ``keyed_aggregate`` count
     (the only part that wouldn't scale unbounded — which is the
     point); HLL = 512-register max-merge; KMV = k-min merge.  The
     oracle recomputes all three, HLL's float estimate included (both
     sides sum 512 double terms; rtol 1e-9 absorbs ordering ulps)."""
-    from ._util import batch_distinct_int64, ensure_columns
-
     ds = read_parquet_clean(f"{sf_dir}/events.parquet", columns=["user_id"])
-
-    uniq_partial = batch_distinct_int64("user_id")
-
-    exact = (
-        ds.map_batches(uniq_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("user_id")
-        .count()
-        .count()
-    )
+    exact = keyed_aggregate(ds, "user_id", {"n": ("user_id", "count")}).count()
 
     hll_est = hll_estimate(hll_registers(sf_dir))
 
@@ -1106,7 +935,6 @@ def shard_skip_report(sf_dir: str) -> pa.Table:
     rolled up by a small keyed shuffle.  Probes are md5-picked from
     [0, max_user], so some are absent (the case skipping exists for)."""
     import pyarrow.compute as pc
-    from ray.data.aggregate import Max, Min
 
     DAY_US = 86_400 * 1_000_000
     S, M, NP = SKIP_SHARDS, SKIP_BLOOM_M, SKIP_PROBES
@@ -1141,19 +969,11 @@ def shard_skip_report(sf_dir: str) -> pa.Table:
         t = pc.cast(pc.cast(batch.column("ts"), pa.timestamp("us")), pa.int64())
         return (t.to_numpy(zero_copy_only=False) // DAY_US) % S
 
-    def zone_partial(batch: pa.Table) -> pa.Table:
-        s = shard_of(batch)
-        u = batch.column("user_id").to_numpy(zero_copy_only=False)
-        order = np.argsort(s, kind="stable")
-        s, u = s[order], u[order]
-        b = np.flatnonzero(np.r_[True, s[1:] != s[:-1], True])
-        lo = np.minimum.reduceat(u, b[:-1])
-        hi = np.maximum.reduceat(u, b[:-1])
+    def zone_rows(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "shard": pa.array(s[b[:-1]], pa.int64()),
-                "lo": pa.array(lo, pa.int64()),
-                "hi": pa.array(hi, pa.int64()),
+                "shard": pa.array(shard_of(batch), pa.int64()),
+                "user_id": batch.column("user_id"),
             }
         )
 
@@ -1172,30 +992,19 @@ def shard_skip_report(sf_dir: str) -> pa.Table:
         pairs = np.unique(pos[hit] * S + s[hit])
         return pa.table({"pshard": pa.array(pairs, pa.int64())})
 
-    zones = (
-        ev.map_batches(zone_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("shard")
-        .aggregate(Min("lo", alias_name="lo"), Max("hi", alias_name="hi"))
-        .to_pandas()  # bounded: <= 16 rows
-    )
-    bloom_bits = set(
-        int(r["sb"])
-        for r in ev.map_batches(
-            bloom_partial, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("sb")
-        .count()
-        .iter_rows()
-    )  # bounded: <= 16·M distinct set bits at ANY corpus size
-    exact_pairs = set(
-        int(r["pshard"])
-        for r in ev.map_batches(
-            exact_partial, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("pshard")
-        .count()
-        .iter_rows()
-    )  # bounded: <= probes × shards
+    def distinct(partial, col: str) -> set[int]:
+        rows = ev.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
+        keyed = keyed_aggregate(rows, col, {"n": (col, "count")})
+        return set(int(r[col]) for r in keyed.iter_rows())
+
+    zones = keyed_aggregate(
+        ev.map_batches(zone_rows, batch_format="pyarrow", zero_copy_batch=True),
+        "shard",
+        {"lo": ("user_id", "min"), "hi": ("user_id", "max")},
+    ).to_pandas()  # bounded: <= 16 rows
+    # bounded: <= 16·M distinct set bits at ANY corpus size
+    bloom_bits = distinct(bloom_partial, "sb")
+    exact_pairs = distinct(exact_partial, "pshard")  # bounded: <= probes × shards
 
     lo_by = dict(zip(zones["shard"].astype(int), zones["lo"].astype(int)))
     hi_by = dict(zip(zones["shard"].astype(int), zones["hi"].astype(int)))

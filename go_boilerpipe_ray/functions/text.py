@@ -632,8 +632,8 @@ def tfidf_topk(sf_dir: str, k: int = TFIDF_K) -> "ray.data.Dataset":
     step of a corpus profiler.
 
     Two keyed shuffles of fixed-width rows, no broadcast table, and
-    both wide steps are PARTITION-vectorized (P kernel calls each, not
-    one Python call per token or per doc):
+    both wide steps are PARTITION-vectorized (at most min(P, 2 × CPUs)
+    kernel calls each, not one Python call per token or per doc):
     (1) per-batch term counting emits (doc_id, token, tf) rows;
     (2) a blake2(token) % P shuffle co-locates each token; df per
         distinct token is a bincount over np.unique codes (one row per
@@ -852,7 +852,7 @@ def repetition_stats(sf_dir: str) -> "ray.data.Dataset":
     few and the work is dict counting, not windowing."""
 
     def stats(batch: pa.Table) -> pa.Table:
-        from ._util import batch_window_hashes, run_bounds
+        from ._util import batch_window_hashes
 
         dup_line_pm: list[int] = []
         for t in batch.column("text").to_pylist():
@@ -1863,7 +1863,6 @@ def token_budget_select(sf_dir: str) -> "ray.data.Dataset":
     rows — never O(docs) — then each (source, bucket) group cumsums
     locally.  No global sort."""
     import ray as _ray
-    import ray.data
 
     def with_counts(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
@@ -2893,7 +2892,6 @@ def heavy_hitters_by_source(sf_dir: str) -> "ray.data.Dataset":
     keyed shuffle sums them, and a per-source group argsort picks the
     winners — group size is bounded by the source's distinct-token
     vocabulary, never its token volume."""
-    import ray.data
 
     def pair_counts(batch: pa.Table) -> pa.Table:
         counts: dict = {}
@@ -4170,7 +4168,6 @@ def source_vocab_containment(sf_dir: str) -> pa.Table:
         .sum("n")
         .to_pandas()  # bounded: K x K
     )
-    import pandas as pd
 
     mat = np.zeros((K, K), dtype=np.int64)
     for _, r in rows.iterrows():

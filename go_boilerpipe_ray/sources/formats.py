@@ -1014,7 +1014,6 @@ def quarantine_split(sf_dir: str, out_dir: str | None = None) -> "ray.data.Datas
     audit rollups stream per side."""
     import hashlib as _hl
 
-    import numpy as np
     import pyarrow.parquet as pq
 
     out = _sink_dir("quarantine", sf_dir, out_dir)

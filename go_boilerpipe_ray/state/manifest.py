@@ -112,8 +112,6 @@ def run_partitioned_extract(
     ``partition_id`` so the write is ``partition_cols``-partitioned and a
     failed run can be restarted with the same arguments.
     """
-    import ray.data
-
     from ..pipelines.article import extract_dataset, read_spans
 
     manifest = Manifest.load_or_create(out_dir, num_partitions)

@@ -1555,28 +1555,21 @@ def test_user_event_seq_and_transitions_consistent():
     assert got == dict(want)
 
 
-def test_histogram_quantile_within_one_bin():
-    """Histogram quantiles are exact to one bin width vs numpy."""
+def test_value_histogram_matches_numpy():
+    """Every event lands in its floor(value * 100) bin, counted once."""
     import pyarrow.parquet as pq
 
-    from go_boilerpipe_ray.functions.sketches import (
-        HIST_BIN_CENTS,
-        histogram_quantile,
-        value_histogram,
-    )
+    from go_boilerpipe_ray.functions.sketches import HIST_BIN_CENTS, value_histogram
 
-    hist = value_histogram(SF)
-    vals = np.sort(
+    vals = (
         pq.read_table(f"{SF}/events.parquet", columns=["value"])
         .column("value")
         .to_numpy(zero_copy_only=False)
     )
-    n = len(vals)
-    for q in (0.1, 0.5, 0.9, 0.99):
-        exact = vals[max(int(np.ceil(q * n)), 1) - 1]
-        est = histogram_quantile(hist, q)
-        assert abs(est - exact) <= 1.0 / HIST_BIN_CENTS + 1e-9, (q, est, exact)
-    assert int(hist.column("cnt").to_numpy().sum()) == n
+    bins, cnt = np.unique(np.floor(vals * HIST_BIN_CENTS).astype(np.int64), return_counts=True)
+    hist = value_histogram(SF)
+    assert hist.column("bin").to_pylist() == bins.tolist()
+    assert hist.column("cnt").to_pylist() == cnt.tolist()
 
 
 def test_gopher_rules_verdict_consistent_with_signals():
@@ -4108,6 +4101,66 @@ def test_time_weighted_average_overflow_guard_uses_abs(tmp_path):
         time_weighted_average(str(tmp_path)).take_all()
 
 
+def test_keyed_aggregate_matches_pandas_and_ray_groupby(monkeypatch):
+    """keyed_aggregate against pandas and Ray's own groupby on the same
+    rows: an int key, a string key, a two-column key and one key holding
+    every row, each with sum, count, min and max; an empty input; and
+    the partition count P below and above 2 × CPUs."""
+    import pandas as pd
+    import ray
+    import ray.data
+    from ray.data.aggregate import Count, Max, Min, Sum
+
+    import go_boilerpipe_ray.functions._util as util
+    from go_boilerpipe_ray.functions._util import keyed_aggregate
+
+    rng = np.random.default_rng(5)
+    n = 3000
+    df = pd.DataFrame(
+        {
+            "k": rng.integers(-50, 150, n),
+            "s": rng.choice(["a", "b", "ü", "long key"], n),
+            "one": np.zeros(n, np.int64),
+            "v": rng.integers(-(10**6), 10**6, n),
+        }
+    )
+    ds = ray.data.from_pandas(df).repartition(5).materialize()
+    aggs = {"tot": ("v", "sum"), "n": ("v", "count"), "lo": ("v", "min"), "hi": ("v", "max")}
+    cpus = int(ray.cluster_resources()["CPU"])
+    real = util.wide_partitions
+
+    def canon(frame, keys):
+        return frame[keys + list(aggs)].sort_values(keys).reset_index(drop=True)
+
+    for keys in (["k"], ["s"], ["k", "s"], ["one"]):
+        want = canon(
+            df.groupby(keys)
+            .agg(tot=("v", "sum"), n=("v", "size"), lo=("v", "min"), hi=("v", "max"))
+            .reset_index(),
+            keys,
+        )
+        ray_groupby = canon(
+            ds.groupby(keys)
+            .aggregate(
+                Sum("v", alias_name="tot"),
+                Count(alias_name="n"),
+                Min("v", alias_name="lo"),
+                Max("v", alias_name="hi"),
+            )
+            .to_pandas(),
+            keys,
+        )
+        pd.testing.assert_frame_equal(ray_groupby, want, check_dtype=False)
+        for P in (cpus, 4 * cpus):
+            monkeypatch.setattr(
+                util, "wide_partitions", lambda floor=64, P=P: P if floor > 1 else real(floor)
+            )
+            out = keyed_aggregate(ds, keys if len(keys) > 1 else keys[0], aggs).to_pandas()
+            assert list(out.columns) == keys + list(aggs), (keys, P)
+            pd.testing.assert_frame_equal(canon(out, keys), want, check_dtype=False)
+            assert keyed_aggregate(ds.limit(0), keys, aggs).take_all() == []
+
+
 def test_partitioned_by_key_invariant_to_partition_count(monkeypatch):
     """Results of the partition-vectorized per-key operators must not
     depend on the hash-partition count P (pure partitioning detail) —
@@ -4116,7 +4169,7 @@ def test_partitioned_by_key_invariant_to_partition_count(monkeypatch):
     import functools
 
     import go_boilerpipe_ray.functions._util as util
-    from go_boilerpipe_ray.functions import relational, sampling, text, urls
+    from go_boilerpipe_ray.functions import relational, sampling, sketches, text, urls
 
     cases = {
         "sessionize": relational.sessionize,
@@ -4172,6 +4225,11 @@ def test_partitioned_by_key_invariant_to_partition_count(monkeypatch):
             "url_dedup": urls.url_dedup,
             "domain_cap": sampling.domain_cap,
             "heavy_hitters_by_source": text.heavy_hitters_by_source,
+            "exact_dedup": dedup.exact_dedup,
+            "customers_without_events": relational.customers_without_events,
+            "hll_by_group": sketches.hll_by_group,
+            "kmv_distinct": sketches.kmv_distinct,
+            "stratified_sample": sampling.stratified_sample,
         }
     )
 
