@@ -236,7 +236,7 @@ def media_dedup_dataset(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     """Exact dedup of opaque binary media: content-hash each payload
     inside map_batches (md5 of the raw bytes — the only per-row Python
     is the hash call itself, the accepted pattern for binary digests),
-    then ONE hash-keyed groupby keeps the lowest id per content cluster.
+    then ONE keyed aggregate keeps the lowest id per content cluster.
     The shuffle moves (16-byte hex hash, int id) rows, never payloads —
     the same never-ship-the-blob discipline as dedup.exact_dedup on
     text.  Output: one row per distinct payload (representative id +
@@ -244,7 +244,8 @@ def media_dedup_dataset(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     import hashlib
 
     import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Min
+
+    from ._util import keyed_aggregate
 
     def hash_payload(batch: pa.Table) -> pa.Table:
         hs = [
@@ -258,18 +259,8 @@ def media_dedup_dataset(ds: "ray.data.Dataset") -> "ray.data.Dataset":
             }
         )
 
-    rolled = (
-        ds.map_batches(hash_payload, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("h")
-        .aggregate(Min("i", alias_name="rep_i"), Count(alias_name="n_copies"))
-    )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "rep_i": pc.cast(batch.column("rep_i"), pa.int64()),
-                "n_copies": pc.cast(batch.column("n_copies"), pa.int64()),
-            }
-        )
-
-    return rolled.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
+    return keyed_aggregate(
+        ds.map_batches(hash_payload, batch_format="pyarrow", zero_copy_batch=True),
+        "h",
+        {"rep_i": ("i", "min"), "n_copies": ("i", "count")},
+    ).select_columns(["rep_i", "n_copies"])

@@ -2,13 +2,17 @@
 
 - ``knn_brute``: exact cosine top-k.  The query matrix is broadcast once
   (``ray.put``) and read inside every batch task; each batch computes a
-  tie-aware local top-k, then candidates reduce DISTRIBUTED via
-  groupby(query_id).map_groups under the same total order (-sim, id) —
-  the driver only ever sees the O(n_queries × k) final rows.
+  tie-aware local top-k, then candidates reduce DISTRIBUTED through the
+  keyed exchange on query_id (``partitioned_by_key``) under the same
+  total order (-sim, id) — the driver only ever sees the
+  O(n_queries × k) final rows.
 - ``knn_lsh`` / ``knn_ivf``: the scale paths — random-hyperplane LSH
   buckets / spherical-kmeans IVF cells partition the vectors; scoring
-  runs DISTRIBUTED inside groupby(bucket|cell).map_groups and only
-  bounded candidate rows reach the merge.
+  runs DISTRIBUTED on the keyed exchange by bucket or cell, one sort
+  and run cut per block, and only bounded candidate rows reach the
+  merge.
+- Every grouped rollup (kmeans registers, norm bins, dim stats, Gram
+  partials) merges through ``keyed_aggregate``.
 - ``near_dup_embeddings``: embedding-cosine near-duplicate pairs via
   multiprobe-LSH bucketing + exact per-bucket cosine verify, over a
   corpus with synthesized duplicates (scaled copies — cosine exactly 1
@@ -24,9 +28,8 @@ import numpy as np
 import pyarrow as pa
 
 import ray
-import ray.data
 
-from ._util import read_parquet_clean
+from ._util import ensure_columns, keyed_aggregate, read_parquet_clean
 
 _logger = logging.getLogger(__name__)
 
@@ -119,45 +122,34 @@ def _rank_merge(cand_rows: list[dict], k: int) -> pa.Table:
 
 def _distributed_rank_reduce(cand: "ray.data.Dataset", k: int) -> pa.Table:
     """Reduce (query_id, neighbor_id, sim) candidates to final ranked
-    top-k DISTRIBUTED: one keyed shuffle of narrow candidate rows into
-    per-query groups, top-k inside each group under the same total order
-    (-sim, neighbor_id) every producer used for its local truncation.
-    Only the O(n_queries × k) result reaches the driver — candidate
-    volume (which grows with corpus size for brute force) never does."""
+    top-k DISTRIBUTED: the keyed exchange on query_id co-locates each
+    query's candidates, and one sort per block ranks every query in it
+    under the same total order (-sim, neighbor_id) every producer used
+    for its local truncation.  Only the O(n_queries × k) result reaches
+    the driver — candidate volume (which grows with corpus size for
+    brute force) never does."""
+    from ._util import ensure_columns, partitioned_by_key
+    from .sampling import _rank_within
 
-    def group_topk(group: pa.Table) -> pa.Table:
-        nid = np.asarray(group.column("neighbor_id").to_pylist(), dtype=np.int64)
-        sim = np.asarray(group.column("sim").to_pylist(), dtype=np.float64)
-        idx = np.lexsort((nid, -sim))[:k]
-        qid = group.column("query_id")[0].as_py()
+    def block_topk(block: pa.Table) -> pa.Table:
+        qid = block.column("query_id").to_numpy(zero_copy_only=False)
+        nid = block.column("neighbor_id").to_numpy(zero_copy_only=False)
+        sim = block.column("sim").to_numpy(zero_copy_only=False)
+        order, pos = _rank_within(qid, -sim, nid)
+        top = pos < k
         return pa.table(
             {
-                "query_id": pa.array([qid] * len(idx), pa.int64()),
-                "neighbor_id": pa.array(nid[idx], pa.int64()),
-                "rank": pa.array(np.arange(1, len(idx) + 1), pa.int64()),
+                "query_id": pa.array(qid[order[top]], pa.int64()),
+                "neighbor_id": pa.array(nid[order[top]], pa.int64()),
+                "rank": pa.array(pos[top] + 1, pa.int64()),
             }
         )
 
-    reduced = cand.groupby("query_id").map_groups(
-        group_topk, batch_format="pyarrow"
-    )
-    df = reduced.to_pandas()  # bounded: n_queries × k rows
-    if "query_id" not in df.columns:  # empty corpus: columnless frame
-        return pa.table(
-            {
-                "query_id": pa.array([], pa.int64()),
-                "neighbor_id": pa.array([], pa.int64()),
-                "rank": pa.array([], pa.int64()),
-            }
-        )
+    reduced = partitioned_by_key(cand, "query_id", block_topk)
+    cols = ["query_id", "neighbor_id", "rank"]
+    df = ensure_columns(reduced.to_pandas(), cols)  # bounded: n_queries × k rows
     df = df.sort_values(["query_id", "rank"]).reset_index(drop=True)
-    return pa.table(
-        {
-            "query_id": pa.array(df["query_id"], pa.int64()),
-            "neighbor_id": pa.array(df["neighbor_id"], pa.int64()),
-            "rank": pa.array(df["rank"], pa.int64()),
-        }
-    )
+    return pa.table({c: pa.array(df[c], pa.int64()) for c in cols})
 
 
 def knn_brute(sf_dir: str, k: int = 10, n_queries: int = 8) -> pa.Table:
@@ -236,7 +228,7 @@ def knn_filtered(sf_dir: str, k: int = 10, n_queries: int = 8) -> pa.Table:
     predicate would instead be pushed into read_parquet filters, as
     _load_queries does for the query rows).  Candidate volume stays
     batches × n_queries × k and the final top-k reduce is the same
-    distributed groupby(query_id) as knn_brute — nothing unbounded
+    distributed query_id exchange as knn_brute — nothing unbounded
     reaches the driver.  Ties broken by vec_id, self-match included."""
     import pyarrow.parquet as pq
 
@@ -334,9 +326,9 @@ class LshIndexStage:
 def knn_lsh(sf_dir: str, k: int = 10, n_queries: int = 8, n_planes: int = 8) -> pa.Table:
     """Approximate top-k: search only the query's LSH bucket.
 
-    Distributed scoring: candidate vectors shuffle to their bucket group
-    (bucket = partition key, the IVF-style scale path) and each group
-    computes its queries' local top-k vectorized, tie-aware under
+    Distributed scoring: the keyed exchange on bucket co-locates each
+    bucket's candidate vectors (the IVF-style scale path) and each
+    bucket computes its queries' local top-k vectorized, tie-aware under
     (-sim, vec_id).  Only the bounded (query, neighbor, sim) candidate
     rows — ≤ buckets × queries × k — reach the driver merge; the raw
     vectors never do."""
@@ -368,24 +360,29 @@ def knn_lsh(sf_dir: str, k: int = 10, n_queries: int = 8, n_planes: int = 8) -> 
         bucket_filter, batch_format="pyarrow", zero_copy_batch=True
     )
 
-    def score_bucket(group: pa.Table) -> pa.Table:
+    def score_buckets(block: pa.Table) -> pa.Table:
+        from ._util import run_bounds
+
         q_ids, q_mat, q_b = ray.get(q_ref)
-        bucket = group.column("bucket")[0].as_py()
-        sel = np.flatnonzero(q_b == bucket)
-        ids, m = _batch_matrix(group)
-        mn = _normalize(m)
-        sims = mn @ q_mat[sel].T  # (group, |sel|)
+        bkt = block.column("bucket").to_numpy(zero_copy_only=False)
+        order = np.argsort(bkt, kind="stable")
+        t = block.take(pa.array(order))
+        b = run_bounds(bkt[order])
         out_q: list[int] = []
         out_n: list[int] = []
         out_s: list[float] = []
-        top = min(k, len(ids))
-        for j, qi in enumerate(sel):
-            col = sims[:, j]
-            idx = np.lexsort((ids, -col))[:top]
-            for i in idx:
-                out_q.append(int(q_ids[qi]))
-                out_n.append(int(ids[i]))
-                out_s.append(float(col[i]))
+        for s, e in zip(b[:-1], b[1:]):
+            sel = np.flatnonzero(q_b == bkt[order[s]])
+            ids, m = _batch_matrix(t.slice(s, e - s))
+            sims = _normalize(m) @ q_mat[sel].T  # (bucket rows, |sel|)
+            top = min(k, len(ids))
+            for j, qi in enumerate(sel):
+                col = sims[:, j]
+                idx = np.lexsort((ids, -col))[:top]
+                for i in idx:
+                    out_q.append(int(q_ids[qi]))
+                    out_n.append(int(ids[i]))
+                    out_s.append(float(col[i]))
         return pa.table(
             {
                 "query_id": pa.array(out_q, pa.int64()),
@@ -394,11 +391,9 @@ def knn_lsh(sf_dir: str, k: int = 10, n_queries: int = 8, n_planes: int = 8) -> 
             }
         )
 
-    cand = (
-        in_buckets.groupby("bucket")
-        .map_groups(score_bucket, batch_format="pyarrow")
-        .take_all()
-    )
+    from ._util import partitioned_by_key
+
+    cand = partitioned_by_key(in_buckets, "bucket", score_buckets).take_all()
     return _rank_merge(cand, k)
 
 
@@ -455,8 +450,8 @@ def near_dup_embeddings(
 
     LSH-bucketed pair generation — the 100 TB path: vectors shuffle to
     their (multiprobe) buckets, pairs are generated AND cosine-verified
-    vectorized inside each bucket group, then deduplicated with a keyed
-    groupby.  No all-pairs matmul, no corpus materialization on the
+    vectorized inside each bucket, then deduplicated with a keyed
+    aggregate.  No all-pairs matmul, no corpus materialization on the
     driver.  The synthesized duplicates are exact-direction copies, so
     they always share a bucket; organic pairs at the threshold are
     caught unless they straddle 2+ hyperplanes (the verify step never
@@ -524,14 +519,12 @@ def near_dup_embeddings(
             }
         )
 
-    from ._util import partitioned_by_key
+    from ._util import keyed_aggregate, partitioned_by_key
 
     pairs = partitioned_by_key(bucketed, "bucket", bucket_pairs_part)
     # A pair is rediscovered in up to 1 + n_planes shared buckets —
-    # dedupe with a keyed groupby (distributed, not a driver set).
-    return (
-        pairs.groupby(["id_a", "id_b"]).count().select_columns(["id_a", "id_b"])
-    )
+    # dedupe with a keyed aggregate (distributed, not a driver set).
+    return keyed_aggregate(pairs, ["id_a", "id_b"], {})
 
 
 NEAR_DUP_SQL = f"""
@@ -613,8 +606,19 @@ def knn_ivf(
     ds = read_parquet_clean(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     )
-    sample_rows = ds.limit(sample_size).take_all()
-    sample = np.asarray([r["embedding"] for r in sample_rows], dtype=np.float64)
+    # A fixed sample (the lowest vec_ids, in vec_id order) keeps the
+    # cells, and so the result, the same on every run.
+    import pyarrow.parquet as pq
+
+    sample = _embedding_matrix(
+        pq.read_table(
+            f"{sf_dir}/embeddings.parquet",
+            columns=["vec_id", "embedding"],
+            filters=[("vec_id", "<", sample_size)],
+        )
+        .sort_by("vec_id")
+        .column("embedding")
+    )
     centroids = _train_centroids(sample, min(n_cells, len(sample)))
     cref = _ray.put(centroids)
 
@@ -639,29 +643,34 @@ def knn_ivf(
         cell_filter, batch_format="pyarrow", zero_copy_batch=True
     )
 
-    def score_cell(group: pa.Table) -> pa.Table:
+    def score_cells(block: pa.Table) -> pa.Table:
         """Distributed per-cell scoring: local tie-aware top-k for every
-        query probing this cell; the per-cell truncation uses the same
-        total order (-sim, vec_id) as the final merge, so merging the
-        n_probe cells' candidates reproduces the exact probed-set
-        ranking."""
+        query probing each cell of the block; the per-cell truncation
+        uses the same total order (-sim, vec_id) as the final merge, so
+        merging the n_probe cells' candidates reproduces the exact
+        probed-set ranking."""
+        from ._util import run_bounds
+
         q_ids, q_mat, q_c = ray.get(q_ref)
-        cell = group.column("cell")[0].as_py()
-        sel = np.flatnonzero((q_c == cell).any(axis=1))
-        ids, m = _batch_matrix(group)
-        mn = _normalize(m)
-        sims = mn @ q_mat[sel].T
+        cells = block.column("cell").to_numpy(zero_copy_only=False)
+        order = np.argsort(cells, kind="stable")
+        t = block.take(pa.array(order))
+        b = run_bounds(cells[order])
         out_q: list[int] = []
         out_n: list[int] = []
         out_s: list[float] = []
-        top = min(k, len(ids))
-        for j, qi in enumerate(sel):
-            col = sims[:, j]
-            idx = np.lexsort((ids, -col))[:top]
-            for i in idx:
-                out_q.append(int(q_ids[qi]))
-                out_n.append(int(ids[i]))
-                out_s.append(float(col[i]))
+        for s, e in zip(b[:-1], b[1:]):
+            sel = np.flatnonzero((q_c == cells[order[s]]).any(axis=1))
+            ids, m = _batch_matrix(t.slice(s, e - s))
+            sims = _normalize(m) @ q_mat[sel].T
+            top = min(k, len(ids))
+            for j, qi in enumerate(sel):
+                col = sims[:, j]
+                idx = np.lexsort((ids, -col))[:top]
+                for i in idx:
+                    out_q.append(int(q_ids[qi]))
+                    out_n.append(int(ids[i]))
+                    out_s.append(float(col[i]))
         return pa.table(
             {
                 "query_id": pa.array(out_q, pa.int64()),
@@ -670,11 +679,9 @@ def knn_ivf(
             }
         )
 
-    cand = (
-        filtered.groupby("cell")
-        .map_groups(score_cell, batch_format="pyarrow")
-        .take_all()
-    )
+    from ._util import partitioned_by_key
+
+    cand = partitioned_by_key(filtered, "cell", score_cells).take_all()
     return _rank_merge(cand, k)
 
 
@@ -899,7 +906,7 @@ def kmeans_update(sf_dir: str, k: int = KMEANS_K) -> pa.Table:
     """Centroid-update step: per (cell, dim) the exact int64 component
     sum and member count — the mergeable "centroid registers" whose
     ratio s/n is the new centroid.  Per-batch partial registers (<= k*d
-    rows per block regardless of row count) then one tiny groupby-sum:
+    rows per block regardless of row count) then one keyed aggregate:
     the same combiner shape as the HLL/CMS sketches, so a full Lloyd
     iteration at 100 TB is one narrow pass + a constant-size rollup.
 
@@ -931,26 +938,17 @@ def kmeans_update(sf_dir: str, k: int = KMEANS_K) -> pa.Table:
     ds = read_parquet_clean(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     )
-    out = (
-        ds.map_batches(
-            partial_registers, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby(["cell", "dim"])
-        .aggregate(
-            ray.data.aggregate.Sum("s", alias_name="s"),
-            ray.data.aggregate.Sum("n", alias_name="n"),
-        )
-        .to_pandas()
-        .sort_values(["cell", "dim"])
-    )
-    return pa.table(
-        {
-            "cell": pa.array(out["cell"].to_numpy(), pa.int64()),
-            "dim": pa.array(out["dim"].to_numpy(), pa.int64()),
-            "s": pa.array(out["s"].to_numpy().astype(np.int64), pa.int64()),
-            "n": pa.array(out["n"].to_numpy().astype(np.int64), pa.int64()),
-        }
-    )
+    out = ensure_columns(
+        keyed_aggregate(
+            ds.map_batches(
+                partial_registers, batch_format="pyarrow", zero_copy_batch=True
+            ),
+            ["cell", "dim"],
+            {"s": ("s", "sum"), "n": ("n", "sum")},
+        ).to_pandas(),
+        ["cell", "dim", "s", "n"],
+    ).sort_values(["cell", "dim"])
+    return pa.table({c: pa.array(out[c], pa.int64()) for c in out.columns})
 
 
 KMEANS_UPDATE_SQL = f"""
@@ -970,7 +968,7 @@ def embedding_norm_hist(sf_dir: str) -> pa.Table:
     similarity index.  Computed on the EXACT int64 quantized norm²
     (sum of fixed-point squares — no float summation order anywhere),
     binned by a power-of-two width; per-batch (bin, cnt) partials then
-    one tiny groupby-sum, the sketch combiner shape."""
+    one keyed aggregate, the sketch combiner shape."""
 
     def partial(batch: pa.Table) -> pa.Table:
         q = _quantize(np.asarray(batch.column("embedding").to_pylist()))
@@ -995,19 +993,15 @@ def embedding_norm_hist(sf_dir: str) -> pa.Table:
         )
 
     ds = read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["embedding"])
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bin")
-        .sum("cnt")
-        .to_pandas()
-        .sort_values("bin")
-    )
-    return pa.table(
-        {
-            "bin": pa.array(out["bin"].to_numpy(), pa.int64()),
-            "cnt": pa.array(out["sum(cnt)"].to_numpy().astype(np.int64), pa.int64()),
-        }
-    )
+    out = ensure_columns(
+        keyed_aggregate(
+            ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+            "bin",
+            {"cnt": ("cnt", "sum")},
+        ).to_pandas(),
+        ["bin", "cnt"],
+    ).sort_values("bin")
+    return pa.table({c: pa.array(out[c], pa.int64()) for c in out.columns})
 
 
 EMBEDDING_NORM_HIST_SQL = f"""
@@ -1035,8 +1029,8 @@ def semdedup_pairs(sf_dir: str, k: int = KMEANS_K) -> "ray.data.Dataset":
     corpora.
 
     Scale shape: assignment is the broadcast-centroid int matmul (no
-    shuffle); one shuffle moves each vector to its cell; pair
-    verification runs inside the cell group.  The cosine test is EXACT
+    shuffle); the keyed exchange on cell moves each vector to its cell;
+    pair verification runs inside each cell.  The cosine test is EXACT
     integer arithmetic on the quantized vectors (``ab > 0 and
     ab²·10⁴ ≥ 9801·|a|²·|b|²``  ⇔  cos ≥ 0.99), evaluated in Python
     bigints per candidate pair so no float-precision boundary can
@@ -1065,24 +1059,28 @@ def semdedup_pairs(sf_dir: str, k: int = KMEANS_K) -> "ray.data.Dataset":
 
     assign = _make_assign_stage(cq_ref, keep_embedding=True)
 
-    def cell_pairs(group: pa.Table) -> pa.Table:
-        ids = np.asarray(group.column("vec_id").to_pylist(), dtype=np.int64)
-        order = np.argsort(ids)
-        ids = ids[order]
-        q = _quantize(np.asarray(group.column("embedding").to_pylist()))[order]
+    def cell_pairs(block: pa.Table) -> pa.Table:
+        from ._util import run_bounds
+
+        cells = block.column("cell").to_numpy(zero_copy_only=False)
+        ids = block.column("vec_id").to_numpy(zero_copy_only=False)
+        order = np.lexsort((ids, cells))
+        cells, ids = cells[order], ids[order]
+        q = _quantize(np.asarray(block.column("embedding").to_pylist()))[order]
         ql = q.tolist()  # Python bigints: the pair test can never overflow
         n2 = [sum(x * x for x in row) for row in ql]
         out_a: list[int] = []
         out_b: list[int] = []
-        n = len(ids)
-        for i in range(n):
-            qi = ql[i]
-            for j in range(i + 1, n):
-                qj = ql[j]
-                ab = sum(x * y for x, y in zip(qi, qj))
-                if ab > 0 and ab * ab * 10000 >= SEMDEDUP_COS2_BP * n2[i] * n2[j]:
-                    out_a.append(int(ids[i]))
-                    out_b.append(int(ids[j]))
+        b = run_bounds(cells)
+        for s, e in zip(b[:-1], b[1:]):
+            for i in range(s, e):
+                qi = ql[i]
+                for j in range(i + 1, e):
+                    qj = ql[j]
+                    ab = sum(x * y for x, y in zip(qi, qj))
+                    if ab > 0 and ab * ab * 10000 >= SEMDEDUP_COS2_BP * n2[i] * n2[j]:
+                        out_a.append(int(ids[i]))
+                        out_b.append(int(ids[j]))
         return pa.table(
             {
                 "id_a": pa.array(out_a, pa.int64()),
@@ -1090,11 +1088,14 @@ def semdedup_pairs(sf_dir: str, k: int = KMEANS_K) -> "ray.data.Dataset":
             }
         )
 
-    return (
-        ds.map_batches(expand, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(assign, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("cell")
-        .map_groups(cell_pairs, batch_format="pyarrow")
+    from ._util import partitioned_by_key
+
+    return partitioned_by_key(
+        ds.map_batches(expand, batch_format="pyarrow", zero_copy_batch=True).map_batches(
+            assign, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "cell",
+        cell_pairs,
     )
 
 
@@ -1126,7 +1127,7 @@ def kmeans_inertia(sf_dir: str, k: int = KMEANS_K) -> pa.Table:
     """Per-cell inertia (sum of squared distances to the assigned
     centroid, exact int64) and member count — the convergence metric a
     driver-side Lloyd loop watches between iterations.  Same shape as
-    kmeans_update: per-batch partials of ≤ k rows, one tiny rollup."""
+    kmeans_update: per-batch partials of ≤ k rows, one keyed aggregate."""
     cq_ref = ray.put(_load_centroids(sf_dir, k))
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -1153,23 +1154,15 @@ def kmeans_inertia(sf_dir: str, k: int = KMEANS_K) -> pa.Table:
     ds = read_parquet_clean(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     )
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("cell")
-        .aggregate(
-            ray.data.aggregate.Sum("d2", alias_name="inertia"),
-            ray.data.aggregate.Sum("n", alias_name="n"),
-        )
-        .to_pandas()
-        .sort_values("cell")
-    )
-    return pa.table(
-        {
-            "cell": pa.array(out["cell"].to_numpy(), pa.int64()),
-            "inertia": pa.array(out["inertia"].to_numpy().astype(np.int64), pa.int64()),
-            "n": pa.array(out["n"].to_numpy().astype(np.int64), pa.int64()),
-        }
-    )
+    out = ensure_columns(
+        keyed_aggregate(
+            ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+            "cell",
+            {"inertia": ("d2", "sum"), "n": ("n", "sum")},
+        ).to_pandas(),
+        ["cell", "inertia", "n"],
+    ).sort_values("cell")
+    return pa.table({c: pa.array(out[c], pa.int64()) for c in out.columns})
 
 
 KMEANS_INERTIA_SQL = f"""
@@ -1241,12 +1234,11 @@ def embedding_dim_stats(sf_dir: str) -> pa.Table:
     """Per-dimension profile of the embedding matrix: count, exact int64
     fixed-point component sum, min and max — the feature-scaling /
     dead-dimension QC table.  Per-batch partials are ≤ d rows per block
-    (sum/min/max are all mergeable), one tiny groupby rollup.
+    (sum/min/max are all mergeable), one keyed aggregate.
 
     int64 bound: |q| ≤ ~2e6 for unit-ish vectors, so the global component
     sum stays in int64 up to ~4.6e12 rows; the guard below fails loudly
     if a batch's magnitudes could break that en route."""
-    import ray.data
 
     def partial(batch: pa.Table) -> pa.Table:
         q = _quantize(np.asarray(batch.column("embedding").to_pylist()))
@@ -1267,27 +1259,20 @@ def embedding_dim_stats(sf_dir: str) -> pa.Table:
         )
 
     ds = read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["embedding"])
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("dim")
-        .aggregate(
-            ray.data.aggregate.Sum("p_n", alias_name="n"),
-            ray.data.aggregate.Sum("p_sum", alias_name="sum_q"),
-            ray.data.aggregate.Min("p_min", alias_name="min_q"),
-            ray.data.aggregate.Max("p_max", alias_name="max_q"),
-        )
-        .to_pandas()  # bounded: d rows
-        .sort_values("dim")
-    )
-    return pa.table(
-        {
-            "dim": pa.array(out["dim"].to_numpy().astype(np.int64), pa.int64()),
-            "n": pa.array(out["n"].to_numpy().astype(np.int64), pa.int64()),
-            "sum_q": pa.array(out["sum_q"].to_numpy().astype(np.int64), pa.int64()),
-            "min_q": pa.array(out["min_q"].to_numpy().astype(np.int64), pa.int64()),
-            "max_q": pa.array(out["max_q"].to_numpy().astype(np.int64), pa.int64()),
-        }
-    )
+    out = ensure_columns(
+        keyed_aggregate(
+            ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+            "dim",
+            {
+                "n": ("p_n", "sum"),
+                "sum_q": ("p_sum", "sum"),
+                "min_q": ("p_min", "min"),
+                "max_q": ("p_max", "max"),
+            },
+        ).to_pandas(),  # bounded: d rows
+        ["dim", "n", "sum_q", "min_q", "max_q"],
+    ).sort_values("dim")
+    return pa.table({c: pa.array(out[c], pa.int64()) for c in out.columns})
 
 
 EMBEDDING_DIM_STATS_SQL = f"""
@@ -1314,7 +1299,7 @@ def kmeans_train(
 ) -> pa.Table:
     """T full Lloyd iterations — the iterative-training shape: each round
     is one narrow distributed pass (assignment + partial centroid
-    registers, <= k*d rows per block) + a constant-size rollup, then the
+    registers, <= k*d rows per block) + a keyed aggregate, then the
     driver derives the next centroids (s // n in exact int64 fixed-point,
     floor division on both engines) and re-broadcasts them via ray.put.
     The corpus dataset is materialized ONCE and re-consumed per round —
@@ -1354,13 +1339,12 @@ def kmeans_train(
     for _ in range(iters):
         ref = ray.put((c, cids))
         rolled = (
-            ds.map_batches(
-                make_partial(ref), batch_format="pyarrow", zero_copy_batch=True
-            )
-            .groupby(["cell", "dim"])
-            .aggregate(
-                ray.data.aggregate.Sum("s", alias_name="s"),
-                ray.data.aggregate.Sum("n", alias_name="n"),
+            keyed_aggregate(
+                ds.map_batches(
+                    make_partial(ref), batch_format="pyarrow", zero_copy_batch=True
+                ),
+                ["cell", "dim"],
+                {"s": ("s", "sum"), "n": ("n", "sum")},
             )
             .to_pandas()  # bounded: k x d rows
             .sort_values(["cell", "dim"])
@@ -1439,7 +1423,7 @@ def label_centroids(sf_dir: str) -> "ray.data.Dataset":
     classifiers and drift monitors.  The vector-valued mean decomposes
     into long-form (label, dim) scalar partials: each batch scatter-adds
     its quantized matrix into an O(labels×d) accumulator (np.add.at, no
-    Python loop), one keyed groupby rolls the partials up, and the floor
+    Python loop), one keyed aggregate rolls the partials up, and the floor
     division matches the oracle's positive-mod identity (numpy //
     floors, DuckDB // truncates)."""
 
@@ -1486,15 +1470,11 @@ def label_centroids(sf_dir: str) -> "ray.data.Dataset":
     ds = read_parquet_clean(
         f"{sf_dir}/embeddings.parquet", columns=["label", "embedding"]
     )
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["label", "dim"])
-        .aggregate(
-            ray.data.aggregate.Sum("s", alias_name="s"),
-            ray.data.aggregate.Sum("n", alias_name="n"),
-        )
-        .map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    return keyed_aggregate(
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        ["label", "dim"],
+        {"s": ("s", "sum"), "n": ("n", "sum")},
+    ).map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
 
 
 LABEL_CENTROIDS_SQL = f"""
@@ -1523,7 +1503,7 @@ def gram_matrix(sf_dir: str) -> pa.Table:
     X^T X building block of distributed PCA / covariance / linear
     probes.  Each batch contributes ONE d×d integer matmul partial
     (Q^T Q over the fixed-point codes), flattened to (i, j, partial)
-    rows; the groupby merge moves d(d+1)/2 rows per block regardless of
+    rows; the keyed aggregate moves d(d+1)/2 rows per block regardless of
     corpus size, so the reduction is O(d²) — never O(rows).
 
     Exactness: codes are floor(x·1e6 + 0.5) (same rule as _quantize and
@@ -1532,7 +1512,6 @@ def gram_matrix(sf_dir: str) -> pa.Table:
     q_i·q_j ≤ 4e12, safe to ~2e6 rows per PARTIAL and ~4.6e5 blocks;
     the per-batch guard below fails loudly before a silent wrap (the
     100 TB path promotes the merge to 128-bit, as dim_stats notes)."""
-    import ray.data
 
     def partial(batch: pa.Table) -> pa.Table:
         q = _quantize(np.asarray(batch.column("embedding").to_pylist()))
@@ -1553,28 +1532,15 @@ def gram_matrix(sf_dir: str) -> pa.Table:
         )
 
     ds = read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["embedding"])
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["i", "j"])
-        .aggregate(ray.data.aggregate.Sum("p_gram", alias_name="gram"))
-        .to_pandas()
-    )
-    if out.empty:
-        return pa.table(
-            {
-                "i": pa.array([], pa.int64()),
-                "j": pa.array([], pa.int64()),
-                "gram": pa.array([], pa.int64()),
-            }
-        )
-    out = out.sort_values(["i", "j"])
-    return pa.table(
-        {
-            "i": pa.array(out["i"].to_numpy().astype(np.int64), pa.int64()),
-            "j": pa.array(out["j"].to_numpy().astype(np.int64), pa.int64()),
-            "gram": pa.array(out["gram"].to_numpy().astype(np.int64), pa.int64()),
-        }
-    )
+    out = ensure_columns(
+        keyed_aggregate(
+            ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+            ["i", "j"],
+            {"gram": ("p_gram", "sum")},
+        ).to_pandas(),
+        ["i", "j", "gram"],
+    ).sort_values(["i", "j"])
+    return pa.table({c: pa.array(out[c], pa.int64()) for c in out.columns})
 
 
 GRAM_MATRIX_SQL = """
@@ -1611,8 +1577,6 @@ def pca_project(sf_dir: str, k: int = 4) -> "ray.data.Dataset":
     the output hash is stable.  Non-SQL-expressible (eigensolve) —
     registered rows-only; the pytest cross-checks against numpy's PCA
     of the same quantized matrix."""
-    import ray.data
-
     gram = gram_matrix(sf_dir).to_pandas()  # O(d²) rows, exact ints
     d = int(gram["i"].max())
     G = np.zeros((d, d), dtype=np.float64)
@@ -1634,11 +1598,10 @@ def pca_project(sf_dir: str, k: int = 4) -> "ray.data.Dataset":
 
     ds = read_parquet_clean(f"{sf_dir}/embeddings.parquet", columns=["embedding"])
     sums = (
-        ds.map_batches(sums_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("dim")
-        .aggregate(
-            ray.data.aggregate.Sum("p_n", alias_name="n"),
-            ray.data.aggregate.Sum("p_sum", alias_name="s"),
+        keyed_aggregate(
+            ds.map_batches(sums_partial, batch_format="pyarrow", zero_copy_batch=True),
+            "dim",
+            {"n": ("p_n", "sum"), "s": ("p_sum", "sum")},
         )
         .to_pandas()
         .sort_values("dim")
@@ -1685,7 +1648,7 @@ def knn_quantized(
     quantize_embeddings codes, 4× smaller than float32, integer
     arithmetic) keeps ``coarse_mult × k`` candidates per query per
     batch, then ONLY those are rescored with exact float cosine and
-    reduced through the same distributed groupby(query_id) top-k as
+    reduced through the same distributed query_id top-k exchange as
     knn_brute.  Approximate by design (the int8 margin can demote a
     true neighbor past the coarse cut) — registered rows-only; recall
     vs knn_brute is pinned by pytest, and coarse_mult is the recall/
@@ -1799,7 +1762,7 @@ def knn_pq(
     query — asymmetric distance computation (ADC).  The ADC scan keeps
     ``coarse_mult × k`` survivors per query per batch; only those are
     rescored with exact float cosine, then reduced through the same
-    distributed groupby(query_id) top-k as knn_brute.  Approximate by
+    distributed query_id top-k exchange as knn_brute.  Approximate by
     design → registered rows-only; recall vs knn_brute and the
     exhaustive==brute identity are pinned by pytest.
 

@@ -290,17 +290,19 @@ def pack_sequences(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
+    from ._util import ensure_columns, keyed_aggregate, partitioned_by_key, run_bounds
+
     counted = read_documents(sf_dir).map_batches(
         with_counts, batch_format="pyarrow", zero_copy_batch=True
     )
-    totals = counted.groupby("bucket").sum("n_tokens").to_pandas()
-    totals = totals.sort_values("bucket")
+    totals = ensure_columns(
+        keyed_aggregate(counted, "bucket", {"n": ("n_tokens", "sum")}).to_pandas(),
+        ["bucket", "n"],
+    ).sort_values("bucket")
     offsets = dict(
         zip(
             totals["bucket"].tolist(),
-            np.concatenate(
-                [[0], np.cumsum(totals["sum(n_tokens)"].to_numpy())[:-1]]
-            )
+            np.concatenate([[0], np.cumsum(totals["n"].to_numpy())[:-1]])
             .astype(int)
             .tolist(),
         )
@@ -309,13 +311,18 @@ def pack_sequences(sf_dir: str) -> "ray.data.Dataset":
 
     offsets_ref = _ray.put(offsets)
 
-    def scan(group: pa.Table) -> pa.Table:
+    def scan(block: pa.Table) -> pa.Table:
         off = _ray.get(offsets_ref)
-        ids = group.column("doc_id").to_numpy(zero_copy_only=False)
-        n = group.column("n_tokens").to_numpy(zero_copy_only=False)
-        order = np.argsort(ids, kind="stable")
-        ids, n = ids[order], n[order]
-        excl = np.cumsum(n) - n + off[int(group.column("bucket")[0].as_py())]
+        bkt = block.column("bucket").to_numpy(zero_copy_only=False)
+        ids = block.column("doc_id").to_numpy(zero_copy_only=False)
+        n = block.column("n_tokens").to_numpy(zero_copy_only=False)
+        order = np.lexsort((ids, bkt))
+        bkt, ids, n = bkt[order], ids[order], n[order]
+        b = run_bounds(bkt)
+        excl = np.cumsum(n) - n
+        # Restart the prefix sum at each bucket, from the bucket's offset.
+        base = np.array([off[int(x)] for x in bkt[b[:-1]]], np.int64) - excl[b[:-1]]
+        excl = excl + np.repeat(base, np.diff(b))
         return pa.table(
             {
                 "doc_id": pa.array(ids, pa.int64()),
@@ -324,7 +331,7 @@ def pack_sequences(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    return counted.groupby("bucket").map_groups(scan, batch_format="pyarrow")
+    return partitioned_by_key(counted, "bucket", scan)
 
 
 PACK_SEQUENCES_SQL = rf"""
@@ -561,8 +568,8 @@ def doc_frequency(sf_dir: str, k: int = 100) -> pa.Table:
     every document, so shuffling raw (token, doc) rows would funnel the
     whole corpus through one reducer.  Instead each batch pre-aggregates
     to one (token, partial df) row per distinct token per batch (numpy
-    unique over per-doc distinct tokens), the groupby shuffles only
-    those bounded partials, and the final top-k uses the same per-block
+    unique over per-doc distinct tokens), the keyed aggregate shuffles
+    only those bounded partials, and the final top-k uses the same per-block
     select_k + bounded driver merge as top_events — no global sort."""
 
     def partial_df(batch: pa.Table) -> pa.Table:
@@ -577,12 +584,14 @@ def doc_frequency(sf_dir: str, k: int = 100) -> pa.Table:
             }
         )
 
-    rolled = (
-        read_documents(sf_dir, columns=["text"])
-        .map_batches(partial_df, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("token")
-        .sum("df_part")
-        .rename_columns({"sum(df_part)": "df"})
+    from ._util import ensure_columns, keyed_aggregate
+
+    rolled = keyed_aggregate(
+        read_documents(sf_dir, columns=["text"]).map_batches(
+            partial_df, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "token",
+        {"df": ("df_part", "sum")},
     )
 
     def local_topk(batch: pa.Table) -> pa.Table:
@@ -592,8 +601,6 @@ def doc_frequency(sf_dir: str, k: int = 100) -> pa.Table:
             sort_keys=[("df", "descending"), ("token", "ascending")],
         )
         return batch.take(idx)
-
-    from ._util import ensure_columns
 
     cand = ensure_columns(
         rolled.map_batches(
@@ -1097,43 +1104,31 @@ FROM documents
 
 def lang_fertility(sf_dir: str) -> pa.Table:
     """Tokens-per-1000-chars by language — the tokenizer-fertility stat
-    that drives per-language sampling weights.  Per-batch partial sums
-    (one row per language per block), tiny groupby rollup, integer
-    ratio."""
+    that drives per-language sampling weights.  Per-row token and char
+    counts, one keyed aggregate per language, integer ratio."""
+    from ._util import ensure_columns, keyed_aggregate
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table(
+    def counts(batch: pa.Table) -> pa.Table:
+        return pa.table(
             {
                 "lang": batch.column("lang"),
-                "p_toks": pc.cast(
+                "toks": pc.cast(
                     pc.count_substring_regex(batch.column("text"), r"\S+"),
                     pa.int64(),
                 ),
-                "p_chars": pc.cast(
-                    pc.utf8_length(batch.column("text")), pa.int64()
-                ),
-            }
-        )
-        g = t.group_by("lang").aggregate([("p_toks", "sum"), ("p_chars", "sum")])
-        return pa.table(
-            {
-                "lang": g.column("lang"),
-                "p_toks": g.column("p_toks_sum"),
-                "p_chars": g.column("p_chars_sum"),
+                "chars": pc.cast(pc.utf8_length(batch.column("text")), pa.int64()),
             }
         )
 
     ds = read_documents(sf_dir, columns=["lang", "text"])
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("lang")
-        .aggregate(
-            ray.data.aggregate.Sum("p_toks", alias_name="n_tokens"),
-            ray.data.aggregate.Sum("p_chars", alias_name="n_chars"),
-        )
-        .to_pandas()
-        .sort_values("lang")
-    )
+    out = ensure_columns(
+        keyed_aggregate(
+            ds.map_batches(counts, batch_format="pyarrow", zero_copy_batch=True),
+            "lang",
+            {"n_tokens": ("toks", "sum"), "n_chars": ("chars", "sum")},
+        ).to_pandas(),
+        ["lang", "n_tokens", "n_chars"],
+    ).sort_values("lang")
     n_tok = out["n_tokens"].to_numpy().astype(np.int64)
     n_chars = out["n_chars"].to_numpy().astype(np.int64)
     return pa.table(
@@ -1170,7 +1165,7 @@ def curate_corpus(sf_dir: str) -> "ray.data.Dataset":
     One narrow stage evaluates every signal and the content hash per
     batch (same RE2 kernels as the individual operators, same module
     constants so the gates can never drift); the only shuffle is the
-    dedup groupby over (hash, id) survivors — at 100 TB the filters run
+    dedup keyed aggregate over (hash, id) survivors — at 100 TB the filters run
     where the data is and only fixed-width rows of the CLEAN subset
     shuffle."""
     import hashlib
@@ -1200,14 +1195,14 @@ def curate_corpus(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
+    from ._util import keyed_aggregate
+
     ds = read_documents(sf_dir, columns=["doc_id", "text", "lang"])
-    return (
-        ds.map_batches(gate, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("h")
-        .min("doc_id")
-        .rename_columns({"min(doc_id)": "doc_id"})
-        .select_columns(["doc_id"])
-    )
+    return keyed_aggregate(
+        ds.map_batches(gate, batch_format="pyarrow", zero_copy_batch=True),
+        "h",
+        {"doc_id": ("doc_id", "min")},
+    ).select_columns(["doc_id"])
 
 
 CURATE_SQL = f"""
@@ -1247,12 +1242,11 @@ def dup_ngram_profile(sf_dir: str) -> "ray.data.Dataset":
     keys, never strings — same trick as n-gram Jaccard); stage 1 emits
     per-(doc, gram) count rows, a gram % P shuffle attributes duplicates
     against each gram run's min doc_id (one vectorized kernel per
-    partition), and a groupby(doc_id) rolls the partials up.  Two keyed exchanges of narrow fixed-width rows; no
-    driver materialization.  A doc too short for any gram emits one
-    per-doc sentinel key (unique, so no hot group) to keep LEFT-JOIN
-    semantics with the oracle."""
-    import ray.data
-
+    partition), and a keyed aggregate on doc_id rolls the partials up.
+    Two keyed exchanges of narrow fixed-width rows; no driver
+    materialization.  A doc too short for any gram emits one per-doc
+    sentinel key (unique, so no hot group) to keep LEFT-JOIN semantics
+    with the oracle."""
     k = DUP_NGRAM_K
 
     def gram_rows(batch: pa.Table) -> pa.Table:
@@ -1336,22 +1330,18 @@ def dup_ngram_profile(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    from ._util import partitioned_by_key
+    from ._util import keyed_aggregate, partitioned_by_key
 
     ds = read_documents(sf_dir)
-    return (
+    return keyed_aggregate(
         partitioned_by_key(
             ds.map_batches(gram_rows, batch_format="pyarrow", zero_copy_batch=True),
             "gram",
             per_gram_part,
-        )
-        .groupby("doc_id")
-        .aggregate(
-            ray.data.aggregate.Sum("p_grams", alias_name="n_grams"),
-            ray.data.aggregate.Sum("p_dup", alias_name="n_dup"),
-        )
-        .map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
-    )
+        ),
+        "doc_id",
+        {"n_grams": ("p_grams", "sum"), "n_dup": ("p_dup", "sum")},
+    ).map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def _dup_ngram_sql(k: int = DUP_NGRAM_K) -> str:
@@ -1704,11 +1694,11 @@ BPE_TOPK = 20
 def bpe_pair_counts(sf_dir: str, k: int = BPE_TOPK) -> pa.Table:
     """Corpus-wide adjacent token-pair counts, top-k — the inner statistic
     of a BPE tokenizer-induction merge step.  Per-batch Counter partials
-    (combiner: the shuffle moves (pair, count) rows, never tokens), tiny
-    groupby-sum, then per-block select_k + bounded driver merge under the
-    total order (count DESC, pair ASC) — same top-k shape as
+    (combiner: the shuffle moves (pair, count) rows, never tokens), one
+    keyed aggregate, then per-block select_k + bounded driver merge under
+    the total order (count DESC, pair ASC) — same top-k shape as
     top_customers, no global sort."""
-    import ray.data
+    from ._util import ensure_columns, keyed_aggregate
 
     def partial(batch: pa.Table) -> pa.Table:
         from collections import Counter
@@ -1726,11 +1716,12 @@ def bpe_pair_counts(sf_dir: str, k: int = BPE_TOPK) -> pa.Table:
             }
         )
 
-    agg = (
-        read_documents(sf_dir)
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("pair")
-        .aggregate(ray.data.aggregate.Sum("p_cnt", alias_name="n"))
+    agg = keyed_aggregate(
+        read_documents(sf_dir).map_batches(
+            partial, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "pair",
+        {"n": ("p_cnt", "sum")},
     )
 
     def local_topk(batch: pa.Table) -> pa.Table:
@@ -1741,9 +1732,12 @@ def bpe_pair_counts(sf_dir: str, k: int = BPE_TOPK) -> pa.Table:
         )
         return batch.take(idx)
 
-    cand = agg.map_batches(
-        local_topk, batch_format="pyarrow", zero_copy_batch=True
-    ).to_pandas()  # bounded: blocks × k
+    cand = ensure_columns(
+        agg.map_batches(
+            local_topk, batch_format="pyarrow", zero_copy_batch=True
+        ).to_pandas(),  # bounded: blocks × k
+        ["pair", "n"],
+    )
     cand = cand.sort_values(["n", "pair"], ascending=[False, True]).head(k)
     return pa.table(
         {
@@ -1773,47 +1767,33 @@ ORDER BY n DESC, pair LIMIT {BPE_TOPK}
 def corpus_mix_report(sf_dir: str) -> pa.Table:
     """Training-mixture report: docs, whitespace tokens and permille share
     of the global token budget per (source, lang) — the table a data team
-    reads before setting sampling weights.  Per-batch partials, one tiny
-    groupby (group count is bounded by #sources × #langs), share computed
-    on the bounded rollup."""
-    import ray.data
+    reads before setting sampling weights.  Per-row token counts, one
+    keyed aggregate (group count is bounded by #sources × #langs), share
+    computed on the bounded rollup."""
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def token_counts(batch: pa.Table) -> pa.Table:
         n_tok = pc.cast(
             pc.count_substring_regex(batch.column("text"), r"\S+"), pa.int64()
         )
-        t = pa.table(
+        return pa.table(
             {
                 "source": batch.column("source"),
                 "lang": batch.column("lang"),
                 "n_tok": n_tok,
             }
         )
-        g = t.group_by(["source", "lang"]).aggregate(
-            [("n_tok", "sum"), ("n_tok", "count")]
-        )
-        return pa.table(
-            {
-                "source": g.column("source"),
-                "lang": g.column("lang"),
-                "p_tok": g.column("n_tok_sum"),
-                "p_docs": g.column("n_tok_count").cast(pa.int64()),
-            }
-        )
 
-    from ._util import read_parquet_clean
+    from ._util import ensure_columns, keyed_aggregate, read_parquet_clean
 
-    rollup = (
-        read_parquet_clean(
-            f"{sf_dir}/documents.parquet", columns=["source", "lang", "text"]
-        )
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["source", "lang"])
-        .aggregate(
-            ray.data.aggregate.Sum("p_tok", alias_name="n_tokens"),
-            ray.data.aggregate.Sum("p_docs", alias_name="n_docs"),
-        )
-        .to_pandas()  # bounded: #sources × #langs rows
+    rollup = ensure_columns(
+        keyed_aggregate(
+            read_parquet_clean(
+                f"{sf_dir}/documents.parquet", columns=["source", "lang", "text"]
+            ).map_batches(token_counts, batch_format="pyarrow", zero_copy_batch=True),
+            ["source", "lang"],
+            {"n_tokens": ("n_tok", "sum"), "n_docs": ("n_tok", "count")},
+        ).to_pandas(),  # bounded: #sources × #langs rows
+        ["source", "lang", "n_tokens", "n_docs"],
     )
     total = max(int(rollup["n_tokens"].sum()), 1)
     share = (rollup["n_tokens"].astype("int64") * 1000) // total
@@ -1860,8 +1840,9 @@ def token_budget_select(sf_dir: str) -> "ray.data.Dataset":
     Scale shape: same two-pass scan as pack_sequences but keyed by
     (source, id-bucket): per-(source, bucket) totals roll up to a
     broadcast offsets table of O(sources × id_range / bucket_width)
-    rows — never O(docs) — then each (source, bucket) group cumsums
-    locally.  No global sort."""
+    rows — never O(docs) — then the keyed exchange on bucket co-locates
+    each (source, bucket) group, and one sort per block cumsums every
+    group in it.  No global sort."""
     import ray as _ray
 
     def with_counts(batch: pa.Table) -> pa.Table:
@@ -1878,46 +1859,64 @@ def token_budget_select(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    from ._util import read_parquet_clean
+    from ._util import (
+        ensure_columns,
+        keyed_aggregate,
+        partitioned_by_key,
+        read_parquet_clean,
+        run_bounds,
+    )
 
     counted = read_parquet_clean(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "source", "text"]
     ).map_batches(with_counts, batch_format="pyarrow", zero_copy_batch=True)
 
-    totals = (
-        counted.groupby(["source", "bucket"]).sum("n_tokens").to_pandas()
-    )  # bounded: sources × buckets rows
-    totals = totals.sort_values(["source", "bucket"])
-    grp = totals.groupby("source")["sum(n_tokens)"]
-    excl = grp.cumsum() - totals["sum(n_tokens)"]
+    totals = ensure_columns(
+        keyed_aggregate(
+            counted, ["source", "bucket"], {"n": ("n_tokens", "sum")}
+        ).to_pandas(),  # bounded: sources × buckets rows
+        ["source", "bucket", "n"],
+    ).sort_values(["source", "bucket"])
+    excl = totals.groupby("source")["n"].cumsum() - totals["n"]
     offsets = {
         (s, int(b)): int(e)
         for s, b, e in zip(totals["source"], totals["bucket"], excl)
     }
     offsets_ref = _ray.put(offsets)
 
-    def scan(group: pa.Table) -> pa.Table:
+    def scan(block: pa.Table) -> pa.Table:
         off = _ray.get(offsets_ref)
-        src = group.column("source")[0].as_py()
-        bucket = int(group.column("bucket")[0].as_py())
-        ids = group.column("doc_id").to_numpy(zero_copy_only=False)
-        n = group.column("n_tokens").to_numpy(zero_copy_only=False)
-        order = np.argsort(ids, kind="stable")
-        ids, n = ids[order], n[order]
-        prefix_excl = np.cumsum(n) - n + off[(src, bucket)]
+        t = block.take(
+            pc.sort_indices(
+                block,
+                sort_keys=[
+                    ("source", "ascending"),
+                    ("bucket", "ascending"),
+                    ("doc_id", "ascending"),
+                ],
+            )
+        )
+        src = np.asarray(t.column("source").to_pylist(), dtype=object)
+        bkt = t.column("bucket").to_numpy(zero_copy_only=False)
+        n = t.column("n_tokens").to_numpy(zero_copy_only=False)
+        b = run_bounds(
+            np.cumsum(np.r_[True, (src[1:] != src[:-1]) | (bkt[1:] != bkt[:-1])])
+        )
+        # Restart the prefix sum at each (source, bucket) run, from its offset.
+        prefix_excl = np.cumsum(n) - n
+        base = [off[(src[i], int(bkt[i]))] - prefix_excl[i] for i in b[:-1]]
+        prefix_excl = prefix_excl + np.repeat(np.array(base, np.int64), np.diff(b))
         sel = (prefix_excl < BUDGET_TOKENS_PER_SOURCE).astype(np.int64)
         return pa.table(
             {
-                "doc_id": pa.array(ids, pa.int64()),
-                "source": pa.array([src] * len(ids), pa.string()),
+                "doc_id": pc.cast(t.column("doc_id"), pa.int64()),
+                "source": pc.cast(t.column("source"), pa.string()),
                 "n_tokens": pa.array(n, pa.int64()),
                 "selected": pa.array(sel, pa.int64()),
             }
         )
 
-    return counted.groupby(["source", "bucket"]).map_groups(
-        scan, batch_format="pyarrow"
-    )
+    return partitioned_by_key(counted, "bucket", scan)
 
 
 TOKEN_BUDGET_SQL = rf"""
@@ -2036,14 +2035,15 @@ def _vocab_df(sf_dir: str, min_df: int) -> "ray.data.Dataset":
             }
         )
 
-    return (
-        read_documents(sf_dir, columns=["text"])
-        .map_batches(partial_df, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("token")
-        .sum("df_part")
-        .rename_columns({"sum(df_part)": "df"})
-        .filter(expr=f"df >= {min_df}")
-    )
+    from ._util import keyed_aggregate
+
+    return keyed_aggregate(
+        read_documents(sf_dir, columns=["text"]).map_batches(
+            partial_df, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "token",
+        {"df": ("df_part", "sum")},
+    ).filter(expr=f"df >= {min_df}")
 
 
 def vocab_build(sf_dir: str, min_df: int = VOCAB_MIN_DF) -> "ray.data.Dataset":
@@ -2056,13 +2056,17 @@ def vocab_build(sf_dir: str, min_df: int = VOCAB_MIN_DF) -> "ray.data.Dataset":
     materialize: ids come from the same two-pass prefix-offset scan as
     ``running_total``, keyed on value buckets that are contiguous in the
     (df DESC, token ASC) total order — bucket = (df, first token char).
-    Pass 1 is a tiny groupby counting rows per bucket; the driver turns
-    those O(#distinct df x alphabet) counts into exclusive offsets and
-    broadcasts them; pass 2 sorts within each bucket and adds the offset.
-    Web-crawl vocabularies (1e9+ junk tokens pre-prune) never collapse
-    onto the driver.  If one (df, char) bucket is still hot at scale
-    (df=min_df junk), extend the prefix to 2 chars — same math."""
+    Pass 1 is a keyed aggregate counting rows per bucket; the driver
+    turns those O(#distinct df x alphabet) counts into exclusive offsets
+    and broadcasts them; pass 2 runs on the keyed exchange by first char
+    (df=min_df junk makes df itself a hot key), sorts each block by
+    (df, ch, token) once and adds each bucket's offset.  Web-crawl
+    vocabularies (1e9+ junk tokens pre-prune) never collapse onto the
+    driver.  If one char is still hot at scale, extend the prefix to 2
+    chars — same math."""
     import ray
+
+    from ._util import keyed_aggregate, partitioned_by_key, run_bounds
 
     def with_bucket(batch: pa.Table) -> pa.Table:
         first = pc.utf8_slice_codeunits(batch.column("token"), 0, 1)
@@ -2074,35 +2078,46 @@ def vocab_build(sf_dir: str, min_df: int = VOCAB_MIN_DF) -> "ray.data.Dataset":
 
     # Pass 1: per-bucket row counts -> exclusive prefix offsets in the
     # (df DESC, ch ASC) bucket order.  O(#buckets) driver state.
-    counts = bucketed.groupby(["df", "ch"]).count().to_pandas()
+    counts = keyed_aggregate(
+        bucketed, ["df", "ch"], {"n": ("token", "count")}
+    ).to_pandas()
     counts = counts.sort_values(["df", "ch"], ascending=[False, True])
-    cum = np.concatenate([[0], np.cumsum(counts["count()"].to_numpy())[:-1]])
+    cum = np.concatenate([[0], np.cumsum(counts["n"].to_numpy())[:-1]])
     offsets = {
         (int(d), c): int(o)
         for d, c, o in zip(counts["df"], counts["ch"], cum)
     }
     offsets_ref = ray.put(offsets)
 
-    def assign(group: pa.Table) -> pa.Table:
+    def assign(block: pa.Table) -> pa.Table:
         off = ray.get(offsets_ref)
-        toks = group.column("token").to_numpy(zero_copy_only=False)
-        order = np.argsort(toks, kind="stable")
-        base = off[
-            (int(group.column("df")[0].as_py()), group.column("ch")[0].as_py())
-        ]
-        ids = base + 1 + np.arange(group.num_rows)
-        out = pa.table(
+        t = block.take(
+            pc.sort_indices(
+                block,
+                sort_keys=[
+                    ("df", "ascending"),
+                    ("ch", "ascending"),
+                    ("token", "ascending"),
+                ],
+            )
+        )
+        df = t.column("df").to_numpy(zero_copy_only=False)
+        ch = np.asarray(t.column("ch").to_pylist(), dtype=object)
+        b = run_bounds(
+            np.cumsum(np.r_[True, (df[1:] != df[:-1]) | (ch[1:] != ch[:-1])])
+        )
+        # Rank within the (df, ch) run, from the run's offset.
+        base = [off[(int(df[i]), ch[i])] + 1 - i for i in b[:-1]]
+        ids = np.arange(t.num_rows) + np.repeat(np.array(base, np.int64), np.diff(b))
+        return pa.table(
             {
-                "token": pa.array(toks[order], pa.string()),
-                "df": group.column("df").take(pa.array(order)),
+                "token": pc.cast(t.column("token"), pa.string()),
+                "df": t.column("df"),
                 "token_id": pa.array(ids, pa.int64()),
             }
         )
-        return out
 
-    return bucketed.groupby(["df", "ch"]).map_groups(
-        assign, batch_format="pyarrow"
-    )
+    return partitioned_by_key(bucketed, "ch", assign)
 
 
 VOCAB_BUILD_SQL = f"""
@@ -2238,14 +2253,15 @@ def skipgram_counts(
             }
         )
 
-    return (
-        read_documents(sf_dir, columns=["text"])
-        .map_batches(partial_pairs, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["w1", "w2"])
-        .sum("n_part")
-        .rename_columns({"sum(n_part)": "n"})
-        .filter(expr=f"n >= {min_count}")
-    )
+    from ._util import keyed_aggregate
+
+    return keyed_aggregate(
+        read_documents(sf_dir, columns=["text"]).map_batches(
+            partial_pairs, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        ["w1", "w2"],
+        {"n": ("n_part", "sum")},
+    ).filter(expr=f"n >= {min_count}")
 
 
 SKIPGRAM_SQL = f"""
@@ -2292,12 +2308,14 @@ def pmi_scores(sf_dir: str) -> "ray.data.Dataset":
     worker heap (documented assumption: pruned vocab fits in one)."""
     import ray
 
+    from ._util import ensure_columns, keyed_aggregate
+
     pairs = skipgram_counts(sf_dir).materialize()  # consumed 3x below
 
     # Marginals from the pair table itself: n_w1 = total context slots
     # token appears in as center; n_total = all pair occurrences.
-    marg = pairs.groupby("w1").sum("n").rename_columns({"sum(n)": "n_w"})
-    marg_pd = marg.to_pandas()  # vocab-bounded small side
+    marg = keyed_aggregate(pairs, "w1", {"n_w": ("n", "sum")})
+    marg_pd = ensure_columns(marg.to_pandas(), ["w1", "n_w"])  # vocab-bounded small side
     n_total = int(marg_pd["n_w"].sum())
     marg_ref = ray.put(dict(zip(marg_pd["w1"], marg_pd["n_w"].astype(int))))
 
@@ -2383,13 +2401,12 @@ def segment_dedup(sf_dir: str) -> "ray.data.Dataset":
     the boilerplate-stripping semantics of CCNet Sec. 3.1.
 
     Scale shape: segments hash to int64 before the shuffle (8-byte keys);
-    stage 1 emits one narrow row per segment, a groupby(seg) marks
-    duplicate groups against the group's occurrence count, and a
-    groupby(doc_id) rolls partials up — two keyed exchanges, no driver
-    materialization.  Token-less docs emit a unique per-doc sentinel so
-    the final rollup covers every doc_id (LEFT-JOIN parity with the
-    oracle)."""
-    import ray.data
+    stage 1 emits one narrow row per segment, the keyed exchange on seg
+    marks duplicate groups against the group's occurrence count, and a
+    keyed aggregate on doc_id rolls partials up — two keyed exchanges,
+    no driver materialization.  Token-less docs emit a unique per-doc
+    sentinel so the final rollup covers every doc_id (LEFT-JOIN parity
+    with the oracle)."""
 
     def seg_rows(batch: pa.Table) -> pa.Table:
         out_g: list[int] = []
@@ -2463,22 +2480,22 @@ def segment_dedup(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    from ._util import partitioned_by_key
+    from ._util import keyed_aggregate, partitioned_by_key
 
-    return (
+    return keyed_aggregate(
         partitioned_by_key(
             read_documents(sf_dir).map_batches(
                 seg_rows, batch_format="pyarrow", zero_copy_batch=True
             ),
             "seg",
             per_seg_part,
-        )
-        .groupby("doc_id")
-        .aggregate(
-            ray.data.aggregate.Sum("p_segs", alias_name="n_segments"),
-            ray.data.aggregate.Sum("p_removed", alias_name="n_removed"),
-            ray.data.aggregate.Sum("p_kept", alias_name="kept_tokens"),
-        )
+        ),
+        "doc_id",
+        {
+            "n_segments": ("p_segs", "sum"),
+            "n_removed": ("p_removed", "sum"),
+            "kept_tokens": ("p_kept", "sum"),
+        },
     )
 
 
@@ -2524,12 +2541,12 @@ def lexical_diversity(sf_dir: str) -> "ray.data.Dataset":
 
     Combiner discipline for the hot keys (a token like "the" appears in
     every batch of every source): each batch pre-aggregates to one
-    (source, token, partial count) row per distinct pair, the
-    groupby((source, token)) shuffles only those bounded partials, and a
-    second per-batch partial collapses the pair table to per-source
-    (distinct, total) counts before a tiny groupby(source) rollup.  The
+    (source, token, partial count) row per distinct pair, a keyed
+    aggregate on (source, token) shuffles only those bounded partials,
+    and a second keyed aggregate on source counts the pair rows
+    (distinct tokens) and sums their counts (total tokens).  The
     distinct count never round-trips raw token occurrences."""
-    import ray.data
+    from ._util import keyed_aggregate
 
     def pair_counts(batch: pa.Table) -> pa.Table:
         counts: dict = {}
@@ -2544,18 +2561,6 @@ def lexical_diversity(sf_dir: str) -> "ray.data.Dataset":
                 "source": pa.array([k[0] for k in counts], pa.string()),
                 "token": pa.array([k[1] for k in counts], pa.string()),
                 "n_part": pa.array(list(counts.values()), pa.int64()),
-            }
-        )
-
-    def per_source_partial(batch: pa.Table) -> pa.Table:
-        agg = batch.group_by("source").aggregate(
-            [("token", "count"), ("n", "sum")]
-        )
-        return pa.table(
-            {
-                "source": agg.column("source"),
-                "d_part": pc.cast(agg.column("token_count"), pa.int64()),
-                "t_part": pc.cast(agg.column("n_sum"), pa.int64()),
             }
         )
 
@@ -2574,22 +2579,16 @@ def lexical_diversity(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    return (
-        read_documents(sf_dir, columns=["source", "text"])
-        .map_batches(pair_counts, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["source", "token"])
-        .sum("n_part")
-        .rename_columns({"sum(n_part)": "n"})
-        .map_batches(
-            per_source_partial, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("source")
-        .aggregate(
-            ray.data.aggregate.Sum("d_part", alias_name="n_distinct"),
-            ray.data.aggregate.Sum("t_part", alias_name="n_tokens"),
-        )
-        .map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
+    pairs = keyed_aggregate(
+        read_documents(sf_dir, columns=["source", "text"]).map_batches(
+            pair_counts, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        ["source", "token"],
+        {"n": ("n_part", "sum")},
     )
+    return keyed_aggregate(
+        pairs, "source", {"n_distinct": ("token", "count"), "n_tokens": ("n", "sum")}
+    ).map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
 
 
 LEXICAL_DIVERSITY_SQL = f"""
@@ -2613,45 +2612,34 @@ FROM tok GROUP BY source
 def docs_rollup(sf_dir: str) -> pa.Table:
     """GROUP BY ROLLUP(lang, source) over the documents table: leaf
     (lang, source) rows plus per-lang subtotals plus the grand total,
-    NULL-marked exactly like SQL ROLLUP.  One pass: per-batch partials
-    collapse to the leaf grain, one tiny groupby over #langs × #sources
-    rows, and the upper levels derive from the bounded leaf table on
-    the driver — the corpus is never re-scanned per level."""
-    import ray.data
+    NULL-marked exactly like SQL ROLLUP.  One pass: one keyed aggregate
+    to the leaf grain over #langs × #sources rows, and the upper levels
+    derive from the bounded leaf table on the driver — the corpus is
+    never re-scanned per level."""
+    from ._util import ensure_columns, keyed_aggregate
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def mark_nulls(batch: pa.Table) -> pa.Table:
         # Data NULLs in the group keys ride through the shuffle as a
         # reserved marker (decoded back to NULL at output) so they form
-        # their own group exactly like SQL GROUP BY — never dropped by a
-        # groupby and never confused with a missing group downstream.
-        t = pa.table(
+        # their own group exactly like SQL GROUP BY and are never
+        # confused with a missing group downstream.
+        return pa.table(
             {
                 "lang": batch.column("lang").fill_null("\x00"),
                 "source": batch.column("source").fill_null("\x00"),
                 "n_chars": batch.column("n_chars"),
             }
         )
-        g = t.group_by(["lang", "source"]).aggregate(
-            [([], "count_all"), ("n_chars", "sum")]
-        )
-        return pa.table(
-            {
-                "lang": g.column("lang"),
-                "source": g.column("source"),
-                "d_part": pc.cast(g.column("count_all"), pa.int64()),
-                "c_part": pc.cast(g.column("n_chars_sum"), pa.int64()),
-            }
-        )
 
-    leaf = (
-        read_documents(sf_dir, columns=["lang", "source", "n_chars"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["lang", "source"])
-        .aggregate(
-            ray.data.aggregate.Sum("d_part", alias_name="n_docs"),
-            ray.data.aggregate.Sum("c_part", alias_name="sum_chars"),
-        )
-        .to_pandas()  # bounded: #langs × #sources rows
+    leaf = ensure_columns(
+        keyed_aggregate(
+            read_documents(sf_dir, columns=["lang", "source", "n_chars"]).map_batches(
+                mark_nulls, batch_format="pyarrow", zero_copy_batch=True
+            ),
+            ["lang", "source"],
+            {"n_docs": ("n_chars", "count"), "sum_chars": ("n_chars", "sum")},
+        ).to_pandas(),  # bounded: #langs × #sources rows
+        ["lang", "source", "n_docs", "sum_chars"],
     )
     per_lang = (
         leaf.groupby("lang", as_index=False)[["n_docs", "sum_chars"]]
@@ -2713,11 +2701,11 @@ def table_profile(sf_dir: str) -> pa.Table:
     One scan for all columns: each batch emits (col, value-hash) rows
     deduplicated within the batch (ints hash as themselves, strings as
     blake2b-64 — only equality matters for distinct counting) plus one
-    null-count and one row-count partial per column; a
-    groupby((col, kind, h)) collapses duplicates corpus-wide, a
-    per-batch partial then reduces each column to three numbers, and
-    the driver pivots the bounded #cols × 3 table."""
-    import ray.data
+    null-count and one row-count partial per column; a keyed aggregate
+    on (col, kind, h) collapses duplicates corpus-wide, a second one on
+    (col, kind) reduces each column to three numbers, and the driver
+    pivots the bounded #cols × 3 table."""
+    from ._util import ensure_columns, keyed_aggregate
 
     def partials(batch: pa.Table) -> pa.Table:
         out_c: list[str] = []
@@ -2759,35 +2747,34 @@ def table_profile(sf_dir: str) -> pa.Table:
             }
         )
 
-    def reduce_partial(batch: pa.Table) -> pa.Table:
+    def contributions(batch: pa.Table) -> pa.Table:
+        # A distinct value (kind 0) counts once; null and row counts sum.
         kind = batch.column("kind").to_numpy(zero_copy_only=False)
-        nsum = batch.column("sum(n_part)").to_numpy(zero_copy_only=False)
-        contrib = np.where(kind == 0, 1, nsum).astype(np.int64)
-        t = pa.table(
+        nsum = batch.column("n").to_numpy(zero_copy_only=False)
+        return pa.table(
             {
                 "col": batch.column("col"),
                 "kind": batch.column("kind"),
-                "c": pa.array(contrib, pa.int64()),
-            }
-        )
-        g = t.group_by(["col", "kind"]).aggregate([("c", "sum")])
-        return pa.table(
-            {
-                "col": g.column("col"),
-                "kind": g.column("kind"),
-                "c_part": g.column("c_sum"),
+                "c": pa.array(np.where(kind == 0, 1, nsum), pa.int64()),
             }
         )
 
-    stats = (
-        read_documents(sf_dir, columns=[c for c, _ in _PROFILE_COLS])
-        .map_batches(partials, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["col", "kind", "h"])
-        .sum("n_part")
-        .map_batches(reduce_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["col", "kind"])
-        .aggregate(ray.data.aggregate.Sum("c_part", alias_name="v"))
-        .to_pandas()  # bounded: #cols × 3 rows
+    per_value = keyed_aggregate(
+        read_documents(sf_dir, columns=[c for c, _ in _PROFILE_COLS]).map_batches(
+            partials, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        ["col", "kind", "h"],
+        {"n": ("n_part", "sum")},
+    )
+    stats = ensure_columns(
+        keyed_aggregate(
+            per_value.map_batches(
+                contributions, batch_format="pyarrow", zero_copy_batch=True
+            ),
+            ["col", "kind"],
+            {"v": ("c", "sum")},
+        ).to_pandas(),  # bounded: #cols × 3 rows
+        ["col", "kind", "v"],
     )
     piv = stats.pivot(index="col", columns="kind", values="v")
     # An all-null column never emits kind-0 (distinct) rows: reindex the
@@ -2841,32 +2828,23 @@ def lang_confusion(sf_dir: str) -> "ray.data.Dataset":
     heuristic language-ID prediction — the QA report a curation team
     reads before trusting either signal.  Composes the existing LangId
     stage (one scan: prediction and declared label ride the same batch);
-    per-batch partials collapse to the (declared, predicted) grain
-    before an O(#langs²) rollup."""
-    import ray.data
+    one keyed aggregate to the O(#langs²) (declared, predicted) grain."""
+    from ._util import keyed_aggregate
 
-    def partial(batch: pa.Table) -> pa.Table:
-        pred = _LANG_ID_STAGE(batch)
-        t = pa.table(
-            {
-                "declared": batch.column("lang"),
-                "predicted": pred.column("lang"),
-            }
-        )
-        g = t.group_by(["declared", "predicted"]).aggregate([([], "count_all")])
+    def predict(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "declared": g.column("declared"),
-                "predicted": g.column("predicted"),
-                "n_part": pc.cast(g.column("count_all"), pa.int64()),
+                "declared": batch.column("lang"),
+                "predicted": _LANG_ID_STAGE(batch).column("lang"),
             }
         )
 
-    return (
-        read_documents(sf_dir, columns=["doc_id", "lang", "text"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["declared", "predicted"])
-        .aggregate(ray.data.aggregate.Sum("n_part", alias_name="n_docs"))
+    return keyed_aggregate(
+        read_documents(sf_dir, columns=["doc_id", "lang", "text"]).map_batches(
+            predict, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        ["declared", "predicted"],
+        {"n_docs": ("declared", "count")},
     )
 
 
@@ -2934,14 +2912,14 @@ def heavy_hitters_by_source(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    from ._util import partitioned_by_key
+    from ._util import keyed_aggregate, partitioned_by_key
 
-    counted = (
-        read_documents(sf_dir, columns=["source", "text"])
-        .map_batches(pair_counts, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["source", "token"])
-        .sum("n_part")
-        .rename_columns({"sum(n_part)": "n"})
+    counted = keyed_aggregate(
+        read_documents(sf_dir, columns=["source", "text"]).map_batches(
+            pair_counts, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        ["source", "token"],
+        {"n": ("n_part", "sum")},
     )
     return partitioned_by_key(counted, "source", topk_part)
 
@@ -2984,15 +2962,15 @@ def unigram_likelihood(sf_dir: str) -> "ray.data.Dataset":
     one Python call per distinct token — junk vocabularies reach 10⁸⁺
     distinct tokens at web scale) computes corpus frequencies and
     converts them to ppb probabilities with Python-int exactness
-    (tf·1e9 would overflow int64 at web scale), then ``groupby(doc_id)``
-    reduces to the per-doc mean.  No broadcast vocab table anywhere, so
+    (tf·1e9 would overflow int64 at web scale), then a keyed aggregate
+    on doc_id reduces to the per-doc mean.  No broadcast vocab table anywhere, so
     billion-token junk vocabularies never land in one heap.  Honest skew
     note: a stopword's token group holds one row per containing document
     (the same bound tfidf_topk carries); at web scale salt the hot
     tokens or join the per-token ppb back by hashed key instead."""
     import collections
 
-    from ._util import blake2_u63, partitioned_by_key, run_bounds
+    from ._util import blake2_u63, keyed_aggregate, partitioned_by_key, run_bounds
 
     ds = read_documents(sf_dir, columns=["doc_id", "text"])
 
@@ -3054,8 +3032,8 @@ def unigram_likelihood(sf_dir: str) -> "ray.data.Dataset":
         )
 
     def finalize(batch: pa.Table) -> pa.Table:
-        c = batch.column("sum(contrib)").to_numpy(zero_copy_only=False)
-        n = batch.column("max(n_tok)").to_numpy(zero_copy_only=False)
+        c = batch.column("contrib").to_numpy(zero_copy_only=False)
+        n = batch.column("n_tok").to_numpy(zero_copy_only=False)
         return pa.table(
             {
                 "doc_id": batch.column("doc_id"),
@@ -3069,15 +3047,11 @@ def unigram_likelihood(sf_dir: str) -> "ray.data.Dataset":
     ).materialize()  # consumed twice: total scalar + scoring pipeline
     total = int(term_rows.sum("tf") or 0)
 
-    return (
-        partitioned_by_key(term_rows, "hk", attach_ppb)
-        .groupby("doc_id")
-        .aggregate(
-            ray.data.aggregate.Sum("contrib", alias_name="sum(contrib)"),
-            ray.data.aggregate.Max("n_tok", alias_name="max(n_tok)"),
-        )
-        .map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    return keyed_aggregate(
+        partitioned_by_key(term_rows, "hk", attach_ppb),
+        "doc_id",
+        {"contrib": ("contrib", "sum"), "n_tok": ("n_tok", "max")},
+    ).map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
 
 
 UNIGRAM_LIKELIHOOD_SQL = f"""
@@ -3120,13 +3094,13 @@ def lm_bigram_score(sf_dir: str) -> "ray.data.Dataset":
     ``run_bounds`` sweeps (no vocab² join, no broadcast LM table; the
     model never materializes anywhere).  The ppb division runs in
     Python ints at the bigram-group level (count·1e9 wraps int64 once a
-    conditioning token exceeds ~9.2e9 corpus occurrences), then a
-    groupby(doc_id) rollup reduces to the per-doc mean.  Hot-prev skew
+    conditioning token exceeds ~9.2e9 corpus occurrences), then a keyed
+    aggregate on doc_id reduces to the per-doc mean.  Hot-prev skew
     (stopwords) carries the same bound tfidf_topk documents: salt the
     top conditioning tokens at web scale."""
     import collections
 
-    from ._util import blake2_u63, partitioned_by_key, run_bounds
+    from ._util import blake2_u63, keyed_aggregate, partitioned_by_key, run_bounds
 
     ds = read_documents(sf_dir, columns=["doc_id", "text"])
 
@@ -3208,8 +3182,8 @@ def lm_bigram_score(sf_dir: str) -> "ray.data.Dataset":
         )
 
     def finalize(batch: pa.Table) -> pa.Table:
-        c = batch.column("sum(contrib)").to_numpy(zero_copy_only=False)
-        n = batch.column("max(n_big)").to_numpy(zero_copy_only=False)
+        c = batch.column("contrib").to_numpy(zero_copy_only=False)
+        n = batch.column("n_big").to_numpy(zero_copy_only=False)
         return pa.table(
             {
                 "doc_id": batch.column("doc_id"),
@@ -3221,15 +3195,11 @@ def lm_bigram_score(sf_dir: str) -> "ray.data.Dataset":
     long_rows = ds.map_batches(
         bigram_counts, batch_format="pyarrow", zero_copy_batch=True
     )
-    return (
-        partitioned_by_key(long_rows, "hk", score_partition)
-        .groupby("doc_id")
-        .aggregate(
-            ray.data.aggregate.Sum("contrib", alias_name="sum(contrib)"),
-            ray.data.aggregate.Max("n_big", alias_name="max(n_big)"),
-        )
-        .map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    return keyed_aggregate(
+        partitioned_by_key(long_rows, "hk", score_partition),
+        "doc_id",
+        {"contrib": ("contrib", "sum"), "n_big": ("n_big", "max")},
+    ).map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
 
 
 LM_BIGRAM_SQL = f"""
@@ -3272,40 +3242,37 @@ GROUP BY dbg.doc_id
 K_ANONYMITY_K = 5
 
 
+def _with_len_bucket(batch: pa.Table) -> pa.Table:
+    """The (lang, source, len_bucket = n_chars // 100) quasi-identifier
+    columns both privacy audits group on."""
+    return pa.table(
+        {
+            "lang": batch.column("lang"),
+            "source": batch.column("source"),
+            "len_bucket": pc.cast(
+                pc.divide(batch.column("n_chars"), pa.scalar(100, pa.int64())),
+                pa.int64(),
+            ),
+        }
+    )
+
+
 def k_anonymity(sf_dir: str, k: int = K_ANONYMITY_K) -> "ray.data.Dataset":
     """Privacy-governance audit: quasi-identifier combinations
     (lang, source, length-bucket) whose group is smaller than k — rows a
     release policy would need to suppress or generalize.  One keyed
-    shuffle of per-batch partial counts on the combo key; the under-k
-    filter runs where the groups live, so only violating combos (a tiny
-    result at any corpus size) ever reach the driver."""
+    aggregate counts the combo key; the under-k filter runs where the
+    groups live, so only violating combos (a tiny result at any corpus
+    size) ever reach the driver."""
+    from ._util import keyed_aggregate
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "lang": batch.column("lang"),
-                "source": batch.column("source"),
-                "len_bucket": pc.cast(
-                    pc.divide(batch.column("n_chars"), pa.scalar(100, pa.int64())),
-                    pa.int64(),
-                ),
-                "n": pa.array(np.ones(batch.num_rows, np.int64)),
-            }
-        )
-        g = t.group_by(["lang", "source", "len_bucket"]).aggregate([("n", "sum")])
-        return g.rename_columns(["lang", "source", "len_bucket", "n"])
-
-    def under_k(batch: pa.Table) -> pa.Table:
-        kept = batch.filter(pc.less(batch.column("n_docs"), k))
-        return kept
-
-    return (
-        read_documents(sf_dir, columns=["lang", "source", "n_chars"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["lang", "source", "len_bucket"])
-        .aggregate(ray.data.aggregate.Sum("n", alias_name="n_docs"))
-        .map_batches(under_k, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    return keyed_aggregate(
+        read_documents(sf_dir, columns=["lang", "source", "n_chars"]).map_batches(
+            _with_len_bucket, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        ["lang", "source", "len_bucket"],
+        {"n_docs": ("len_bucket", "count")},
+    ).filter(expr=f"n_docs < {k}")
 
 
 K_ANONYMITY_SQL = f"""
@@ -3326,60 +3293,23 @@ def l_diversity(sf_dir: str, l: int = L_DIVERSITY_L) -> "ray.data.Dataset":
     quasi-identifier group can be large (k-anonymous) yet still leak if
     everyone in it shares one sensitive value.  Here the sensitive
     attribute is lang: report (source, len_bucket) groups with fewer
-    than l DISTINCT languages.  Scale shape: batches fold to
-    (source, len_bucket, lang) cells; the first keyed shuffle merges
-    cells (globally unique triples), the second rolls triples up to
-    pairs counting distinct langs as plain rows — distinct-count
-    without any set materialization.  Only violating groups reach the
-    caller."""
+    than l DISTINCT languages.  Scale shape: the first keyed aggregate
+    counts (source, len_bucket, lang) cells (globally unique triples),
+    the second rolls triples up to pairs, counting distinct langs as
+    plain rows — distinct-count without any set materialization.  Only
+    violating groups reach the caller."""
+    from ._util import keyed_aggregate
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "source": batch.column("source"),
-                "len_bucket": pc.cast(
-                    pc.divide(batch.column("n_chars"), pa.scalar(100, pa.int64())),
-                    pa.int64(),
-                ),
-                "lang": batch.column("lang"),
-                "n": pa.array(np.ones(batch.num_rows, np.int64)),
-            }
-        )
-        g = t.group_by(["source", "len_bucket", "lang"]).aggregate([("n", "sum")])
-        return g.rename_columns(["source", "len_bucket", "lang", "n"])
-
-    def pair_partial(batch: pa.Table) -> pa.Table:
-        # cells are unique triples after the first shuffle: each row is
-        # one (pair, lang), so distinct-lang count = row count per pair.
-        t = pa.table(
-            {
-                "source": batch.column("source"),
-                "len_bucket": batch.column("len_bucket"),
-                "n": batch.column("n"),
-                "one": pa.array(np.ones(batch.num_rows, np.int64)),
-            }
-        )
-        g = t.group_by(["source", "len_bucket"]).aggregate(
-            [("n", "sum"), ("one", "sum")]
-        )
-        return g.rename_columns(["source", "len_bucket", "n_docs", "n_langs"])
-
-    def under_l(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.less(batch.column("n_langs"), l))
-
-    return (
-        read_documents(sf_dir, columns=["lang", "source", "n_chars"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["source", "len_bucket", "lang"])
-        .aggregate(ray.data.aggregate.Sum("n", alias_name="n"))
-        .map_batches(pair_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["source", "len_bucket"])
-        .aggregate(
-            ray.data.aggregate.Sum("n_docs", alias_name="n_docs"),
-            ray.data.aggregate.Sum("n_langs", alias_name="n_langs"),
-        )
-        .map_batches(under_l, batch_format="pyarrow", zero_copy_batch=True)
+    cells = keyed_aggregate(
+        read_documents(sf_dir, columns=["lang", "source", "n_chars"]).map_batches(
+            _with_len_bucket, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        ["source", "len_bucket", "lang"],
+        {"n": ("lang", "count")},
     )
+    return keyed_aggregate(
+        cells, ["source", "len_bucket"], {"n_docs": ("n", "sum"), "n_langs": ("n", "count")}
+    ).filter(expr=f"n_langs < {l}")
 
 
 L_DIVERSITY_SQL = f"""
@@ -3406,29 +3336,22 @@ def decile_stats(sf_dir: str) -> "ray.data.Dataset":
     the distinct-value-count reduction (driver state = one row per
     DISTINCT length, not per document — see percentiles_doclen), bounds
     broadcast into a vectorized searchsorted bucketing pass, then an
-    O(10)-group rollup.  The two-phase compute-stat-then-broadcast shape
-    is the standard scale pattern for any 'bucket by global quantile'
-    step (winsorizing, curriculum binning, outlier capping)."""
-
-    def vc_partial(batch: pa.Table) -> pa.Table:
-        vc = batch.column("n_chars").value_counts()
-        return pa.table(
-            {
-                "n_chars": vc.field("values"),
-                "cnt": pc.cast(vc.field("counts"), pa.int64()),
-            }
-        )
+    O(10)-group keyed aggregate.  The two-phase compute-stat-then-broadcast
+    shape is the standard scale pattern for any 'bucket by global
+    quantile' step (winsorizing, curriculum binning, outlier capping)."""
+    from ._util import keyed_aggregate
 
     counts = (
-        read_documents(sf_dir, columns=["n_chars"])
-        .map_batches(vc_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("n_chars")
-        .sum("cnt")
+        keyed_aggregate(
+            read_documents(sf_dir, columns=["n_chars"]),
+            "n_chars",
+            {"cnt": ("n_chars", "count")},
+        )
         .to_pandas()
         .sort_values("n_chars")
     )
     vals = counts["n_chars"].to_numpy()
-    cum = np.cumsum(counts["sum(cnt)"].to_numpy())
+    cum = np.cumsum(counts["cnt"].to_numpy())
     bounds = [quantile_disc_pick(vals, cum, pm) for pm in DECILE_PERMILLE]
     bounds_arr = np.asarray(bounds, dtype=np.int64)
 
@@ -3437,30 +3360,24 @@ def decile_stats(sf_dir: str) -> "ray.data.Dataset":
         # bucket = count of bounds strictly below x (0..9); ties fall in
         # the lower bucket, the same rule the oracle's CASE-sum applies.
         b = np.searchsorted(bounds_arr, x, side="left").astype(np.int64)
-        t = pa.table(
+        return pa.table(
             {
                 "bucket": pa.array(b, pa.int64()),
-                "n": pa.array(np.ones(len(x), np.int64)),
-                "s": pa.array(x.astype(np.int64), pa.int64()),
-                "mn": pa.array(x.astype(np.int64), pa.int64()),
-                "mx": pa.array(x.astype(np.int64), pa.int64()),
+                "x": pa.array(x.astype(np.int64), pa.int64()),
             }
         )
-        g = t.group_by("bucket").aggregate(
-            [("n", "sum"), ("s", "sum"), ("mn", "min"), ("mx", "max")]
-        )
-        return g.rename_columns(["bucket", "n", "s", "mn", "mx"])
 
-    return (
-        read_documents(sf_dir, columns=["n_chars"])
-        .map_batches(bucketize, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .aggregate(
-            ray.data.aggregate.Sum("n", alias_name="n_docs"),
-            ray.data.aggregate.Sum("s", alias_name="sum_chars"),
-            ray.data.aggregate.Min("mn", alias_name="min_chars"),
-            ray.data.aggregate.Max("mx", alias_name="max_chars"),
-        )
+    return keyed_aggregate(
+        read_documents(sf_dir, columns=["n_chars"]).map_batches(
+            bucketize, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "bucket",
+        {
+            "n_docs": ("x", "count"),
+            "sum_chars": ("x", "sum"),
+            "min_chars": ("x", "min"),
+            "max_chars": ("x", "max"),
+        },
     )
 
 
@@ -3488,45 +3405,39 @@ GROUP BY 1
 def source_diversity(sf_dir: str) -> "ray.data.Dataset":
     """Gini impurity of each source's language mix, in exact permille —
     the mixture-health stat a corpus curator watches (0 = monolingual,
-    →1000·(1−1/k) = uniform over k languages).  One keyed shuffle of
-    per-block (source, lang, count) partials; the impurity itself is
-    computed per source group in arbitrary-precision Python ints
-    (1000·Σc² overflows int64 once a source passes ~3e6 docs), so the
-    result is bit-exact against the oracle's HUGEINT arithmetic at any
-    scale."""
+    →1000·(1−1/k) = uniform over k languages).  One keyed aggregate
+    counts (source, lang) cells, the keyed exchange on source co-locates
+    each source's cells, and the impurity is computed per source run in
+    arbitrary-precision Python ints (1000·Σc² overflows int64 once a
+    source passes ~3e6 docs), so the result is bit-exact against the
+    oracle's HUGEINT arithmetic at any scale."""
+    from ._util import keyed_aggregate, partitioned_by_key, run_bounds
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "source": batch.column("source"),
-                "lang": batch.column("lang"),
-                "c": pa.array(np.ones(batch.num_rows, np.int64)),
-            }
-        )
-        g = t.group_by(["source", "lang"]).aggregate([("c", "sum")])
-        return g.rename_columns(["source", "lang", "c"])
-
-    def impurity(group: pa.Table) -> pa.Table:
-        c = [int(x) for x in group.column("c").to_pylist()]
-        n = sum(c)
-        gini = 1000 - (1000 * sum(x * x for x in c)) // (n * n)
+    def impurity(block: pa.Table) -> pa.Table:
+        src = np.asarray(block.column("source").to_pylist(), dtype=object)
+        order = np.argsort(src, kind="stable")
+        src = src[order]
+        c = [int(x) for x in block.column("c").take(pa.array(order)).to_pylist()]
+        b = run_bounds(src)
+        n = [sum(c[s:e]) for s, e in zip(b[:-1], b[1:])]
+        sq = [sum(x * x for x in c[s:e]) for s, e in zip(b[:-1], b[1:])]
         return pa.table(
             {
-                "source": pa.array([group.column("source")[0].as_py()], pa.string()),
-                "n_docs": pa.array([n], pa.int64()),
-                "n_langs": pa.array([len(c)], pa.int64()),
-                "gini_permille": pa.array([gini], pa.int64()),
+                "source": pa.array(src[b[:-1]], pa.string()),
+                "n_docs": pa.array(n, pa.int64()),
+                "n_langs": pa.array(np.diff(b), pa.int64()),
+                "gini_permille": pa.array(
+                    [1000 - (1000 * q) // (m * m) for q, m in zip(sq, n)], pa.int64()
+                ),
             }
         )
 
-    return (
-        read_documents(sf_dir, columns=["source", "lang"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["source", "lang"])
-        .aggregate(ray.data.aggregate.Sum("c", alias_name="c"))
-        .groupby("source")
-        .map_groups(impurity, batch_format="pyarrow")
+    cells = keyed_aggregate(
+        read_documents(sf_dir, columns=["source", "lang"]),
+        ["source", "lang"],
+        {"c": ("lang", "count")},
     )
+    return partitioned_by_key(cells, "source", impurity)
 
 
 SOURCE_DIVERSITY_SQL = """
@@ -3580,17 +3491,19 @@ def bpe_train(sf_dir: str, n_merges: int = BPE_TRAIN_MERGES) -> pa.Table:
     per-round distributed work, state re-broadcast each round.
 
     Round structure: the corpus first collapses to a WORD-FREQUENCY
-    table (one keyed shuffle; all later rounds run over unique words ×
+    table (one keyed aggregate; all later rounds run over unique words ×
     freq, never raw tokens — the classic BPE trick that makes round
     cost vocabulary-bounded).  Each round maps the current merge list
     over the word table (ray.put once per round), counts adjacent
     symbol pairs weighted by word frequency into per-batch partials,
-    rolls them up with one groupby, and the driver picks the argmax
+    rolls them up with one keyed aggregate, and the driver picks the argmax
     pair (count desc, then lexicographic — deterministic) as the next
     rule.  Not SQL-expressible (the segmentation is inherently
     iterative), so the driver records a rows-only check; the exact
     merge sequence is pinned by a sequential pure-Python reference in
     pytest."""
+
+    from ._util import keyed_aggregate
 
     def word_freq_partial(batch: pa.Table) -> pa.Table:
         import collections
@@ -3605,14 +3518,13 @@ def bpe_train(sf_dir: str, n_merges: int = BPE_TRAIN_MERGES) -> pa.Table:
             }
         )
 
-    words = (
-        read_documents(sf_dir, columns=["text"])
-        .map_batches(word_freq_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("word")
-        .sum("freq")
-        .rename_columns({"sum(freq)": "freq"})
-        .materialize()  # re-streamed every round; vocabulary-bounded
-    )
+    words = keyed_aggregate(
+        read_documents(sf_dir, columns=["text"]).map_batches(
+            word_freq_partial, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "word",
+        {"freq": ("freq", "sum")},
+    ).materialize()  # re-streamed every round; vocabulary-bounded
 
     merges: list[tuple[str, str]] = []
     out_step: list[int] = []
@@ -3649,25 +3561,24 @@ def bpe_train(sf_dir: str, n_merges: int = BPE_TRAIN_MERGES) -> pa.Table:
                 }
             )
 
-        rolled = (
+        rolled = keyed_aggregate(
             words.map_batches(
                 pair_partial, batch_format="pyarrow", zero_copy_batch=True
-            )
-            .groupby(["left", "right"])
-            .sum("cnt")
-            .to_pandas()  # bounded by live symbol-pair vocabulary
-        )
+            ),
+            ["left", "right"],
+            {"cnt": ("cnt", "sum")},
+        ).to_pandas()  # bounded by live symbol-pair vocabulary
         if not len(rolled):
             break
         rolled = rolled.sort_values(
-            ["sum(cnt)", "left", "right"], ascending=[False, True, True]
+            ["cnt", "left", "right"], ascending=[False, True, True]
         )
         top = rolled.iloc[0]
         merges.append((str(top["left"]), str(top["right"])))
         out_step.append(step)
         out_left.append(str(top["left"]))
         out_right.append(str(top["right"]))
-        out_count.append(int(top["sum(cnt)"]))
+        out_count.append(int(top["cnt"]))
     return pa.table(
         {
             "step": pa.array(out_step, pa.int64()),
@@ -3830,7 +3741,7 @@ def dsir_weights(sf_dir: str) -> "ray.data.Dataset":
     as in tfidf_topk."""
     import collections
 
-    from ._util import blake2_u63, partitioned_by_key, run_bounds
+    from ._util import blake2_u63, keyed_aggregate, partitioned_by_key, run_bounds
 
     ds = read_documents(sf_dir, columns=["doc_id", "lang", "text"])
 
@@ -3937,30 +3848,23 @@ def dsir_weights(sf_dir: str) -> "ray.data.Dataset":
         )
 
     def finalize(batch: pa.Table) -> pa.Table:
-        ct = batch.column("sum(c_t)").to_numpy(zero_copy_only=False)
-        cs = batch.column("sum(c_s)").to_numpy(zero_copy_only=False)
-        n = np.maximum(batch.column("max(n_tok)").to_numpy(zero_copy_only=False), 1)
+        ct = batch.column("c_t").to_numpy(zero_copy_only=False)
+        cs = batch.column("c_s").to_numpy(zero_copy_only=False)
+        n_tok = batch.column("n_tok").to_numpy(zero_copy_only=False)
+        n = np.maximum(n_tok, 1)
         return pa.table(
             {
                 "doc_id": batch.column("doc_id"),
-                "n_tok": pa.array(
-                    batch.column("max(n_tok)").to_numpy(zero_copy_only=False),
-                    pa.int64(),
-                ),
+                "n_tok": pa.array(n_tok, pa.int64()),
                 "dsir_ppb": pa.array(ct // n - cs // n, pa.int64()),
             }
         )
 
-    return (
-        partitioned_by_key(term_rows, "hk", attach)
-        .groupby("doc_id")
-        .aggregate(
-            ray.data.aggregate.Sum("c_t", alias_name="sum(c_t)"),
-            ray.data.aggregate.Sum("c_s", alias_name="sum(c_s)"),
-            ray.data.aggregate.Max("n_tok", alias_name="max(n_tok)"),
-        )
-        .map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    return keyed_aggregate(
+        partitioned_by_key(term_rows, "hk", attach),
+        "doc_id",
+        {"c_t": ("c_t", "sum"), "c_s": ("c_s", "sum"), "n_tok": ("n_tok", "max")},
+    ).map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
 
 
 DSIR_WEIGHTS_SQL = f"""
@@ -4017,7 +3921,8 @@ def classifier_logits(sf_dir: str) -> "ray.data.Dataset":
 
     Scale shape: zero shuffle beyond hashed_features' narrow map — the
     dot product folds into the same pass (weights are a 64-int table,
-    not even worth a ray.put), then one doc-keyed rollup."""
+    not even worth a ray.put), then one doc-keyed keyed aggregate."""
+    from ._util import keyed_aggregate
 
     feats = hashed_features(sf_dir)
     w = ((np.arange(_HASHED_FEATURES_DIM, dtype=np.int64) * _CLS_WEIGHT_MULT)
@@ -4033,10 +3938,10 @@ def classifier_logits(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    return (
-        feats.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("doc_id")
-        .aggregate(ray.data.aggregate.Sum("part", alias_name="logit"))
+    return keyed_aggregate(
+        feats.map_batches(score, batch_format="pyarrow", zero_copy_batch=True),
+        "doc_id",
+        {"logit": ("part", "sum")},
     )
 
 
@@ -4071,6 +3976,7 @@ def source_vocab_containment(sf_dir: str) -> pa.Table:
     from ._util import (
         TOKEN_PATTERN,
         blake2_u63,
+        keyed_aggregate,
         partitioned_by_key,
         run_bounds,
     )
@@ -4078,8 +3984,7 @@ def source_vocab_containment(sf_dir: str) -> pa.Table:
     docs = read_documents(sf_dir, columns=["text", "source"])
 
     sources = sorted(
-        r["source"]
-        for r in docs.groupby("source").count().select_columns(["source"]).take_all()
+        r["source"] for r in keyed_aggregate(docs, "source", {}).take_all()
     )  # bounded: the source catalog
     scode = {s: i for i, s in enumerate(sources)}
     K = len(sources)
@@ -4156,22 +4061,21 @@ def source_vocab_containment(sf_dir: str) -> pa.Table:
             }
         )
 
-    rows = (
+    rows = keyed_aggregate(
         partitioned_by_key(
             docs.map_batches(
                 vocab_rows, batch_format="pyarrow", zero_copy_batch=True
             ),
             "th",
             mask_kernel,
-        )
-        .groupby(["a", "b"])
-        .sum("n")
-        .to_pandas()  # bounded: K x K
-    )
+        ),
+        ["a", "b"],
+        {"n": ("n", "sum")},
+    ).to_pandas()  # bounded: K x K
 
     mat = np.zeros((K, K), dtype=np.int64)
     for _, r in rows.iterrows():
-        mat[int(r["a"]), int(r["b"])] = int(r["sum(n)"])
+        mat[int(r["a"]), int(r["b"])] = int(r["n"])
     out_a, out_b, out_c, out_na, out_p = [], [], [], [], []
     for i in range(K):
         for j in range(K):
@@ -4278,7 +4182,7 @@ def bm25_topk(sf_dir: str, k: int = 10) -> pa.Table:
             }
         )
 
-    from ._util import cut_lineage
+    from ._util import cut_lineage, ensure_columns, keyed_aggregate
 
     rows = cut_lineage(
         read_documents(sf_dir).map_batches(
@@ -4302,8 +4206,8 @@ def bm25_topk(sf_dir: str, k: int = 10) -> pa.Table:
     avg_int = max(a_total // n_total, 1)
 
     hits = rows.filter(expr="term >= 0")
-    df_rows = hits.groupby("term").count().take_all()  # bounded: <= |Q| rows
-    idf = {int(r["term"]): 1000 * n_total // int(r["count()"]) for r in df_rows}
+    df_rows = keyed_aggregate(hits, "term", {"df": ("term", "count")}).take_all()
+    idf = {int(r["term"]): 1000 * n_total // int(r["df"]) for r in df_rows}  # <= |Q|
 
     def score(batch: pa.Table) -> pa.Table:
         term = batch.column("term").to_numpy(zero_copy_only=False)
@@ -4312,20 +4216,17 @@ def bm25_topk(sf_dir: str, k: int = 10) -> pa.Table:
         dl_ratio = 1000 * dl // avg_int
         part = 22000 * tf * 1000 // (10000 * tf + 3000 + 9 * dl_ratio)
         idf_v = np.array([idf[int(c)] for c in term], dtype=np.int64)
-        t = pa.table(
+        return pa.table(
             {
                 "doc_id": batch.column("doc_id"),
                 "s": pa.array(idf_v * part, pa.int64()),
             }
         )
-        g = t.group_by("doc_id").aggregate([("s", "sum")])
-        return g.rename_columns(["doc_id", "s"])
 
-    per_doc = (
-        hits.map_batches(score, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("doc_id")
-        .sum("s")
-        .rename_columns({"sum(s)": "score"})
+    per_doc = keyed_aggregate(
+        hits.map_batches(score, batch_format="pyarrow", zero_copy_batch=True),
+        "doc_id",
+        {"score": ("s", "sum")},
     )
 
     def local_topk(batch: pa.Table) -> pa.Table:
@@ -4335,8 +4236,6 @@ def bm25_topk(sf_dir: str, k: int = 10) -> pa.Table:
             sort_keys=[("score", "descending"), ("doc_id", "ascending")],
         )
         return batch.take(idx)
-
-    from ._util import ensure_columns
 
     agg = ensure_columns(
         per_doc.map_batches(
@@ -4603,6 +4502,7 @@ def vocab_coverage_curve(sf_dir: str) -> pa.Table:
         TOKEN_PATTERN,
         blake2_u63,
         ensure_columns,
+        keyed_aggregate,
         partitioned_by_key,
         run_bounds,
     )
@@ -4647,21 +4547,22 @@ def vocab_coverage_curve(sf_dir: str) -> pa.Table:
         )
 
     ff = ensure_columns(
-        partitioned_by_key(
-            read_documents(sf_dir).map_batches(
-                counts, batch_format="pyarrow", zero_copy_batch=True
+        keyed_aggregate(
+            partitioned_by_key(
+                read_documents(sf_dir).map_batches(
+                    counts, batch_format="pyarrow", zero_copy_batch=True
+                ),
+                "th",
+                freq_kernel,
             ),
-            "th",
-            freq_kernel,
-        )
-        .groupby("f")
-        .sum("n")
-        .to_pandas(),  # bounded: distinct frequency values, O(sqrt(occurrences))
-        ["f", "sum(n)"],
+            "f",
+            {"n": ("n", "sum")},
+        ).to_pandas(),  # bounded: distinct frequency values, O(sqrt(occurrences))
+        ["f", "n"],
     ).sort_values("f", ascending=False)
 
     f = ff["f"].to_numpy(dtype=np.int64)
-    n = ff["sum(n)"].to_numpy(dtype=np.int64)
+    n = ff["n"].to_numpy(dtype=np.int64)
     occ = f * n
     total = int(occ.sum())
     cum_occ = np.cumsum(occ)
@@ -4747,10 +4648,16 @@ def shard_manifest(
     per contiguous doc_id bucket; (2) the driver exclusive-prefix-sums
     the bounded bucket totals and broadcasts the offsets; (3) one
     partitioned_by_key(bucket) pass recovers every doc's exact global
-    start offset with a local cumsum + bucket offset, folds to
-    per-shard partials, and a tiny shard rollup finishes.  One row per
-    output shard — the manifest itself is the product."""
-    from ._util import ensure_columns, partitioned_by_key
+    start offset with a local cumsum + bucket offset, and a keyed
+    aggregate on shard_id finishes.  One row per output shard — the
+    manifest itself is the product."""
+    from ._util import (
+        cut_lineage,
+        ensure_columns,
+        keyed_aggregate,
+        partitioned_by_key,
+        run_bounds,
+    )
 
     ds = read_documents(sf_dir, columns=["doc_id", "text"])
 
@@ -4770,13 +4677,11 @@ def shard_manifest(
     counted = ds.map_batches(
         tok_counts, batch_format="pyarrow", zero_copy_batch=True
     )
-    from ._util import cut_lineage
-
     counted = cut_lineage(counted)  # consumed twice: bucket sums + assignment
 
     bsum = ensure_columns(
-        counted.groupby("bucket").sum("tok").to_pandas(),
-        ["bucket", "sum(tok)"],
+        keyed_aggregate(counted, "bucket", {"tok": ("tok", "sum")}).to_pandas(),
+        ["bucket", "tok"],
     ).sort_values("bucket")
     if len(bsum) == 0:
         return pa.table(
@@ -4789,31 +4694,18 @@ def shard_manifest(
             }
         )
     buckets = bsum["bucket"].to_numpy()
-    sums = bsum["sum(tok)"].to_numpy()
+    sums = bsum["tok"].to_numpy()
     prefix = np.r_[0, np.cumsum(sums)[:-1]]
     offsets = dict(zip(buckets.tolist(), prefix.tolist()))
     offsets_ref = ray.put(offsets)
 
     def kernel(part: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "shard_id": pa.array([], pa.int64()),
-                "docs": pa.array([], pa.int64()),
-                "toks": pa.array([], pa.int64()),
-                "fd": pa.array([], pa.int64()),
-                "ld": pa.array([], pa.int64()),
-            }
-        )
-        if part.num_rows == 0:
-            return empty
         offs = ray.get(offsets_ref)
         ids = part.column("doc_id").to_numpy(zero_copy_only=False)
         tok = part.column("tok").to_numpy(zero_copy_only=False)
         bk = part.column("bucket").to_numpy(zero_copy_only=False)
         order = np.lexsort((ids, bk))
         ids, tok, bk = ids[order], tok[order], bk[order]
-        from ._util import run_bounds
-
         start = np.empty(len(ids), dtype=np.int64)
         rb = run_bounds(bk)
         for s, e in zip(rb[:-1], rb[1:]):
@@ -4821,30 +4713,25 @@ def shard_manifest(
             start[s:e] = (
                 np.r_[0, np.cumsum(local)[:-1]] + offs[int(bk[s])]
             )
-        shard = start // budget
-        t = pa.table(
+        return pa.table(
             {
-                "shard_id": pa.array(shard, pa.int64()),
-                "docs": pa.array(np.ones(len(ids), np.int64), pa.int64()),
-                "toks": pa.array(tok, pa.int64()),
-                "fd": pa.array(ids, pa.int64()),
-                "ld": pa.array(ids, pa.int64()),
+                "shard_id": pa.array(start // budget, pa.int64()),
+                "tok": pa.array(tok, pa.int64()),
+                "doc_id": pa.array(ids, pa.int64()),
             }
-        ).group_by("shard_id").aggregate(
-            [("docs", "sum"), ("toks", "sum"), ("fd", "min"), ("ld", "max")]
         )
-        return t.rename_columns(["shard_id", "docs", "toks", "fd", "ld"])
 
     rolled = ensure_columns(
-        partitioned_by_key(counted, "bucket", kernel)
-        .groupby("shard_id")
-        .aggregate(
-            ray.data.aggregate.Sum("docs", alias_name="n_docs"),
-            ray.data.aggregate.Sum("toks", alias_name="n_tokens"),
-            ray.data.aggregate.Min("fd", alias_name="first_doc"),
-            ray.data.aggregate.Max("ld", alias_name="last_doc"),
-        )
-        .to_pandas(),  # one row per output shard
+        keyed_aggregate(
+            partitioned_by_key(counted, "bucket", kernel),
+            "shard_id",
+            {
+                "n_docs": ("doc_id", "count"),
+                "n_tokens": ("tok", "sum"),
+                "first_doc": ("doc_id", "min"),
+                "last_doc": ("doc_id", "max"),
+            },
+        ).to_pandas(),  # one row per output shard
         ["shard_id", "n_docs", "n_tokens", "first_doc", "last_doc"],
     ).sort_values("shard_id")
     return pa.table(
@@ -4902,38 +4789,21 @@ def t_closeness(sf_dir: str, t_permille: int = T_CLOSENESS_PERMILLE) -> pa.Table
     1000 · Σ_v |c_gv·n − c_v·n_g|  >  2t · n · n_g
     (both sides are the EMD cross-multiplied by 2·n·n_g).
 
-    Scale shape: batches fold to (source, len_bucket, lang) partial
-    cells; ONE keyed shuffle merges them.  The audit arithmetic runs on
+    Scale shape: ONE keyed aggregate counts (source, len_bucket, lang)
+    cells.  The audit arithmetic runs on
     the merged CELL table — bounded by #groups × #langs, never by rows
     — with an explicit int64 guard (c_gv·n is the largest term; at
     n > ~3e9 switch the bounded driver fold to Python ints, cf.
     sum128_total).  Output: violating groups only."""
-    from ray.data.aggregate import Sum
+    from ._util import ensure_columns, keyed_aggregate
 
-    from ._util import ensure_columns
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t_ = pa.table(
-            {
-                "source": batch.column("source"),
-                "len_bucket": pc.cast(
-                    pc.divide(batch.column("n_chars"), pa.scalar(100, pa.int64())),
-                    pa.int64(),
-                ),
-                "lang": batch.column("lang"),
-                "c": pa.array(np.ones(batch.num_rows, np.int64), pa.int64()),
-            }
-        )
-        g = t_.group_by(["source", "len_bucket", "lang"]).aggregate([("c", "sum")])
-        return g.rename_columns(["source", "len_bucket", "lang", "c"])
-
-    cells = (
-        read_documents(sf_dir, columns=["source", "n_chars", "lang"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["source", "len_bucket", "lang"])
-        .aggregate(Sum("c", alias_name="c"))
-        .to_pandas()  # bounded: #quasi-id groups × #langs cells
-    )
+    cells = keyed_aggregate(
+        read_documents(sf_dir, columns=["source", "n_chars", "lang"]).map_batches(
+            _with_len_bucket, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        ["source", "len_bucket", "lang"],
+        {"c": ("lang", "count")},
+    ).to_pandas()  # bounded: #quasi-id groups × #langs cells
     cells = ensure_columns(cells, ["source", "len_bucket", "lang", "c"])
 
     empty = pa.table(

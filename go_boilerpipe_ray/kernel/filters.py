@@ -418,14 +418,6 @@ def block_proximity_fusion_max_distance_one() -> Filter:
     return BlockProximityFusion("One", 1, False, False)
 
 
-def block_proximity_fusion_max_distance_one_same_tag_level() -> Filter:
-    return BlockProximityFusion("OneSameTagLevel", 1, False, True)
-
-
-def block_proximity_fusion_max_distance_one_content_only() -> Filter:
-    return BlockProximityFusion("OneContentOnly", 1, True, False)
-
-
 def block_proximity_fusion_max_distance_one_content_only_same_tag_level() -> Filter:
     return BlockProximityFusion("OneContentOnlySameTagLevel", 1, True, True)
 

@@ -95,14 +95,6 @@ class URL:
         return date_from_url(str(self))
 
 
-def is_child(root: URL, ref: URL) -> bool:
-    if root.root() != ref.root():
-        return False
-    if not ref.path.startswith(root.path):
-        return False
-    return str(ref) != str(root)
-
-
 _MONTHS = {
     "jan": 1, "feb": 2, "mar": 3, "apr": 4, "may": 5, "jun": 6,
     "jul": 7, "aug": 8, "sep": 9, "oct": 10, "nov": 11, "dec": 12,

@@ -119,5 +119,8 @@ def extract_from_spans(spans: list[dict]) -> ExtractResult:
 
 
 def content_from_result(res: ExtractResult) -> str:
-    """Join the result's text spans with '\\n' — equals doc.Content()."""
+    """Join the result's text spans with '\\n' — equals doc.Content().
+    The engine's output columns carry the spans themselves; this is the
+    content assembly the golden and span tests compare against the
+    reference's Content() strings, so it stays as their one definition."""
     return "\n".join(t for k, t, _, _ in res.spans if k == "text")

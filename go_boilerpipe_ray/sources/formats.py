@@ -17,7 +17,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ..functions._util import money_cents
+from ..functions._util import keyed_aggregate, money_cents
 
 
 def _sink_dir(kind: str, sf_dir: str, out_dir: str | None) -> str:
@@ -91,25 +91,10 @@ def csv_roundtrip(sf_dir: str, out_dir: str | None = None) -> "ray.data.Dataset"
         f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand", "p_size"]
     ).write_csv(out)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "p_brand": batch.column("p_brand"),
-                "n": pc.cast(pc.is_valid(batch.column("p_partkey")), pa.int64()),
-                "s": pc.cast(batch.column("p_size"), pa.int64()),
-            }
-        )
-        g = t.group_by("p_brand").aggregate([("n", "sum"), ("s", "sum")])
-        return g.rename_columns(["p_brand", "n", "s"])
-
-    return (
-        ray.data.read_csv(out)
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("p_brand")
-        .aggregate(
-            ray.data.aggregate.Sum("n", alias_name="n_parts"),
-            ray.data.aggregate.Sum("s", alias_name="sum_size"),
-        )
+    return keyed_aggregate(
+        ray.data.read_csv(out),
+        "p_brand",
+        {"n_parts": ("p_partkey", "count"), "sum_size": ("p_size", "sum")},
     )
 
 
@@ -132,8 +117,6 @@ def ipc_roundtrip(sf_dir: str, out_dir: str | None = None) -> "ray.data.Dataset"
     types exactly (unlike CSV), so the rollup includes the timestamp
     column the CSV roundtrip must avoid."""
     import hashlib as _hl
-
-    import numpy as np
 
     out = _sink_dir("ipc", sf_dir, out_dir)
 
@@ -168,53 +151,35 @@ def ipc_roundtrip(sf_dir: str, out_dir: str | None = None) -> "ray.data.Dataset"
             )
         )
 
-    def decode_and_partial(batch: pa.Table) -> pa.Table:
+    def decode(batch: pa.Table) -> pa.Table:
         tables = []
         for raw in batch.column("bytes").to_pylist():
             with pa.ipc.open_file(pa.BufferReader(raw)) as r:
                 tables.append(r.read_all())
         t = pa.concat_tables(tables)
         cents = money_cents(t.column("o_totalprice").to_numpy(zero_copy_only=False))
-        day = pc.cast(
+        day_us = pc.cast(
             pc.floor_temporal(t.column("o_orderdate"), unit="day"), pa.int64()
-        ).to_numpy(zero_copy_only=False)
-        g = pa.table(
-            {
-                "o_orderstatus": t.column("o_orderstatus"),
-                "n": pa.array(np.ones(len(t), np.int64), pa.int64()),
-                "cents": pa.array(cents, pa.int64()),
-                "day_us": pa.array(day, pa.int64()),
-            }
-        ).group_by("o_orderstatus").aggregate(
-            [("n", "sum"), ("cents", "sum"), ("day_us", "max")]
         )
-        return g.rename_columns(["o_orderstatus", "n", "cents", "day_us"])
-
-    rolled = (
-        ray.data.read_binary_files(out)
-        .map_batches(decode_and_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("o_orderstatus")
-        .aggregate(
-            ray.data.aggregate.Sum("n", alias_name="n_orders"),
-            ray.data.aggregate.Sum("cents", alias_name="total_cents"),
-            ray.data.aggregate.Max("day_us", alias_name="last_day_us"),
-        )
-    )
-
-    def finish(t: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "o_orderstatus": t.column("o_orderstatus"),
-                "n_orders": pc.cast(t.column("n_orders"), pa.int64()),
-                "total_cents": pc.cast(t.column("total_cents"), pa.int64()),
-                "last_orderdate": pc.cast(
-                    pc.cast(t.column("last_day_us"), pa.timestamp("us")),
-                    pa.timestamp("us"),
-                ),
+                "cents": pa.array(cents, pa.int64()),
+                "day": pc.cast(day_us, pa.timestamp("us")),
             }
         )
 
-    return rolled.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
+    return keyed_aggregate(
+        ray.data.read_binary_files(out).map_batches(
+            decode, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "o_orderstatus",
+        {
+            "n_orders": ("cents", "count"),
+            "total_cents": ("cents", "sum"),
+            "last_orderdate": ("day", "max"),
+        },
+    )
 
 
 IPC_ROUNDTRIP_SQL = """
@@ -236,7 +201,6 @@ def orc_roundtrip(sf_dir: str, out_dir: str | None = None) -> "ray.data.Dataset"
     generalizes to any pyarrow-supported columnar format."""
     import hashlib as _hl
 
-    import numpy as np
     import pyarrow.orc as orc
 
     out = _sink_dir("orc", sf_dir, out_dir)
@@ -269,39 +233,25 @@ def orc_roundtrip(sf_dir: str, out_dir: str | None = None) -> "ray.data.Dataset"
             )
         )
 
-    def decode_and_partial(batch: pa.Table) -> pa.Table:
+    def decode(batch: pa.Table) -> pa.Table:
         tables = []
         for raw in batch.column("bytes").to_pylist():
             tables.append(orc.ORCFile(pa.BufferReader(raw)).read())
         t = pa.concat_tables(tables)
         cents = money_cents(t.column("s_acctbal").to_numpy(zero_copy_only=False))
-        g = pa.table(
-            {
-                "s_nationkey": t.column("s_nationkey"),
-                "n": pa.array(np.ones(len(t), np.int64), pa.int64()),
-                "cents": pa.array(cents, pa.int64()),
-            }
-        ).group_by("s_nationkey").aggregate([("n", "sum"), ("cents", "sum")])
-        return g.rename_columns(["s_nationkey", "n", "cents"])
-
-    def finish(t: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "s_nationkey": pc.cast(t.column("s_nationkey"), pa.int64()),
-                "n_suppliers": pc.cast(t.column("n_suppliers"), pa.int64()),
-                "acctbal_cents": pc.cast(t.column("acctbal_cents"), pa.int64()),
+                "cents": pa.array(cents, pa.int64()),
             }
         )
 
-    return (
-        ray.data.read_binary_files(out)
-        .map_batches(decode_and_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("s_nationkey")
-        .aggregate(
-            ray.data.aggregate.Sum("n", alias_name="n_suppliers"),
-            ray.data.aggregate.Sum("cents", alias_name="acctbal_cents"),
-        )
-        .map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
+    return keyed_aggregate(
+        ray.data.read_binary_files(out).map_batches(
+            decode, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "s_nationkey",
+        {"n_suppliers": ("cents", "count"), "acctbal_cents": ("cents", "sum")},
     )
 
 
@@ -331,9 +281,7 @@ def hive_roundtrip(
     the values survived the hop bit-exact.
 
     Scale shape: distributed write (no driver funnel), per-partition
-    directory read fan-out, one narrow partial-agg → 5-group rollup."""
-    import numpy as np
-
+    directory read fan-out, one keyed aggregate → 5-group rollup."""
     out = _sink_dir("hive", sf_dir, out_dir)
     ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "event_type", "value"]
@@ -364,27 +312,13 @@ def hive_roundtrip(
             )
         )
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cents_rows(batch: pa.Table) -> pa.Table:
         cents = money_cents(batch.column("value").to_numpy(zero_copy_only=False))
-        g = pa.table(
-            {
-                "event_type": pc.cast(batch.column("event_type"), pa.string()),
-                "n": pa.array(np.ones(len(batch), np.int64), pa.int64()),
-                "cents": pa.array(cents, pa.int64()),
-                "eid": pc.cast(batch.column("event_id"), pa.int64()),
-            }
-        ).group_by("event_type").aggregate(
-            [("n", "sum"), ("cents", "sum"), ("eid", "max")]
-        )
-        return g.rename_columns(["event_type", "n", "cents", "eid"])
-
-    def finish(t: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "event_type": pc.cast(t.column("event_type"), pa.string()),
-                "n_events": pc.cast(t.column("n_events"), pa.int64()),
-                "total_cents": pc.cast(t.column("total_cents"), pa.int64()),
-                "max_event_id": pc.cast(t.column("max_event_id"), pa.int64()),
+                "event_type": pc.cast(batch.column("event_type"), pa.string()),
+                "cents": pa.array(cents, pa.int64()),
+                "eid": pc.cast(batch.column("event_id"), pa.int64()),
             }
         )
 
@@ -408,16 +342,14 @@ def hive_roundtrip(
             lambda kv: kv.get("event_type") in keep_set,
         ),
     )
-    return (
-        pruned
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("event_type")
-        .aggregate(
-            ray.data.aggregate.Sum("n", alias_name="n_events"),
-            ray.data.aggregate.Sum("cents", alias_name="total_cents"),
-            ray.data.aggregate.Max("eid", alias_name="max_event_id"),
-        )
-        .map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
+    return keyed_aggregate(
+        pruned.map_batches(cents_rows, batch_format="pyarrow", zero_copy_batch=True),
+        "event_type",
+        {
+            "n_events": ("cents", "count"),
+            "total_cents": ("cents", "sum"),
+            "max_event_id": ("eid", "max"),
+        },
     )
 
 
@@ -482,37 +414,21 @@ def compact_roundtrip(
         compact
     )
 
-    def partial(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
+    def cents_rows(batch: pa.Table) -> pa.Table:
         cents = money_cents(batch.column("o_totalprice").to_numpy(zero_copy_only=False))
-        g = pa.table(
-            {
-                "o_orderstatus": batch.column("o_orderstatus"),
-                "n": pa.array(np.ones(len(batch), np.int64), pa.int64()),
-                "cents": pa.array(cents, pa.int64()),
-            }
-        ).group_by("o_orderstatus").aggregate([("n", "sum"), ("cents", "sum")])
-        return g.rename_columns(["o_orderstatus", "n", "cents"])
-
-    def finish(t: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "o_orderstatus": pc.cast(t.column("o_orderstatus"), pa.string()),
-                "n_orders": pc.cast(t.column("n_orders"), pa.int64()),
-                "total_cents": pc.cast(t.column("total_cents"), pa.int64()),
+                "o_orderstatus": pc.cast(batch.column("o_orderstatus"), pa.string()),
+                "cents": pa.array(cents, pa.int64()),
             }
         )
 
-    return (
-        ray.data.read_parquet(compact)
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("o_orderstatus")
-        .aggregate(
-            ray.data.aggregate.Sum("n", alias_name="n_orders"),
-            ray.data.aggregate.Sum("cents", alias_name="total_cents"),
-        )
-        .map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
+    return keyed_aggregate(
+        ray.data.read_parquet(compact).map_batches(
+            cents_rows, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "o_orderstatus",
+        {"n_orders": ("cents", "count"), "total_cents": ("cents", "sum")},
     )
 
 
@@ -545,8 +461,8 @@ def bucketed_join_roundtrip(
 
     Scale shape: two distributed bucketed writes, then B independent
     pruned reads (bucket directories) → map_batches probe with a
-    per-worker build-side cache → bounded (≤ segments × blocks) partial
-    rollup.  The bucket column is derived, carried only in the path."""
+    per-worker build-side cache → one keyed aggregate per market
+    segment.  The bucket column is derived, carried only in the path."""
     import numpy as np
 
     cust_out = _sink_dir("bucket_cust", sf_dir, out_dir and out_dir + "/c")
@@ -608,18 +524,14 @@ def bucketed_join_roundtrip(
             )
             # inner-join semantics: drop orders without a customer row
             hit = [i for i, s in enumerate(segs) if s is not None]
-            t = pa.table(
+            return pa.table(
                 {
                     "c_mktsegment": pa.array(
                         [segs[i] for i in hit], pa.string()
                     ),
-                    "n": pa.array(np.ones(len(hit), np.int64), pa.int64()),
                     "cents": pa.array(cents[hit], pa.int64()),
                 }
-            ).group_by("c_mktsegment").aggregate(
-                [("n", "sum"), ("cents", "sum")]
             )
-            return t.rename_columns(["c_mktsegment", "n", "cents"])
 
         return probe
 
@@ -646,23 +558,10 @@ def bucketed_join_roundtrip(
     ds = parts[0]
     for p in parts[1:]:
         ds = ds.union(p)
-
-    def finish(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "c_mktsegment": pc.cast(t.column("c_mktsegment"), pa.string()),
-                "n_orders": pc.cast(t.column("n_orders"), pa.int64()),
-                "total_cents": pc.cast(t.column("total_cents"), pa.int64()),
-            }
-        )
-
-    return (
-        ds.groupby("c_mktsegment")
-        .aggregate(
-            ray.data.aggregate.Sum("n", alias_name="n_orders"),
-            ray.data.aggregate.Sum("cents", alias_name="total_cents"),
-        )
-        .map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
+    return keyed_aggregate(
+        ds,
+        "c_mktsegment",
+        {"n_orders": ("cents", "count"), "total_cents": ("cents", "sum")},
     )
 
 
@@ -703,10 +602,8 @@ def schema_evolution_roundtrip(
     row-level survival.
 
     Scale shape: two distributed writes, two streaming reads, a
-    zero-copy per-batch projection, one bounded rollup — the union is
+    zero-copy per-batch projection, one keyed aggregate — the union is
     a metadata concat, not a shuffle."""
-    import numpy as np
-
     out = _sink_dir("schemaevo", sf_dir, out_dir)
 
     def v1_filter(batch: pa.Table) -> pa.Table:
@@ -749,44 +646,22 @@ def schema_evolution_roundtrip(
 
     unified = read_aligned("v1").union(read_aligned("v2"))
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cents_rows(batch: pa.Table) -> pa.Table:
         et = batch.column("event_type")
-        et = pc.fill_null(pc.cast(et, pa.string()), "<missing>")
         cents = money_cents(
             batch.column("value").to_numpy(zero_copy_only=False)
         )
-        t = (
-            pa.table(
-                {
-                    "event_type": et,
-                    "n": pa.array(
-                        np.ones(batch.num_rows, np.int64), pa.int64()
-                    ),
-                    "cents": pa.array(cents, pa.int64()),
-                }
-            )
-            .group_by("event_type")
-            .aggregate([("n", "sum"), ("cents", "sum")])
-        )
-        return t.rename_columns(["event_type", "n", "cents"])
-
-    def finish(t: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "event_type": pc.cast(t.column("event_type"), pa.string()),
-                "n_events": pc.cast(t.column("n_events"), pa.int64()),
-                "total_cents": pc.cast(t.column("total_cents"), pa.int64()),
+                "event_type": pc.fill_null(pc.cast(et, pa.string()), "<missing>"),
+                "cents": pa.array(cents, pa.int64()),
             }
         )
 
-    return (
-        unified.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("event_type")
-        .aggregate(
-            ray.data.aggregate.Sum("n", alias_name="n_events"),
-            ray.data.aggregate.Sum("cents", alias_name="total_cents"),
-        )
-        .map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
+    return keyed_aggregate(
+        unified.map_batches(cents_rows, batch_format="pyarrow", zero_copy_batch=True),
+        "event_type",
+        {"n_events": ("cents", "count"), "total_cents": ("cents", "sum")},
     )
 
 
@@ -813,42 +688,30 @@ def wap_publish(sf_dir: str, out_dir: str | None = None) -> "ray.data.Dataset":
     Scale shape: one distributed write, two streaming audit scans
     folding to scalar (count, checksum) pairs, a metadata publish, and
     a published read-back."""
-    import numpy as np
-
     base = _sink_dir("wap", sf_dir, out_dir)
     staging = os.path.join(base, "staging")
     published = os.path.join(base, "published")
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cents_rows(batch: pa.Table) -> pa.Table:
         cents = money_cents(
             batch.column("o_totalprice").to_numpy(zero_copy_only=False)
         )
-        t = (
-            pa.table(
-                {
-                    "o_orderpriority": pc.cast(
-                        batch.column("o_orderpriority"), pa.string()
-                    ),
-                    "n": pa.array(np.ones(len(batch), np.int64), pa.int64()),
-                    "cents": pa.array(cents, pa.int64()),
-                }
-            )
-            .group_by("o_orderpriority")
-            .aggregate([("n", "sum"), ("cents", "sum")])
+        return pa.table(
+            {
+                "o_orderpriority": pc.cast(
+                    batch.column("o_orderpriority"), pa.string()
+                ),
+                "cents": pa.array(cents, pa.int64()),
+            }
         )
-        return t.rename_columns(["o_orderpriority", "n", "cents"])
 
-    rollup = (
+    rollup = keyed_aggregate(
         ray.data.read_parquet(
             f"{sf_dir}/orders.parquet",
             columns=["o_orderpriority", "o_totalprice"],
-        )
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("o_orderpriority")
-        .aggregate(
-            ray.data.aggregate.Sum("n", alias_name="n_orders"),
-            ray.data.aggregate.Sum("cents", alias_name="total_cents"),
-        )
+        ).map_batches(cents_rows, batch_format="pyarrow", zero_copy_batch=True),
+        "o_orderpriority",
+        {"n_orders": ("cents", "count"), "total_cents": ("cents", "sum")},
     )
     rollup.write_parquet(staging)
 
@@ -919,8 +782,6 @@ def codec_roundtrip(sf_dir: str, out_dir: str | None = None) -> "ray.data.Datase
     Scale shape: one streaming pass per write (content-hash shard
     names), one read_parquet + rollup per codec — all existing
     machinery; nothing gathers."""
-    import numpy as np
-
     out_z = _sink_dir("codec_zstd", sf_dir, out_dir and out_dir + "_z")
     out_s = _sink_dir("codec_snappy", sf_dir, out_dir and out_dir + "_s")
 
@@ -943,30 +804,26 @@ def codec_roundtrip(sf_dir: str, out_dir: str | None = None) -> "ray.data.Datase
             )
         )
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cents_rows(batch: pa.Table) -> pa.Table:
         cents = money_cents(
             batch.column("s_acctbal").to_numpy(zero_copy_only=False)
         )
-        g = pa.table(
+        return pa.table(
             {
-                "s_nationkey": batch.column("s_nationkey"),
-                "n": pa.array(np.ones(batch.num_rows, np.int64), pa.int64()),
+                "s_nationkey": pc.cast(batch.column("s_nationkey"), pa.int64()),
                 "cents": pa.array(cents, pa.int64()),
             }
-        ).group_by("s_nationkey").aggregate([("n", "sum"), ("cents", "sum")])
-        return g.rename_columns(["s_nationkey", "n", "cents"])
-
-    import ray.data.aggregate as agg
+        )
 
     outs = []
     for codec, path in (("snappy", out_s), ("zstd", out_z)):
         rolled = (
-            ray.data.read_parquet(path)
-            .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("s_nationkey")
-            .aggregate(
-                agg.Sum("n", alias_name="n_suppliers"),
-                agg.Sum("cents", alias_name="acctbal_cents"),
+            keyed_aggregate(
+                ray.data.read_parquet(path).map_batches(
+                    cents_rows, batch_format="pyarrow", zero_copy_batch=True
+                ),
+                "s_nationkey",
+                {"n_suppliers": ("cents", "count"), "acctbal_cents": ("cents", "sum")},
             )
             .map_batches(
                 lambda b, _c=codec: b.append_column(

@@ -173,10 +173,3 @@ def run_partitioned_extract(
             manifest.mark_completed(pid, metrics)
         manifest.save()
     return manifest
-
-
-def read_output(out_dir: str):
-    """Read back the partitioned output as an Arrow table (tests/driver)."""
-    import pyarrow.dataset as pads
-
-    return pads.dataset(out_dir, partitioning="hive").to_table()

@@ -106,11 +106,6 @@ _RAY_GROUPED = {"aggregate", "count", "sum", "min", "max", "mean", "std", "map_g
 # run a Dataset.groupby.  This list only shrinks: route a site through
 # keyed_aggregate or partitioned_by_key, then delete its entry.
 _RAY_GROUPBY_ALLOWED = {
-    "functions/multimodal.py": frozenset(
-        """
-            media_dedup_dataset
-        """.split()
-    ),
     "functions/relational.py": frozenset(
         """
             _kcore_loop ab_test_report activity_union agg_lineitem
@@ -149,37 +144,6 @@ _RAY_GROUPBY_ALLOWED = {
             value_outliers volume_shipping watermark_hourly
             weekday_hour_heatmap weekday_profile
             weighted_median_discount winsorized_stats
-        """.split()
-    ),
-    "functions/similarity.py": frozenset(
-        """
-            _distributed_rank_reduce embedding_dim_stats
-            embedding_norm_hist gram_matrix kmeans_inertia
-            kmeans_train kmeans_update knn_ivf knn_lsh
-            label_centroids near_dup_embeddings pca_project
-            semdedup_pairs
-        """.split()
-    ),
-    "functions/text.py": frozenset(
-        """
-            _vocab_df bm25_topk bpe_pair_counts bpe_train
-            classifier_logits corpus_mix_report curate_corpus
-            decile_stats doc_frequency docs_rollup dsir_weights
-            dup_ngram_profile heavy_hitters_by_source k_anonymity
-            l_diversity lang_confusion lang_fertility
-            lexical_diversity lm_bigram_score pack_sequences
-            pmi_scores segment_dedup shard_manifest skipgram_counts
-            source_diversity source_vocab_containment t_closeness
-            table_profile token_budget_select unigram_likelihood
-            vocab_build vocab_coverage_curve
-        """.split()
-    ),
-    "sources/formats.py": frozenset(
-        """
-            bucketed_join_roundtrip codec_roundtrip
-            compact_roundtrip csv_roundtrip hive_roundtrip
-            ipc_roundtrip orc_roundtrip schema_evolution_roundtrip
-            wap_publish
         """.split()
     ),
 }
@@ -279,9 +243,7 @@ def test_one_keyed_exchange():
     offenders += [f"stale allow-list entry {m}:{f}" for m, f in sorted(allowed - sites)]
     assert not offenders, offenders
     # Routed modules and operators never come back onto the list.
-    assert not {"functions/dedup.py", "functions/sketches.py", "functions/sampling.py"} & set(
-        _RAY_GROUPBY_ALLOWED
-    )
+    assert set(_RAY_GROUPBY_ALLOWED) == {"functions/relational.py"}
     assert "customers_without_events" not in _RAY_GROUPBY_ALLOWED["functions/relational.py"]
 
 

@@ -4232,6 +4232,28 @@ def test_partitioned_by_key_invariant_to_partition_count(monkeypatch):
             "stratified_sample": sampling.stratified_sample,
         }
     )
+    from go_boilerpipe_ray.functions import similarity
+    from go_boilerpipe_ray.pipelines import queries
+    from go_boilerpipe_ray.sources import formats
+
+    # Natural-key kernels that each handle every key of an exchange
+    # block, and one keyed_aggregate site per routed module.
+    cases.update(
+        {
+            "knn_lsh": similarity.knn_lsh,
+            "knn_ivf": similarity.knn_ivf,
+            "semdedup_pairs": similarity.semdedup_pairs,
+            "knn_brute": similarity.knn_brute,
+            "pack_sequences": text.pack_sequences,
+            "token_budget_select": text.token_budget_select,
+            "vocab_build": text.vocab_build,
+            "source_diversity": text.source_diversity,
+            "lang_fertility": text.lang_fertility,
+            "embedding_norm_hist": similarity.embedding_norm_hist,
+            "csv_roundtrip": formats.csv_roundtrip,
+            "media_dedup": queries.media_dedup,
+        }
+    )
 
     def rows(fn):
         out = fn(SF)
@@ -4245,6 +4267,58 @@ def test_partitioned_by_key_invariant_to_partition_count(monkeypatch):
     monkeypatch.setattr(dedup, "wide_partitions", lambda floor=64: 5)
     for name, fn in cases.items():
         assert rows(fn) == base[name] and base[name], name
+
+
+def test_routed_rollups_keep_columns_on_empty_input(tmp_path):
+    """An exchange over empty input yields no blocks, so a gathered
+    rollup sees a frame with no columns.  Every gathered rollup routed
+    through keyed_aggregate or partitioned_by_key must still return its
+    typed columns, with no rows."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from go_boilerpipe_ray.functions import similarity, text
+
+    for t in ["documents", "embeddings"]:
+        schema = pq.read_schema(f"{SF}/{t}.parquet")
+        pq.write_table(schema.empty_table(), f"{tmp_path}/{t}.parquet")
+    cand = ray.data.from_arrow(
+        pa.table(
+            {
+                "query_id": pa.array([], pa.int64()),
+                "neighbor_id": pa.array([], pa.int64()),
+                "sim": pa.array([], pa.float64()),
+            }
+        )
+    )
+    ops = {
+        "rank_reduce": (
+            lambda _: similarity._distributed_rank_reduce(cand, 3),
+            ["query_id", "neighbor_id", "rank"],
+        ),
+        "embedding_norm_hist": (similarity.embedding_norm_hist, ["bin", "cnt"]),
+        "embedding_dim_stats": (
+            similarity.embedding_dim_stats,
+            ["dim", "n", "sum_q", "min_q", "max_q"],
+        ),
+        "gram_matrix": (similarity.gram_matrix, ["i", "j", "gram"]),
+        "kmeans_update": (similarity.kmeans_update, ["cell", "dim", "s", "n"]),
+        "kmeans_inertia": (similarity.kmeans_inertia, ["cell", "inertia", "n"]),
+        "lang_fertility": (
+            text.lang_fertility,
+            ["lang", "n_tokens", "n_chars", "tokens_per_kchar"],
+        ),
+        "corpus_mix_report": (
+            text.corpus_mix_report,
+            ["source", "lang", "n_docs", "n_tokens", "share_permille"],
+        ),
+        "bpe_pair_counts": (text.bpe_pair_counts, ["pair", "n"]),
+        "doc_frequency": (text.doc_frequency, ["token", "df"]),
+    }
+    for name, (fn, cols) in ops.items():
+        out = fn(str(tmp_path))
+        assert (out.column_names, out.num_rows) == (cols, 0), name
 
 
 def test_late_event_audit_brute_force():

@@ -798,8 +798,6 @@ def _block_state(doc):
 
 _FUSION_AND_DROP = {
     "BlockProximityFusionMaxDistanceOne": filters.block_proximity_fusion_max_distance_one,
-    "BlockProximityFusionMaxDistanceOneSameTagLevel": filters.block_proximity_fusion_max_distance_one_same_tag_level,
-    "BlockProximityFusionMaxDistanceOneContentOnly": filters.block_proximity_fusion_max_distance_one_content_only,
     "BlockProximityFusionMaxDistanceOneContentOnlySameTagLevel": filters.block_proximity_fusion_max_distance_one_content_only_same_tag_level,
     "BoilerplateBlock": filters.BoilerplateBlock,
 }

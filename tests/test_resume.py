@@ -7,14 +7,16 @@ from __future__ import annotations
 
 import os
 
+import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
-from go_boilerpipe_ray.state.manifest import (
-    Manifest,
-    read_output,
-    run_partitioned_extract,
-)
+from go_boilerpipe_ray.state.manifest import Manifest, run_partitioned_extract
 from go_boilerpipe_ray.sources.fixtures import golden7_chunked_table, synthetic7_rows
+
+
+def read_output(out_dir: str):
+    """A run's hive-partitioned output, read back as one Arrow table."""
+    return pads.dataset(out_dir, partitioning="hive").to_table()
 
 
 def _canon(table):

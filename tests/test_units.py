@@ -107,18 +107,6 @@ def test_normurl_root(raw, expected):
     assert normurl.parse(raw).root() == expected
 
 
-def test_normurl_is_child():
-    root = normurl.parse("https://vegasinc.lasvegassun.com/business/real-estate/")
-    ref = normurl.parse(
-        "https://vegasinc.lasvegassun.com/business/real-estate/2017/sep/06/life-is-good-for-home-sellers-not-so-much-for-buye/"
-    )
-    assert normurl.is_child(root, ref)
-    ref2 = normurl.parse(
-        "https://lasvegassun.com/business/real-estate/2017/sep/06/life-is-good-for-home-sellers-not-so-much-for-buye/"
-    )
-    assert normurl.is_child(root, ref2)
-
-
 # -- RFC3339 ----------------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import sys
 import time
+from pathlib import Path
 
 import duckdb
 import pandas as pd
@@ -55,13 +56,15 @@ def dtype_diffs(a: pd.DataFrame, b: pd.DataFrame) -> list[str]:
 def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.001"
     only = set(sys.argv[2:])
+    # One line per query as it finishes, also when redirected to a file.
+    sys.stdout.reconfigure(line_buffering=True)
 
     import ray
 
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=8, include_dashboard=False)
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
     from go_boilerpipe_ray.functions._util import install_empty_block_schema_filter
 
     install_empty_block_schema_filter()
