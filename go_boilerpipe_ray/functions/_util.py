@@ -415,13 +415,13 @@ def batch_distinct_window_hashes(batch, k: int):
 
 
 def ensure_columns(df, columns):
-    """Post-aggregation safety for the columnless empty-groupby frame:
-    ``Dataset.groupby(...).aggregate(...).to_pandas()`` on an EMPTY
-    dataset yields a frame with no columns at all, so any column access
-    raises KeyError.  Returns ``df`` untouched when the columns exist,
-    else an empty frame with exactly ``columns``.  One definition —
-    every bounded to_pandas rollup that then selects columns should go
-    through this."""
+    """Post-aggregation safety for the columnless empty frame: an
+    ``exchange`` over EMPTY input yields no blocks, so the
+    ``to_pandas()`` of a ``keyed_aggregate`` or ``partitioned_by_key``
+    result has no columns at all and any column access raises KeyError.
+    Returns ``df`` untouched when the columns exist, else an empty frame
+    with exactly ``columns``.  One definition — every bounded to_pandas
+    rollup that then selects columns should go through this."""
     import pandas as pd
 
     if all(c in df.columns for c in columns):

@@ -2264,8 +2264,6 @@ def fuzzy_name_pairs(sf_dir: str) -> "ray.data.Dataset":
 
     def verify_kernel(part: pa.Table) -> pa.Table:
         empty = pa.table({"pair": pa.array([], pa.int64())})
-        if part.num_rows == 0:
-            return empty
         vh = part.column("vh").to_numpy(zero_copy_only=False)
         keys = part.column("custkey").to_numpy(zero_copy_only=False)
         if int(keys.max(initial=0)) >= (1 << 31):
@@ -2504,21 +2502,6 @@ def _snm_window_pairs(feats: "ray.data.Dataset", w: int) -> "ray.data.Dataset":
 
     # stage 2: one keyed shuffle assigns exact global ranks + window buckets
     def rank_kernel(part: pa.Table) -> pa.Table:
-        idt = (
-            pa.int64()
-            if pa.types.is_integer(part.schema.field("doc_id").type)
-            else pa.string()
-        )
-        empty = pa.table(
-            {
-                "doc_id": pa.array([], idt),
-                "p": pa.array([], pa.string()),
-                "rank": pa.array([], pa.int64()),
-                "b": pa.array([], pa.int64()),
-            }
-        )
-        if part.num_rows == 0:
-            return empty
         nv, off = ray.get(off_ref)
         doc, idt = _doc_ids(part)
         n = part.column("n").to_numpy(zero_copy_only=False)
@@ -2560,8 +2543,6 @@ def _snm_window_pairs(feats: "ray.data.Dataset", w: int) -> "ray.data.Dataset":
                 "gap": pa.array([], pa.int64()),
             }
         )
-        if part.num_rows == 0:
-            return empty
         doc, idt = _doc_ids(part)
         p = np.asarray(part.column("p").to_pylist(), dtype=object)
         rank = part.column("rank").to_numpy(zero_copy_only=False)
@@ -2726,14 +2707,6 @@ def gram_novelty(sf_dir: str, k: int = 3) -> pa.Table:
     )
 
     def firsts_kernel(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "novel_part": pa.array([], pa.int64()),
-                    "n_sh": pa.array([], pa.int64()),
-                }
-            )
         sh = part.column("shingle").to_numpy(zero_copy_only=False)
         doc = part.column("doc_id").to_numpy(zero_copy_only=False)
         nsh = part.column("n_sh").to_numpy(zero_copy_only=False)
@@ -2759,15 +2732,6 @@ def gram_novelty(sf_dir: str, k: int = 3) -> pa.Table:
     partials = partitioned_by_key(shingles, "shingle", firsts_kernel)
 
     def fold_kernel(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "n_grams": pa.array([], pa.int64()),
-                    "novel": pa.array([], pa.int64()),
-                    "novelty_permille": pa.array([], pa.int64()),
-                }
-            )
         doc = part.column("doc_id").to_numpy(zero_copy_only=False)
         nov = part.column("novel_part").to_numpy(zero_copy_only=False)
         nsh = part.column("n_sh").to_numpy(zero_copy_only=False)

@@ -1,8 +1,10 @@
 """Relational building blocks expressed Ray-Data-first, with DuckDB
 oracles: aggregation with pre-combine, broadcast join, top-k, windowed
-(tumbling) aggregation and sessionization (groupby + map_groups with an
-in-group sort).  These exercise the engine's wide operators on the
-driver's TPC-H-ish tables.
+(tumbling) aggregation and sessionization.  Every grouped aggregate runs
+through ``keyed_aggregate`` and every per-key kernel through
+``partitioned_by_key`` (one sort-and-cut-runs call per exchange block),
+both on the one keyed exchange in ``_util``.  These exercise the
+engine's wide operators on the driver's TPC-H-ish tables.
 """
 
 from __future__ import annotations
@@ -14,7 +16,15 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from ._util import exchange, keyed_aggregate, money_cents, quantile_disc_pick
+from ._util import (
+    ensure_columns,
+    exchange,
+    keyed_aggregate,
+    money_cents,
+    partitioned_by_key,
+    quantile_disc_pick,
+    run_bounds,
+)
 
 
 def _read(sf_dir: str, table: str, columns: list[str]) -> "ray.data.Dataset":
@@ -27,56 +37,39 @@ def _read(sf_dir: str, table: str, columns: list[str]) -> "ray.data.Dataset":
 
 
 def agg_lineitem(sf_dir: str) -> pa.Table:
-    """TPC-H Q1-shaped rollup.  Pattern: per-batch partial aggregation
-    (combiner) inside map_batches, then a tiny groupby on the partials —
-    the full shuffle only moves (group, partial) rows."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = batch.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("l_quantity", "sum"), ("l_extendedprice", "sum"), ("l_orderkey", "count")]
-        )
-        # Select by NAME, not position: pyarrow's key-vs-aggregate column
-        # ordering is version-dependent (older releases emitted aggregates
-        # before keys), and a positional rename would silently mislabel.
-        return pa.table(
-            {
-                "l_returnflag": t.column("l_returnflag"),
-                "l_linestatus": t.column("l_linestatus"),
-                "p_qty": t.column("l_quantity_sum"),
-                "p_price": t.column("l_extendedprice_sum"),
-                "p_count": t.column("l_orderkey_count"),
-            }
-        )
-
+    """TPC-H Q1-shaped rollup through one keyed aggregate: each call
+    pre-combines its rows (combiner), so the exchange only moves
+    (group, partial) rows."""
     ds = _read(
         sf_dir,
         "lineitem",
-        ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_orderkey"],
+        ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice"],
     )
-    partials = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-    from ._util import ensure_columns
-
     final = ensure_columns(
-        partials.groupby(["l_returnflag", "l_linestatus"])
-        .sum(["p_qty", "p_price", "p_count"])
-        .to_pandas(),
-        ["l_returnflag", "l_linestatus", "sum(p_qty)", "sum(p_price)",
-         "sum(p_count)"],
+        keyed_aggregate(
+            ds,
+            ["l_returnflag", "l_linestatus"],
+            {
+                "qty": ("l_quantity", "sum"),
+                "price": ("l_extendedprice", "sum"),
+                "n": ("l_quantity", "count"),
+            },
+        ).to_pandas(),
+        ["l_returnflag", "l_linestatus", "qty", "price", "n"],
     )
-    out = pa.table(
+    return pa.table(
         {
             "l_returnflag": pa.array(final["l_returnflag"], pa.string()),
             "l_linestatus": pa.array(final["l_linestatus"], pa.string()),
             "sum_qty_x100": pa.array(
-                np.round(final["sum(p_qty)"] * 100).astype("int64"), pa.int64()
+                np.round(final["qty"] * 100).astype("int64"), pa.int64()
             ),
             "sum_price_x100": pa.array(
-                np.round(final["sum(p_price)"] * 100).astype("int64"), pa.int64()
+                np.round(final["price"] * 100).astype("int64"), pa.int64()
             ),
-            "n_items": pa.array(final["sum(p_count)"].astype("int64"), pa.int64()),
+            "n_items": pa.array(final["n"].astype("int64"), pa.int64()),
         }
     )
-    return out
 
 
 AGG_LINEITEM_SQL = """
@@ -115,31 +108,14 @@ def top_customers(sf_dir: str, k: int = 10) -> pa.Table:
         joined = pc.fill_null(pc.take(names, idx), "")
         return batch.append_column("c_name", joined)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        # Pre-combine inside the batch (same pattern as agg_lineitem):
-        # the global shuffle then moves (customer, partial) rows, not the
-        # raw order rows.
-        t = batch.group_by(["o_custkey", "c_name"]).aggregate(
-            [("o_totalprice", "sum"), ("o_custkey", "count")]
-        )
-        return pa.table(
-            {
-                "o_custkey": t.column("o_custkey"),
-                "c_name": t.column("c_name"),
-                "p_rev": t.column("o_totalprice_sum"),
-                "p_cnt": t.column("o_custkey_count").cast(pa.int64()),
-            }
-        )
-
     orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     joined = orders.map_batches(join_batch, batch_format="pyarrow", zero_copy_batch=True)
-    per_customer = (
-        joined.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["o_custkey", "c_name"])
-        .aggregate(
-            ray.data.aggregate.Sum("p_rev", alias_name="revenue"),
-            ray.data.aggregate.Sum("p_cnt", alias_name="n_orders"),
-        )
+    # keyed_aggregate pre-combines each call, so the exchange moves
+    # (customer, partial) rows, not the raw order rows.
+    per_customer = keyed_aggregate(
+        joined,
+        ["o_custkey", "c_name"],
+        {"revenue": ("o_totalprice", "sum"), "n_orders": ("o_custkey", "count")},
     )
 
     def local_topk(batch: pa.Table) -> pa.Table:
@@ -152,8 +128,6 @@ def top_customers(sf_dir: str, k: int = 10) -> pa.Table:
             sort_keys=[("revenue", "descending"), ("o_custkey", "ascending")],
         )
         return batch.take(idx)
-
-    from ._util import ensure_columns
 
     agg = ensure_columns(
         per_customer.map_batches(
@@ -192,26 +166,20 @@ LIMIT 10
 
 def hourly_events(sf_dir: str) -> pa.Table:
     """Tumbling 1-hour windows per event type: window key derived
-    vectorized in a narrow stage, then groupby-aggregate."""
+    vectorized in a narrow stage, then one keyed aggregate."""
 
     def add_window(batch: pa.Table) -> pa.Table:
         hour = pc.floor_temporal(batch.column("ts"), unit="hour")
         return batch.append_column("window_start", hour)
 
     ds = _read(sf_dir, "events", ["ts", "event_type", "value"])
-    out = (
-        ds.map_batches(add_window, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["event_type", "window_start"])
-        .aggregate(
-            ray.data.aggregate.Count(alias_name="n_events"),
-            ray.data.aggregate.Sum("value", alias_name="sum_value"),
-        )
-        .to_pandas()
-    )
-    from ._util import ensure_columns
-
     out = ensure_columns(
-        out, ["event_type", "window_start", "n_events", "sum_value"]
+        keyed_aggregate(
+            ds.map_batches(add_window, batch_format="pyarrow", zero_copy_batch=True),
+            ["event_type", "window_start"],
+            {"n_events": ("value", "count"), "sum_value": ("value", "sum")},
+        ).to_pandas(),
+        ["event_type", "window_start", "n_events", "sum_value"],
     )
     return pa.table(
         {
@@ -341,7 +309,7 @@ WINDOW_MINUTES = 60
 def sliding_events(sf_dir: str) -> pa.Table:
     """1-hour windows sliding every 15 minutes, per event type.  Each row
     lands in windows/slide = 4 windows: a vectorized flat-map replicates
-    the row per window start, then a plain groupby-aggregate — no
+    the row per window start, then a plain keyed aggregate — no
     order-dependent state, so the shuffle stays a bounded keyed exchange."""
     slide_us = SLIDE_MINUTES * 60 * 1_000_000
     per_row = WINDOW_MINUTES // SLIDE_MINUTES
@@ -364,19 +332,13 @@ def sliding_events(sf_dir: str) -> pa.Table:
         )
 
     ds = _read(sf_dir, "events", ["ts", "event_type", "value"])
-    out = (
-        ds.map_batches(assign_windows, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["event_type", "window_start"])
-        .aggregate(
-            ray.data.aggregate.Count(alias_name="n_events"),
-            ray.data.aggregate.Sum("value", alias_name="sum_value"),
-        )
-        .to_pandas()
-    )
-    from ._util import ensure_columns
-
     out = ensure_columns(
-        out, ["event_type", "window_start", "n_events", "sum_value"]
+        keyed_aggregate(
+            ds.map_batches(assign_windows, batch_format="pyarrow", zero_copy_batch=True),
+            ["event_type", "window_start"],
+            {"n_events": ("value", "count"), "sum_value": ("value", "sum")},
+        ).to_pandas(),
+        ["event_type", "window_start", "n_events", "sum_value"],
     )
     return pa.table(
         {
@@ -445,13 +407,9 @@ FROM events WHERE event_type = 'click'
 
 
 def distinct_event_types(sf_dir: str) -> "ray.data.Dataset":
-    """Set op: distinct keys via groupby-count (the scalable distinct)."""
-    out = (
-        _read(sf_dir, "events", ["event_type"])
-        .groupby("event_type")
-        .count()
-    )
-    return out.select_columns(["event_type"])
+    """Set op: distinct keys via a keyed aggregate with no aggregates
+    (the scalable distinct)."""
+    return keyed_aggregate(_read(sf_dir, "events", ["event_type"]), "event_type", {})
 
 
 DISTINCT_EVENT_TYPES_SQL = "SELECT DISTINCT event_type FROM events"
@@ -472,8 +430,6 @@ def top_event_per_user(sf_dir: str) -> "ray.data.Dataset":
     per user before the shuffle (like pivot_event_counts); skipped here
     because winner rows are as wide as input rows — the shuffle saves
     nothing unless users repeat within a block."""
-    from ._util import partitioned_by_key, run_bounds
-
     def pick_part(part: pa.Table) -> pa.Table:
         uid = part.column("user_id").to_numpy(zero_copy_only=False)
         vals = part.column("value").to_numpy(zero_copy_only=False)
@@ -704,8 +660,6 @@ def asof_join_events_orders(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    from ._util import partitioned_by_key
-
     return partitioned_by_key(both, "key", probe_part)
 
 
@@ -738,8 +692,6 @@ def range_join_prior_events(sf_dir: str) -> "ray.data.Dataset":
     (run_index · span) so a user's window can never cross into a
     neighbouring run — no per-user Python call, at most min(P, 2 × CPUs)
     kernel calls total."""
-    from ._util import partitioned_by_key, run_bounds
-
     win_us = RANGE_JOIN_HOURS * 3600 * 1_000_000
 
     def probe_part(part: pa.Table) -> pa.Table:
@@ -803,7 +755,7 @@ JOIN events b ON b.user_id = a.user_id
 def running_total(sf_dir: str) -> "ray.data.Dataset":
     """Cumulative sum of order value in global (o_orderdate, o_orderkey)
     order — the classic two-pass distributed scan.  Pass 1 computes one
-    partial sum per date-range bucket (a tiny groupby); the driver turns
+    partial sum per date-range bucket (a tiny keyed aggregate); the driver turns
     those into exclusive prefix offsets (O(#buckets), not O(rows)) and
     broadcasts them; pass 2 cumsums inside each bucket and adds the
     bucket's offset.  No global sort and no O(N) driver state.  Sums are
@@ -835,34 +787,41 @@ def running_total(sf_dir: str) -> "ray.data.Dataset":
         with_bucket, batch_format="pyarrow", zero_copy_batch=True
     )
     # Pass 1: per-bucket totals (small: one row per month).
-    totals = bucketed.groupby("bucket").sum("cents").to_pandas()
-    totals = totals.sort_values("bucket")
+    totals = keyed_aggregate(bucketed, "bucket", {"s": ("cents", "sum")})
+    totals = totals.to_pandas().sort_values("bucket")
     offsets = dict(
         zip(
             totals["bucket"].tolist(),
-            np.concatenate([[0], np.cumsum(totals["sum(cents)"].to_numpy())[:-1]])
+            np.concatenate([[0], np.cumsum(totals["s"].to_numpy())[:-1]])
             .astype(int)
             .tolist(),
         )
     )
     offsets_ref = ray.put(offsets)
 
-    def scan(group: pa.Table) -> pa.Table:
+    def scan(block: pa.Table) -> pa.Table:
         off = ray.get(offsets_ref)
-        ts = group.column("ts_us").to_numpy(zero_copy_only=False)
-        keys = group.column("o_orderkey").to_numpy(zero_copy_only=False)
-        cents = group.column("cents").to_numpy(zero_copy_only=False)
-        order = np.lexsort((keys, ts))
-        run = np.cumsum(cents[order]) + off[int(group.column("bucket")[0].as_py())]
+        bkt = block.column("bucket").to_numpy(zero_copy_only=False)
+        ts = block.column("ts_us").to_numpy(zero_copy_only=False)
+        keys = block.column("o_orderkey").to_numpy(zero_copy_only=False)
+        cents = block.column("cents").to_numpy(zero_copy_only=False)
+        order = np.lexsort((keys, ts, bkt))
+        bkt, cents = bkt[order], cents[order]
+        run = np.cumsum(cents)
+        b = run_bounds(bkt)
+        # Restart the cumsum at each bucket, from the bucket's offset.
+        base = np.array([off[int(x)] for x in bkt[b[:-1]]], np.int64) - (
+            run - cents
+        )[b[:-1]]
         return pa.table(
             {
                 "o_orderkey": pa.array(keys[order], pa.int64()),
-                "running_cents": pa.array(run, pa.int64()),
+                "running_cents": pa.array(run + np.repeat(base, np.diff(b)), pa.int64()),
             }
         )
 
     # Pass 2: in-bucket cumsum + broadcast offset.
-    return bucketed.groupby("bucket").map_groups(scan, batch_format="pyarrow")
+    return partitioned_by_key(bucketed, "bucket", scan)
 
 
 RUNNING_TOTAL_SQL = """
@@ -881,32 +840,21 @@ PERCENTILES_PERMILLE = (100, 250, 500, 750, 900, 990)
 def percentiles_doclen(sf_dir: str) -> pa.Table:
     """Exact discrete quantiles of document length — the corpus-profile
     stat every training pipeline reports.  Pattern: per-batch value
-    counting (map_batches combiner) → ``groupby(value).sum(count)`` →
+    counting (keyed_aggregate's per-call combiner, then its exchange) →
     the driver sees only one row per DISTINCT length (bounded by the max
     document size, not the corpus size; integer-valued columns compress
     ~N→10^5 even at 100 TB), cumsums, and picks the 1-based index
     ``ceil(q*n)`` element — DuckDB ``quantile_disc``'s rule.  No global
     sort and no O(rows) driver state."""
 
-    def partial(batch: pa.Table) -> pa.Table:
-        vc = batch.column("n_chars").value_counts()
-        return pa.table(
-            {
-                "n_chars": vc.field("values"),
-                "cnt": pc.cast(vc.field("counts"), pa.int64()),
-            }
-        )
-
     ds = _read(sf_dir, "documents", ["n_chars"])
     counts = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("n_chars")
-        .sum("cnt")
+        keyed_aggregate(ds, "n_chars", {"cnt": ("n_chars", "count")})
         .to_pandas()
         .sort_values("n_chars")
     )
     vals = counts["n_chars"].to_numpy()
-    cum = np.cumsum(counts["sum(cnt)"].to_numpy())
+    cum = np.cumsum(counts["cnt"].to_numpy())
     out_q: list[int] = []
     out_v: list[int] = []
     for pm in PERCENTILES_PERMILLE:
@@ -933,14 +881,12 @@ PERCENTILES_SQL = "\nUNION ALL\n".join(
 def moving_sum_events(sf_dir: str) -> "ray.data.Dataset":
     """Per-user moving 3-row window over event value (integer cents so
     the float-sum order can't diverge from the oracle).  One shuffle on
-    user_id % P; one kernel per partition computes every user's windows
+    user_id % P; one kernel per exchange block computes every user's windows
     at once — a global cumsum differenced against a per-row window
     floor clamped to the user's run start, so no per-user Python call
     exists anywhere.  Skew note: a hot user concentrates in one
     partition — at crawl scale, salt the key with a coarse time bucket
     and stitch the two edge windows."""
-    from ._util import partitioned_by_key, run_bounds
-
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
 
     def window_part(part: pa.Table) -> pa.Table:
@@ -1311,8 +1257,6 @@ def funnel_stages(sf_dir: str) -> "ray.data.Dataset":
     reductions for ALL users in the partition, no sort and no per-user
     Python call anywhere.  Only (user_id, event_type, ts) rows move,
     pruned at the read."""
-    from ._util import partitioned_by_key
-
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
     INF = np.iinfo(np.int64).max
 
@@ -1372,47 +1316,22 @@ _PIVOT_TYPES = ("view", "click", "purchase", "signup", "error")
 def pivot_event_counts(sf_dir: str) -> "ray.data.Dataset":
     """Per-user event-type count pivot — long-to-wide reshape.
 
-    Combiner-first: each batch pivots LOCALLY to one fixed-width row per
-    user (5 int64 counter columns), so the shuffle moves at most
-    users x blocks partial rows and a hot user pre-combines inside every
-    block; the groupby is a plain multi-column sum with no map_groups."""
+    Each row becomes 5 int64 indicator columns, and one keyed aggregate
+    sums them per user: its per-call combiner pre-combines a hot user,
+    so the exchange moves at most users x calls partial rows."""
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
 
-    def partial_pivot(batch: pa.Table) -> pa.Table:
-        uids = batch.column("user_id").to_numpy(zero_copy_only=False)
-        et = np.asarray(batch.column("event_type").to_pylist())
-        uniq, inv = np.unique(uids, return_inverse=True)
-        cols: dict[str, pa.Array] = {"user_id": pa.array(uniq, pa.int64())}
+    def indicators(batch: pa.Table) -> pa.Table:
+        et = batch.column("event_type")
+        cols = {"user_id": batch.column("user_id")}
         for name in _PIVOT_TYPES:
-            cnt = np.zeros(len(uniq), dtype=np.int64)
-            np.add.at(cnt, inv[et == name], 1)
-            cols[f"p_{name}"] = pa.array(cnt, pa.int64())
+            cols[name] = pc.cast(pc.equal(et, name), pa.int64())
         return pa.table(cols)
 
-    def cast_counts(batch: pa.Table) -> pa.Table:
-        # Normalize aggregate dtypes to int64 in a streaming stage — the
-        # per-user result is UNBOUNDED (one row per user), so it must
-        # never round-trip through the driver as pandas.
-        return pa.table(
-            {
-                "user_id": pc.cast(batch.column("user_id"), pa.int64()),
-                **{
-                    f"n_{name}": pc.cast(batch.column(f"n_{name}"), pa.int64())
-                    for name in _PIVOT_TYPES
-                },
-            }
-        )
-
-    return (
-        ds.map_batches(partial_pivot, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("user_id")
-        .aggregate(
-            *[
-                ray.data.aggregate.Sum(f"p_{name}", alias_name=f"n_{name}")
-                for name in _PIVOT_TYPES
-            ]
-        )
-        .map_batches(cast_counts, batch_format="pyarrow", zero_copy_batch=True)
+    return keyed_aggregate(
+        ds.map_batches(indicators, batch_format="pyarrow", zero_copy_batch=True),
+        "user_id",
+        {f"n_{name}": (name, "sum") for name in _PIVOT_TYPES},
     )
 
 
@@ -1439,8 +1358,6 @@ def user_event_seq(sf_dir: str) -> "ray.data.Dataset":
     The join itself is one str.join per user run over a pre-sorted
     object array — the only per-key step left, and it allocates no
     Arrow table and crosses no task boundary per key."""
-    from ._util import partitioned_by_key, run_bounds
-
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts", "event_id"])
 
     def concat_part(part: pa.Table) -> pa.Table:
@@ -1476,11 +1393,9 @@ def event_transitions(sf_dir: str) -> pa.Table:
     The per-partition pass emits PARTIAL transition counts (≤ types²
     rows per user_id % P partition — one vectorized bincount over coded
     consecutive pairs, not a Python Counter per user), then one tiny
-    groupby-sum rolls them up — the hot pair ("view"→"view")
+    keyed aggregate rolls them up — the hot pair ("view"→"view")
     pre-combines inside every partition, so the second shuffle moves
     bounded fixed-width rows no matter how long the streams are."""
-    from ._util import partitioned_by_key
-
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts", "event_id"])
 
     def partial_transitions(part: pa.Table) -> pa.Table:
@@ -1503,17 +1418,14 @@ def event_transitions(sf_dir: str) -> pa.Table:
             }
         )
 
-    out = (
-        partitioned_by_key(ds, "user_id", partial_transitions)
-        .groupby(["from_type", "to_type"])
-        .aggregate(ray.data.aggregate.Sum("cnt_part", alias_name="cnt"))
-        .to_pandas()
-    )
-    from ._util import ensure_columns
-
-    out = ensure_columns(out, ["from_type", "to_type", "cnt"]).sort_values(
-        ["from_type", "to_type"]
-    )
+    out = ensure_columns(
+        keyed_aggregate(
+            partitioned_by_key(ds, "user_id", partial_transitions),
+            ["from_type", "to_type"],
+            {"cnt": ("cnt_part", "sum")},
+        ).to_pandas(),
+        ["from_type", "to_type", "cnt"],
+    ).sort_values(["from_type", "to_type"])
     return pa.table(
         {
             "from_type": pa.array(out["from_type"], pa.string()),
@@ -1541,53 +1453,49 @@ FROM seq WHERE prev IS NOT NULL GROUP BY 1, 2
 def grouped_percentiles(sf_dir: str) -> pa.Table:
     """Exact discrete quantiles of the value column PER event type (in
     cents) — percentiles_doclen generalized to grouped data.  Same
-    distinct-value combiner: per-batch (type, cents, count) rollup, one
-    keyed shuffle of those partials, then a per-type cumsum pick of the
-    ceil(q·n) element inside map_groups.  The driver never sees row
-    data; each group's table is one row per DISTINCT cent value."""
+    distinct-value combiner: one keyed aggregate counts (type, cents),
+    then one kernel per exchange block picks the ceil(q·n) element from
+    each type's cumsum.  The driver never sees row data; each type's
+    run is one row per DISTINCT cent value."""
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def with_cents(batch: pa.Table) -> pa.Table:
         v = batch.column("value").to_numpy(zero_copy_only=False)
-        cents = money_cents(v)
-        t = pa.table(
-            {"event_type": batch.column("event_type"),
-             "cents": pa.array(cents, pa.int64())}
-        )
-        g = t.group_by(["event_type", "cents"]).aggregate([("cents", "count")])
         return pa.table(
             {
-                "event_type": g.column("event_type"),
-                "cents": g.column("cents"),
-                "cnt": pc.cast(g.column("cents_count"), pa.int64()),
+                "event_type": batch.column("event_type"),
+                "cents": pa.array(money_cents(v), pa.int64()),
             }
         )
 
-    def pick(group: pa.Table) -> pa.Table:
-        et = group.column("event_type")[0].as_py()
-        order = pc.sort_indices(group, sort_keys=[("cents", "ascending")])
-        g = group.take(order)
+    def pick(block: pa.Table) -> pa.Table:
+        g = block.sort_by([("event_type", "ascending"), ("cents", "ascending")])
+        et = np.asarray(g.column("event_type").to_pylist(), dtype=object)
         vals = g.column("cents").to_numpy(zero_copy_only=False)
-        cum = np.cumsum(g.column("cnt").to_numpy(zero_copy_only=False))
-        rows_q, rows_v = [], []
-        for pm in PERCENTILES_PERMILLE:
-            rows_q.append(pm)
-            rows_v.append(quantile_disc_pick(vals, cum, pm))
+        cnt = g.column("cnt").to_numpy(zero_copy_only=False)
+        b = run_bounds(et)
+        rows_t, rows_q, rows_v = [], [], []
+        for s, e in zip(b[:-1], b[1:]):
+            cum = np.cumsum(cnt[s:e])
+            for pm in PERCENTILES_PERMILLE:
+                rows_t.append(et[s])
+                rows_q.append(pm)
+                rows_v.append(quantile_disc_pick(vals[s:e], cum, pm))
         return pa.table(
             {
-                "event_type": pa.array([et] * len(rows_q), pa.string()),
+                "event_type": pa.array(rows_t, pa.string()),
                 "q_permille": pa.array(rows_q, pa.int64()),
                 "cents_value": pa.array(rows_v, pa.int64()),
             }
         )
 
     ds = _read(sf_dir, "events", ["event_type", "value"])
+    counts = keyed_aggregate(
+        ds.map_batches(with_cents, batch_format="pyarrow", zero_copy_batch=True),
+        ["event_type", "cents"],
+        {"cnt": ("cents", "count")},
+    )
     return (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["event_type", "cents"])
-        .sum("cnt")
-        .rename_columns({"sum(cnt)": "cnt"})
-        .groupby("event_type")
-        .map_groups(pick, batch_format="pyarrow")
+        partitioned_by_key(counts, "event_type", pick)
         .to_pandas()
         .sort_values(["event_type", "q_permille"])
         .pipe(pa.Table.from_pandas, preserve_index=False)
@@ -1630,8 +1538,6 @@ def retention_cohorts(sf_dir: str) -> pa.Table:
         """All users in the partition at once: distinct (user, week)
         rows via sort + change mask, cohort = each user run's first
         week, delta vectorized against the run-start broadcast."""
-        from ._util import run_bounds
-
         uid = part.column("user_id").to_numpy(zero_copy_only=False)
         wk = pc.cast(part.column("wk"), pa.int64()).to_numpy(zero_copy_only=False)
         order = np.lexsort((wk, uid))
@@ -1651,29 +1557,16 @@ def retention_cohorts(sf_dir: str) -> pa.Table:
             }
         )
 
-    def partial_counts(batch: pa.Table) -> pa.Table:
-        g = batch.group_by(["cohort_week", "week_delta"]).aggregate(
-            [("user_id", "count")]
-        )
-        return pa.table(
-            {
-                "cohort_week": g.column("cohort_week"),
-                "week_delta": g.column("week_delta"),
-                "n_part": pc.cast(g.column("user_id_count"), pa.int64()),
-            }
-        )
-
-    from ._util import partitioned_by_key
-
     out = (
-        partitioned_by_key(
-            ds.map_batches(add_week, batch_format="pyarrow", zero_copy_batch=True),
-            "user_id",
-            user_deltas_part,
+        keyed_aggregate(
+            partitioned_by_key(
+                ds.map_batches(add_week, batch_format="pyarrow", zero_copy_batch=True),
+                "user_id",
+                user_deltas_part,
+            ),
+            ["cohort_week", "week_delta"],
+            {"n_users": ("user_id", "count")},
         )
-        .map_batches(partial_counts, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["cohort_week", "week_delta"])
-        .aggregate(ray.data.aggregate.Sum("n_part", alias_name="n_users"))
         .to_pandas()
         .sort_values(["cohort_week", "week_delta"])
     )
@@ -1774,18 +1667,16 @@ def revenue_by_nation(sf_dir: str) -> pa.Table:
     def to_nation(batch: pa.Table) -> pa.Table:
         keys, names = ray.get(dim_ref)
         idx = pc.index_in(batch.column("o_custkey"), value_set=keys)
-        t = pa.table(
-            {"n_name": pc.take(names, idx), "rev_cents": batch.column("rev_cents")}
-        )
-        g = t.group_by("n_name").aggregate([("rev_cents", "sum")])
         return pa.table(
-            {"n_name": g.column("n_name"), "p_rev": g.column("rev_cents_sum")}
+            {"n_name": pc.take(names, idx), "rev_cents": batch.column("rev_cents")}
         )
 
     out = (
-        joined.map_batches(to_nation, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("n_name")
-        .aggregate(ray.data.aggregate.Sum("p_rev", alias_name="revenue_cents"))
+        keyed_aggregate(
+            joined.map_batches(to_nation, batch_format="pyarrow", zero_copy_batch=True),
+            "n_name",
+            {"revenue_cents": ("rev_cents", "sum")},
+        )
         .to_pandas()
         .sort_values("n_name")
     )
@@ -1832,43 +1723,29 @@ def percent_rank_events(sf_dir: str) -> "ray.data.Dataset":
     2. One keyed shuffle co-locating each (type, bucket); a vectorized
        per-partition kernel lexsorts, assigns within-bucket local ranks
        via run boundaries, and adds the broadcast offset.  UDF calls
-       are bounded by wide_partitions(); every group a task sees is at
+       number at most min(P, 2 × CPUs); every group a task sees is at
        most one bucket's rows, not one type's."""
-    from ._util import money_cents, partitioned_by_key
-
     ds = _read(sf_dir, "events", ["event_id", "event_type", "value"])
 
     # -- stage 1: bounded histogram -> offsets + totals, broadcast once
-    def bucket_counts(batch: pa.Table) -> pa.Table:
+    def with_bucket(batch: pa.Table) -> pa.Table:
         bucket = money_cents(
             batch.column("value").to_numpy(zero_copy_only=False)
         ) // 100
-        t = pa.table(
+        return pa.table(
             {
                 "event_type": batch.column("event_type"),
                 "bucket": pa.array(bucket, pa.int64()),
             }
         )
-        g = t.group_by(["event_type", "bucket"]).aggregate([([], "count_all")])
-        return pa.table(
-            {
-                "event_type": g.column("event_type"),
-                "bucket": g.column("bucket"),
-                "n_part": pc.cast(g.column("count_all"), pa.int64()),
-            }
-        )
-
-    hist = (
-        ds.map_batches(bucket_counts, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["event_type", "bucket"])
-        .sum("n_part")
-        .rename_columns({"sum(n_part)": "n_part"})
-        .to_pandas()  # bounded: types x value-range units, not rows
-    )
-    from ._util import ensure_columns
 
     hist = ensure_columns(
-        hist, ["event_type", "bucket", "n_part"]
+        keyed_aggregate(
+            ds.map_batches(with_bucket, batch_format="pyarrow", zero_copy_batch=True),
+            ["event_type", "bucket"],
+            {"n_part": ("bucket", "count")},
+        ).to_pandas(),  # bounded: types x value-range units, not rows
+        ["event_type", "bucket", "n_part"],
     ).sort_values(["event_type", "bucket"])
     types = sorted(hist["event_type"].unique())
     tcode = {t: i for i, t in enumerate(types)}
@@ -2014,8 +1891,6 @@ def event_throttle(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    from ._util import partitioned_by_key
-
     ds = _read(sf_dir, "events", ["event_id", "user_id", "event_type", "ts"])
     bucketed = ds.map_batches(
         add_bucket, batch_format="pyarrow", zero_copy_batch=True
@@ -2048,7 +1923,7 @@ def salted_event_stats(sf_dir: str) -> "ray.data.Dataset":
     (the north rule calls for explicit skew handling; a web corpus's
     "click" key can be 100x every other key).
 
-    Stage 1 pre-combines per batch, then shuffles on (event_type, salt)
+    Stage 1 pre-combines per call, then shuffles on (event_type, salt)
     where salt = event_id % SALT_BUCKETS: a hot key's rows spread over
     SALT_BUCKETS reducers instead of one.  Stage 2 re-shuffles only the
     O(#keys x SALT_BUCKETS) stage-1 rows on event_type — a few hundred
@@ -2056,71 +1931,35 @@ def salted_event_stats(sf_dir: str) -> "ray.data.Dataset":
     (floor(x*100+0.5), the cross-engine-exact convention) so the sum is
     associativity-exact against the SQL oracle."""
 
-    def partial(batch: pa.Table) -> pa.Table:
-        enc = batch.column("event_type").combine_chunks().dictionary_encode()
-        # Null event_type rows form their OWN group (SQL GROUP BY keeps a
-        # NULL group): give them the code one past the dictionary instead
-        # of letting a null index turn into INT64_MIN garbage.
-        null_code = len(enc.dictionary)
-        codes = (
-            enc.indices.fill_null(null_code)
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        salt = (
-            batch.column("event_id").to_numpy(zero_copy_only=False)
-            % SALT_BUCKETS
-        )
-        cents = money_cents(
-            batch.column("value").to_numpy(zero_copy_only=False)
-        )
-        # Vectorized combiner: composite (type-code, salt) key -> bincount.
-        key = codes * SALT_BUCKETS + salt
-        size = (null_code + 1) * SALT_BUCKETS
-        n = np.bincount(key, minlength=size)
-        s = np.zeros(size, np.int64)
-        np.add.at(s, key, cents)  # exact int64 scatter-add
-        nz = np.flatnonzero(n)
-        # NULL rides the shuffle as a reserved marker (Ray's sort-based
-        # groupby cannot order None against str); decoded back after the
-        # final rollup.
-        names = pa.concat_arrays(
-            [enc.dictionary.cast(pa.string()), pa.array(["\x00"], pa.string())]
-        )
+    def with_salt(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "event_type": names.take(pa.array(nz // SALT_BUCKETS)),
-                "salt": pa.array(nz % SALT_BUCKETS, pa.int64()),
-                "n_part": pa.array(n[nz], pa.int64()),
-                "sum_part": pa.array(s[nz], pa.int64()),
+                "event_type": batch.column("event_type"),
+                "salt": pa.array(
+                    batch.column("event_id").to_numpy(zero_copy_only=False)
+                    % SALT_BUCKETS,
+                    pa.int64(),
+                ),
+                "cents": pa.array(
+                    money_cents(batch.column("value").to_numpy(zero_copy_only=False)),
+                    pa.int64(),
+                ),
             }
         )
 
-    salted = (
-        _read(sf_dir, "events", ["event_id", "event_type", "value"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["event_type", "salt"])
-        .aggregate(
-            ray.data.aggregate.Sum("n_part", alias_name="n_s"),
-            ray.data.aggregate.Sum("sum_part", alias_name="sum_s"),
-        )
+    # A NULL event_type is its own group (SQL GROUP BY keeps one), and
+    # Arrow's group_by keeps it too.
+    salted = keyed_aggregate(
+        _read(sf_dir, "events", ["event_id", "event_type", "value"]).map_batches(
+            with_salt, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        ["event_type", "salt"],
+        {"n_s": ("cents", "count"), "sum_s": ("cents", "sum")},
     )
-    def decode_null(batch: pa.Table) -> pa.Table:
-        et = batch.column("event_type")
-        decoded = pc.if_else(
-            pc.equal(et, "\x00"), pa.scalar(None, pa.string()), et
-        )
-        return batch.set_column(
-            batch.schema.get_field_index("event_type"), "event_type", decoded
-        )
-
-    return (
-        salted.groupby("event_type")
-        .aggregate(
-            ray.data.aggregate.Sum("n_s", alias_name="n_events"),
-            ray.data.aggregate.Sum("sum_s", alias_name="sum_cents"),
-        )
-        .map_batches(decode_null, batch_format="pyarrow", zero_copy_batch=True)
+    return keyed_aggregate(
+        salted,
+        "event_type",
+        {"n_events": ("n_s", "sum"), "sum_cents": ("sum_s", "sum")},
     )
 
 
@@ -2140,11 +1979,9 @@ def user_interarrival(sf_dir: str) -> "ray.data.Dataset":
     """Per-user event inter-arrival stats (gap count / sum / max in
     microseconds) — the burstiness profile rate-limiting and bot
     detection read.  Same shape as sessionize: one shuffle keyed on
-    user_id % P, one numpy kernel per partition — every user's gap
+    user_id % P, one numpy kernel per exchange block — every user's gap
     stats come from a single sort + masked diff + scatter-reduce, no
     per-user Python call."""
-    from ._util import partitioned_by_key, run_bounds
-
     def gaps_part(part: pa.Table) -> pa.Table:
         uid = part.column("user_id").to_numpy(zero_copy_only=False)
         ts = pc.cast(part.column("ts"), pa.int64()).to_numpy(zero_copy_only=False)
@@ -2197,65 +2034,36 @@ FROM ordered GROUP BY user_id
 
 def dominant_event_type(sf_dir: str) -> "ray.data.Dataset":
     """Mode per group: each user's most frequent event_type (ties broken
-    lexicographically).  Two-stage: a vectorized per-batch combiner
-    collapses raw events to (user, type, partial count) rows, a
-    groupby((user, type)) sums the bounded partials, and a
-    partition-vectorized per-user argmax picks the winner (one lexsort
-    kernel per user_id % P partition, not one Python call per user) —
-    the raw event stream crosses the wire only as pre-aggregated
-    counts.
-
-    NULL event_type rides the shuffle as U+10FFFF (Ray's sort-based
-    groupby cannot order None against str, and the tie-break compare
-    would TypeError); the max code point sorts AFTER every real type in
-    both numpy and DuckDB's UTF-8 collation, matching the oracle's
-    NULLS LAST tie order, and is decoded back at output."""
-    from ._util import partitioned_by_key, run_bounds
-
-    _NULL_MARK = "\U0010ffff"
-
-    def partial(batch: pa.Table) -> pa.Table:
-        agg = (
-            batch.select(["user_id", "event_type"])
-            .group_by(["user_id", "event_type"])
-            .aggregate([([], "count_all")])
-        )
-        return pa.table(
-            {
-                "user_id": agg.column("user_id"),
-                "event_type": pc.fill_null(
-                    agg.column("event_type"), _NULL_MARK
-                ),
-                "n_part": pc.cast(agg.column("count_all"), pa.int64()),
-            }
-        )
+    lexicographically, NULL last as in the oracle).  Two-stage: a keyed
+    aggregate counts (user, type) rows, and a partition-vectorized
+    per-user argmax picks the winner (one sort kernel per exchange
+    block, not one Python call per user) — the raw event stream crosses
+    the wire only as pre-aggregated counts."""
 
     def argmax_part(part: pa.Table) -> pa.Table:
-        uid = part.column("user_id").to_numpy(zero_copy_only=False)
-        n = part.column("n").to_numpy(zero_copy_only=False)
-        types = np.asarray(part.column("event_type").to_pylist(), dtype=object)
-        order = np.lexsort((types, -n, uid))
-        uid, n, types = uid[order], n[order], types[order]
-        first = run_bounds(uid)[:-1]
-        win = types[first]
+        order = pc.sort_indices(
+            part,
+            sort_keys=[
+                ("user_id", "ascending"),
+                ("n", "descending"),
+                ("event_type", "ascending"),
+            ],
+            null_placement="at_end",
+        )
+        part = part.take(order)
+        first = run_bounds(part.column("user_id").to_numpy(zero_copy_only=False))[:-1]
         return pa.table(
             {
-                "user_id": pa.array(uid[first], pa.int64()),
-                "event_type": pc.if_else(
-                    pc.equal(pa.array(win, pa.string()), _NULL_MARK),
-                    pa.scalar(None, pa.string()),
-                    pa.array(win, pa.string()),
-                ),
-                "n_events": pa.array(n[first], pa.int64()),
+                "user_id": part.column("user_id").take(first),
+                "event_type": part.column("event_type").take(first),
+                "n_events": part.column("n").take(first),
             }
         )
 
-    counts = (
-        _read(sf_dir, "events", ["user_id", "event_type"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["user_id", "event_type"])
-        .sum("n_part")
-        .rename_columns({"sum(n_part)": "n"})
+    counts = keyed_aggregate(
+        _read(sf_dir, "events", ["user_id", "event_type"]),
+        ["user_id", "event_type"],
+        {"n": ("user_id", "count")},
     )
     return partitioned_by_key(counts, "user_id", argmax_part)
 
@@ -2285,10 +2093,7 @@ def label_text_stats(sf_dir: str) -> "ray.data.Dataset":
     embeddings table (doc_id = vec_id) — the enrichment join a
     curation pipeline runs to profile text volume per cluster/label.
     Large-large, so it goes through the general repartition join (one
-    keyed shuffle per side), then a per-batch combiner + tiny
-    groupby(label) rollup."""
-    import ray.data
-
+    keyed shuffle per side), then a tiny keyed aggregate on label."""
     docs = _read(sf_dir, "documents", ["doc_id", "n_chars"])
     emb = _read(sf_dir, "embeddings", ["vec_id", "label"])
     joined = repartition_join(
@@ -2301,25 +2106,10 @@ def label_text_stats(sf_dir: str) -> "ray.data.Dataset":
         how="inner",
     )
 
-    def partial(batch: pa.Table) -> pa.Table:
-        agg = batch.group_by("label").aggregate(
-            [([], "count_all"), ("n_chars", "sum")]
-        )
-        return pa.table(
-            {
-                "label": pc.cast(agg.column("label"), pa.int64()),
-                "d_part": pc.cast(agg.column("count_all"), pa.int64()),
-                "c_part": pc.cast(agg.column("n_chars_sum"), pa.int64()),
-            }
-        )
-
-    return (
-        joined.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("label")
-        .aggregate(
-            ray.data.aggregate.Sum("d_part", alias_name="n_docs"),
-            ray.data.aggregate.Sum("c_part", alias_name="sum_chars"),
-        )
+    return keyed_aggregate(
+        joined,
+        "label",
+        {"n_docs": ("label", "count"), "sum_chars": ("n_chars", "sum")},
     )
 
 
@@ -2421,9 +2211,10 @@ def shipping_priority(sf_dir: str, k: int = Q3_TOPK) -> pa.Table:
         [("o_orderkey", pa.int64()), ("o_date_us", pa.int64())],
         how="inner",
     )
-    per_order = joined.groupby("o_orderkey").aggregate(
-        ray.data.aggregate.Sum("rev_cents", alias_name="revenue_cents"),
-        ray.data.aggregate.Min("o_date_us", alias_name="date_us"),
+    per_order = keyed_aggregate(
+        joined,
+        "o_orderkey",
+        {"revenue_cents": ("rev_cents", "sum"), "date_us": ("o_date_us", "min")},
     )
 
     def local_topk(batch: pa.Table) -> pa.Table:
@@ -2505,19 +2296,8 @@ def returned_order_priority(sf_dir: str) -> "ray.data.Dataset":
         how="semi",
     )
 
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.group_by("o_orderpriority").aggregate([([], "count_all")])
-        return pa.table(
-            {
-                "o_orderpriority": g.column("o_orderpriority"),
-                "n_part": pc.cast(g.column("count_all"), pa.int64()),
-            }
-        )
-
-    return (
-        semi.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("o_orderpriority")
-        .aggregate(ray.data.aggregate.Sum("n_part", alias_name="n_orders"))
+    return keyed_aggregate(
+        semi, "o_orderpriority", {"n_orders": ("o_orderpriority", "count")}
     )
 
 
@@ -2539,9 +2319,10 @@ def revenue_by_brand(sf_dir: str) -> "ray.data.Dataset":
     """Revenue and item count per part brand: lineitem ⋈ part on partkey.
     part is the dimension side — broadcast ONCE via ray.put and probed
     with a vectorized index_in per batch (never a shuffle of lineitem
-    by partkey); per-batch partials collapse to the brand grain before
-    the O(#brands) rollup.  Revenue in exact integer cents, same rule
-    as every pricing operator (floor(x*100+0.5))."""
+    by partkey); one keyed aggregate collapses to the brand grain, its
+    per-call combiner keeping the exchange at O(#brands) rows a call.
+    Revenue in exact integer cents, same rule as every pricing operator
+    (floor(x*100+0.5))."""
     import pyarrow.parquet as pq
 
     part = pq.read_table(
@@ -2565,29 +2346,19 @@ def revenue_by_brand(sf_dir: str) -> "ray.data.Dataset":
         price = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)[keep]
         disc = batch.column("l_discount").to_numpy(zero_copy_only=False)[keep]
         cents = money_cents(price * (1 - disc))
-        t = pa.table(
+        return pa.table(
             {
                 "p_brand": pc.take(brands, idx),
                 "rev": pa.array(cents, pa.int64()),
             }
         )
-        g = t.group_by("p_brand").aggregate([("rev", "sum"), ([], "count_all")])
-        return pa.table(
-            {
-                "p_brand": g.column("p_brand"),
-                "r_part": g.column("rev_sum"),
-                "n_part": pc.cast(g.column("count_all"), pa.int64()),
-            }
-        )
 
-    return (
-        _read(sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_discount"])
-        .map_batches(to_brand, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("p_brand")
-        .aggregate(
-            ray.data.aggregate.Sum("r_part", alias_name="revenue_cents"),
-            ray.data.aggregate.Sum("n_part", alias_name="n_items"),
-        )
+    return keyed_aggregate(
+        _read(
+            sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_discount"]
+        ).map_batches(to_brand, batch_format="pyarrow", zero_copy_batch=True),
+        "p_brand",
+        {"revenue_cents": ("rev", "sum"), "n_items": ("rev", "count")},
     )
 
 
@@ -2647,29 +2418,19 @@ def supplier_region_stats(sf_dir: str) -> "ray.data.Dataset":
         idx = idx.take(pa.array(keep, pa.int64()))
         bal = batch.column("s_acctbal").to_numpy(zero_copy_only=False)[keep]
         cents = money_cents(bal)
-        t = pa.table(
+        return pa.table(
             {
                 "r_name": pc.take(names, idx),
                 "bal": pa.array(cents, pa.int64()),
             }
         )
-        g = t.group_by("r_name").aggregate([("bal", "sum"), ([], "count_all")])
-        return pa.table(
-            {
-                "r_name": g.column("r_name"),
-                "b_part": g.column("bal_sum"),
-                "n_part": pc.cast(g.column("count_all"), pa.int64()),
-            }
-        )
 
-    return (
-        _read(sf_dir, "supplier", ["s_nationkey", "s_acctbal"])
-        .map_batches(to_region, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("r_name")
-        .aggregate(
-            ray.data.aggregate.Sum("n_part", alias_name="n_suppliers"),
-            ray.data.aggregate.Sum("b_part", alias_name="balance_cents"),
-        )
+    return keyed_aggregate(
+        _read(sf_dir, "supplier", ["s_nationkey", "s_acctbal"]).map_batches(
+            to_region, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "r_name",
+        {"n_suppliers": ("bal", "count"), "balance_cents": ("bal", "sum")},
     )
 
 
@@ -2754,13 +2515,11 @@ ZORDER_KEYS_SQL = _zorder_sql()
 def session_stats(sf_dir: str) -> "ray.data.Dataset":
     """Per-SESSION rows — sessionize's detailed sibling: each (user,
     session) with its event count and wall duration.  Same single
-    shuffle keyed on user_id % P; one kernel per partition splits EVERY
+    shuffle keyed on user_id % P; one kernel per exchange block splits EVERY
     user's stream at once — a session starts at each user boundary or
     same-user gap > 30 min, so session ids are one global cumsum and
     per-session stats are bincount / boundary picks (no per-user
     Python call)."""
-    from ._util import partitioned_by_key
-
     gap_us = SESSION_GAP_MINUTES * 60 * 1_000_000
 
     def sessions_part(part: pa.Table) -> pa.Table:
@@ -2847,7 +2606,7 @@ def value_outliers(sf_dir: str) -> "ray.data.Dataset":
 
     ds = _read(sf_dir, "events", ["event_id", "event_type", "value"])
 
-    def stats_partial(batch: pa.Table) -> pa.Table:
+    def squares(batch: pa.Table) -> pa.Table:
         cents = money_cents(
             batch.column("value").to_numpy(zero_copy_only=False)
         )
@@ -2858,35 +2617,19 @@ def value_outliers(sf_dir: str) -> "ray.data.Dataset":
             len(cents) == 0
             or abs(int(cents.max(initial=0))) < 3_000_000_000
         ), "cents too large for int64 square-sum"
-        t = pa.table(
+        return pa.table(
             {
                 "event_type": batch.column("event_type"),
                 "c": pa.array(cents, pa.int64()),
                 "c2": pa.array(cents * cents, pa.int64()),
             }
         )
-        g = t.group_by("event_type").aggregate(
-            [([], "count_all"), ("c", "sum"), ("c2", "sum")]
-        )
-        return pa.table(
-            {
-                "event_type": g.column("event_type"),
-                "n_p": pc.cast(g.column("count_all"), pa.int64()),
-                "s_p": g.column("c_sum"),
-                "q_p": g.column("c2_sum"),
-            }
-        )
 
-    stats = (
-        ds.map_batches(stats_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("event_type")
-        .aggregate(
-            ray.data.aggregate.Sum("n_p", alias_name="n"),
-            ray.data.aggregate.Sum("s_p", alias_name="s"),
-            ray.data.aggregate.Sum("q_p", alias_name="ssq"),
-        )
-        .to_pandas()  # bounded: one row per event_type
-    )
+    stats = keyed_aggregate(
+        ds.map_batches(squares, batch_format="pyarrow", zero_copy_batch=True),
+        "event_type",
+        {"n": ("c", "count"), "s": ("c", "sum"), "ssq": ("c2", "sum")},
+    ).to_pandas()  # bounded: one row per event_type
     lut = {}
     for r in stats.itertuples():
         n, s, ssq = int(r.n), int(r.s), int(r.ssq)
@@ -2941,9 +2684,9 @@ def promo_revenue(sf_dir: str) -> "ray.data.Dataset":
     """Share of revenue from PROMO-type parts per ship month (the Q14
     shape).  part is the dimension side — its (partkey, is-promo) pair is
     broadcast ONCE via ray.put and probed vectorized per lineitem batch;
-    the per-batch partial collapses to the ~84-month grain before the
-    O(#months) rollup, so the shuffle moves a few rows per block no
-    matter how large lineitem is.  Revenue in exact integer cents
+    the keyed aggregate's per-call combiner collapses to the ~84-month
+    grain, so the exchange moves a few rows per call no matter how large
+    lineitem is.  Revenue in exact integer cents
     (floor(x*100+0.5), the module-wide money rule); the permille share is
     integer floor division so the oracle can mirror it bit-for-bit.
     At a 100-TB lineitem the 1000×total_cents product stays < 2^63 while
@@ -2958,7 +2701,7 @@ def promo_revenue(sf_dir: str) -> "ray.data.Dataset":
         )
     )
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def revenue_rows(batch: pa.Table) -> pa.Table:
         keys, is_promo = ray.get(dim_ref)
         idx = pc.index_in(batch.column("l_partkey"), value_set=keys)
         valid = pc.is_valid(idx).to_numpy(zero_copy_only=False)
@@ -2973,34 +2716,22 @@ def promo_revenue(sf_dir: str) -> "ray.data.Dataset":
             pc.multiply(pc.year(ship), pa.scalar(100, pa.int64())),
             pc.month(ship),
         ).to_numpy(zero_copy_only=False)[keep]
-        t = pa.table(
+        return pa.table(
             {
                 "ym": pa.array(ym, pa.int64()),
                 "p_rev": pa.array(np.where(promo, cents, 0), pa.int64()),
                 "t_rev": pa.array(cents, pa.int64()),
             }
         )
-        g = t.group_by("ym").aggregate([("p_rev", "sum"), ("t_rev", "sum")])
-        return pa.table(
-            {
-                "ym": g.column("ym"),
-                "p_rev": g.column("p_rev_sum"),
-                "t_rev": g.column("t_rev_sum"),
-            }
-        )
 
-    rolled = (
+    rolled = keyed_aggregate(
         _read(
             sf_dir,
             "lineitem",
             ["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"],
-        )
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("ym")
-        .aggregate(
-            ray.data.aggregate.Sum("p_rev", alias_name="promo_cents"),
-            ray.data.aggregate.Sum("t_rev", alias_name="total_cents"),
-        )
+        ).map_batches(revenue_rows, batch_format="pyarrow", zero_copy_batch=True),
+        "ym",
+        {"promo_cents": ("p_rev", "sum"), "total_cents": ("t_rev", "sum")},
     )
 
     def share(batch: pa.Table) -> pa.Table:
@@ -3045,8 +2776,8 @@ def late_shipment_priority(sf_dir: str) -> "ray.data.Dataset":
     lineitem are BOTH facts, so the edge is one repartition join on
     orderkey (each row shuffled exactly once); the late predicate needs
     the per-line shipdate against the per-order date so the lineitem
-    side cannot pre-collapse, but the post-join partial reduces straight
-    to the O(#years) grain inside each join group's batch stream."""
+    side cannot pre-collapse, but the keyed aggregate's per-call
+    combiner reduces the join output straight to the O(#years) grain."""
     lineitem = _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
 
     def line_prep(batch: pa.Table) -> pa.Table:
@@ -3083,7 +2814,7 @@ def late_shipment_priority(sf_dir: str) -> "ray.data.Dataset":
 
     _LATE_US = 60 * 86_400_000_000  # 60 days in microseconds
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def late_rows(batch: pa.Table) -> pa.Table:
         ship = batch.column("ship_us").to_numpy(zero_copy_only=False)
         order = batch.column("order_us").to_numpy(zero_copy_only=False)
         high = batch.column("high").to_numpy(zero_copy_only=False)
@@ -3091,29 +2822,18 @@ def late_shipment_priority(sf_dir: str) -> "ray.data.Dataset":
         yr = (ship[late].astype("datetime64[us]").astype("datetime64[Y]")
               .astype(np.int64) + 1970)
         h = high[late].astype(np.int64)
-        t = pa.table(
+        return pa.table(
             {
                 "ship_year": pa.array(yr, pa.int64()),
                 "h": pa.array(h, pa.int64()),
                 "l": pa.array(1 - h, pa.int64()),
             }
         )
-        g = t.group_by("ship_year").aggregate([("h", "sum"), ("l", "sum")])
-        return pa.table(
-            {
-                "ship_year": g.column("ship_year"),
-                "h": g.column("h_sum"),
-                "l": g.column("l_sum"),
-            }
-        )
 
-    return (
-        joined.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("ship_year")
-        .aggregate(
-            ray.data.aggregate.Sum("h", alias_name="high_line_count"),
-            ray.data.aggregate.Sum("l", alias_name="low_line_count"),
-        )
+    return keyed_aggregate(
+        joined.map_batches(late_rows, batch_format="pyarrow", zero_copy_batch=True),
+        "ship_year",
+        {"high_line_count": ("h", "sum"), "low_line_count": ("l", "sum")},
     )
 
 
@@ -3199,7 +2919,7 @@ def returned_customers(sf_dir: str, k: int = 20) -> pa.Table:
     the returnflag filter and a per-(orderkey, block) revenue combine
     happen inside the lineitem scan; the lineitem→orders edge is one
     repartition join (both facts); the per-customer rollup is a keyed
-    groupby; customer/nation names resolve via a broadcast probe of the
+    aggregate; customer/nation names resolve via a broadcast probe of the
     bounded dimension chain; top-k is per-block select_k + an O(k·blocks)
     driver merge — never a global sort, never a full to_pandas."""
     import pyarrow.parquet as pq
@@ -3227,7 +2947,7 @@ def returned_customers(sf_dir: str, k: int = 20) -> pa.Table:
     ).map_batches(rev_partial, batch_format="pyarrow", zero_copy_batch=True)
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    per_cust = (
+    per_cust = keyed_aggregate(
         repartition_join(
             fact,
             orders,
@@ -3236,9 +2956,9 @@ def returned_customers(sf_dir: str, k: int = 20) -> pa.Table:
             [("rev", pa.int64())],
             [("o_custkey", pa.int64())],
             how="inner",
-        )
-        .groupby("o_custkey")
-        .aggregate(ray.data.aggregate.Sum("rev", alias_name="revenue_cents"))
+        ),
+        "o_custkey",
+        {"revenue_cents": ("rev", "sum")},
     )
 
     cust = pq.read_table(
@@ -3312,71 +3032,38 @@ LIMIT 20
 
 def daily_active_users(sf_dir: str) -> "ray.data.Dataset":
     """Per-day activity rollup with EXACT distinct users: the classic DAU
-    report.  Exact distinct at scale = two keyed reductions on the same
-    partitioning key family: per-batch partials collapse duplicate
-    (day, user) pairs inside each block, one groupby((day, user))
-    deduplicates globally, then a second partial + groupby(day) reduces
-    to the O(#days) result — user rows are never collected anywhere."""
+    report.  Exact distinct at scale = two keyed aggregates: one on
+    (day, user) deduplicates globally, then one on day reduces to the
+    O(#days) result — user rows are never collected anywhere.  Each
+    pre-combines per call, so duplicate (day, user) pairs collapse
+    before the exchange."""
 
-    def per_user_partial(batch: pa.Table) -> pa.Table:
-        day = pc.floor_temporal(batch.column("ts"), unit="day")
-        purch = pc.cast(
-            pc.equal(batch.column("event_type"), "purchase"), pa.int64()
-        )
-        t = pa.table(
+    def day_rows(batch: pa.Table) -> pa.Table:
+        return pa.table(
             {
-                "day": day,
+                "day": pc.floor_temporal(batch.column("ts"), unit="day"),
                 "user_id": batch.column("user_id"),
-                "n": pa.array(np.ones(batch.num_rows, np.int64)),
-                "p": purch,
+                "p": pc.cast(
+                    pc.equal(batch.column("event_type"), "purchase"), pa.int64()
+                ),
             }
         )
-        g = t.group_by(["day", "user_id"]).aggregate([("n", "sum"), ("p", "sum")])
-        return g.rename_columns(["day", "user_id", "n", "p"])
 
-    per_user = (
-        _read(sf_dir, "events", ["ts", "user_id", "event_type"])
-        .map_batches(per_user_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["day", "user_id"])
-        .aggregate(
-            ray.data.aggregate.Sum("n", alias_name="n"),
-            ray.data.aggregate.Sum("p", alias_name="p"),
-        )
+    per_user = keyed_aggregate(
+        _read(sf_dir, "events", ["ts", "user_id", "event_type"]).map_batches(
+            day_rows, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        ["day", "user_id"],
+        {"n": ("p", "count"), "p": ("p", "sum")},
     )
-
-    def per_day_partial(batch: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "day": batch.column("day"),
-                "u": pa.array(np.ones(batch.num_rows, np.int64)),
-                "n": batch.column("n"),
-                "p": batch.column("p"),
-            }
-        )
-        g = t.group_by("day").aggregate([("u", "sum"), ("n", "sum"), ("p", "sum")])
-        return g.rename_columns(["day", "u", "n", "p"])
-
-    def cast_day(batch: pa.Table) -> pa.Table:
-        # Ray's sort-based groupby round-trips the timestamp key to
-        # seconds precision; pin the output to timestamp[us] so it hashes
-        # identically to the oracle's date_trunc.
-        return batch.set_column(
-            batch.schema.get_field_index("day"),
-            "day",
-            pc.cast(batch.column("day"), pa.timestamp("us")),
-        )
-
-    return (
-        per_user.map_batches(
-            per_day_partial, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("day")
-        .aggregate(
-            ray.data.aggregate.Sum("u", alias_name="n_users"),
-            ray.data.aggregate.Sum("n", alias_name="n_events"),
-            ray.data.aggregate.Sum("p", alias_name="n_purchases"),
-        )
-        .map_batches(cast_day, batch_format="pyarrow", zero_copy_batch=True)
+    return keyed_aggregate(
+        per_user,
+        "day",
+        {
+            "n_users": ("n", "count"),
+            "n_events": ("n", "sum"),
+            "n_purchases": ("p", "sum"),
+        },
     )
 
 
@@ -3521,19 +3208,20 @@ def order_reconciliation(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    joined = repartition_join(
-        lines,
-        _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"]).map_batches(
-            order_prep, batch_format="pyarrow", zero_copy_batch=True
+    joined = keyed_aggregate(
+        repartition_join(
+            lines,
+            _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"]).map_batches(
+                order_prep, batch_format="pyarrow", zero_copy_batch=True
+            ),
+            "l_orderkey",
+            "o_orderkey",
+            [("l_orderkey", pa.int64()), ("line_cents", pa.int64())],
+            [("total_cents", pa.int64())],
+            how="inner",
         ),
         "l_orderkey",
-        "o_orderkey",
-        [("l_orderkey", pa.int64()), ("line_cents", pa.int64())],
-        [("total_cents", pa.int64())],
-        how="inner",
-    ).groupby("l_orderkey").aggregate(
-        ray.data.aggregate.Sum("line_cents", alias_name="line_cents"),
-        ray.data.aggregate.Max("total_cents", alias_name="total_cents"),
+        {"line_cents": ("line_cents", "sum"), "total_cents": ("total_cents", "max")},
     )
 
     def verdict_partial(batch: pa.Table) -> pa.Table:
@@ -3606,7 +3294,7 @@ _Q15_HI = "1996-04-01"
 def top_suppliers(sf_dir: str) -> pa.Table:
     """Supplier(s) with the maximum revenue over a 3-month ship window —
     the Q15 global-stat-then-filter shape.  Per-supplier revenue is a
-    keyed rollup of in-scan partials (bounded by supplier count, a
+    keyed aggregate of the in-window lines (bounded by supplier count, a
     dimension); the global max is a scalar aggregate over that bounded
     table; the winners (ties kept, like Q15's view) resolve names via a
     driver-side probe of the supplier dimension on O(#winners) rows."""
@@ -3615,14 +3303,14 @@ def top_suppliers(sf_dir: str) -> pa.Table:
     lo = np.datetime64(_Q15_LO, "us").astype(np.int64)
     hi = np.datetime64(_Q15_HI, "us").astype(np.int64)
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def window_revenue(batch: pa.Table) -> pa.Table:
         ship = pc.cast(batch.column("l_shipdate"), pa.int64()).to_numpy(
             zero_copy_only=False
         )
         keep = np.flatnonzero((ship >= lo) & (ship < hi))
         price = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)[keep]
         disc = batch.column("l_discount").to_numpy(zero_copy_only=False)[keep]
-        t = pa.table(
+        return pa.table(
             {
                 "s_suppkey": batch.column("l_suppkey").take(
                     pa.array(keep, pa.int64())
@@ -3630,20 +3318,16 @@ def top_suppliers(sf_dir: str) -> pa.Table:
                 "rev": pa.array(money_cents(price * (1 - disc)), pa.int64()),
             }
         )
-        g = t.group_by("s_suppkey").aggregate([("rev", "sum")])
-        return g.rename_columns(["s_suppkey", "rev"])
 
-    per_supp = (
+    per_supp = keyed_aggregate(
         _read(
             sf_dir,
             "lineitem",
             ["l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"],
-        )
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("s_suppkey")
-        .aggregate(ray.data.aggregate.Sum("rev", alias_name="revenue_cents"))
-        .materialize()  # consumed twice: max scan + winner filter
-    )
+        ).map_batches(window_revenue, batch_format="pyarrow", zero_copy_batch=True),
+        "s_suppkey",
+        {"revenue_cents": ("rev", "sum")},
+    ).materialize()  # consumed twice: max scan + winner filter
     best = per_supp.max("revenue_cents")
 
     def winners_only(batch: pa.Table) -> pa.Table:
@@ -3714,19 +3398,9 @@ def large_orders(sf_dir: str) -> "ray.data.Dataset":
         return g.rename_columns(["l_orderkey", "q"])
 
     def having_kernel(part: pa.Table) -> pa.Table:
-        """Per-partition sum + HAVING: Ray's sort groupby costs ~10 µs/row
-        at high group cardinality (the supplier_pagerank finding), so the
-        per-orderkey rollup runs as P reduceat kernels instead."""
-        from ._util import run_bounds
-
-        empty = pa.table(
-            {
-                "l_orderkey": pa.array([], pa.int64()),
-                "sum_qty_x100": pa.array([], pa.int64()),
-            }
-        )
-        if part.num_rows == 0:
-            return empty
+        """Per-block sum + HAVING: the per-orderkey rollup runs as one
+        reduceat kernel per exchange block, at most min(P, 2 × CPUs)
+        calls."""
         k = part.column("l_orderkey").to_numpy(zero_copy_only=False)
         q = part.column("q").to_numpy(zero_copy_only=False)
         order = np.argsort(k, kind="stable")
@@ -3741,8 +3415,6 @@ def large_orders(sf_dir: str) -> "ray.data.Dataset":
                 "sum_qty_x100": pa.array(sums[keep], pa.int64()),
             }
         )
-
-    from ._util import partitioned_by_key
 
     big = partitioned_by_key(
         _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"]).map_batches(
@@ -3904,24 +3576,10 @@ def idle_rich_customers(sf_dir: str) -> "ray.data.Dataset":
         how="anti",
     )
 
-    def rollup_partial(batch: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "nationkey": batch.column("nationkey"),
-                "u": pa.array(np.ones(batch.num_rows, np.int64)),
-                "b": batch.column("bal_cents"),
-            }
-        )
-        g = t.group_by("nationkey").aggregate([("u", "sum"), ("b", "sum")])
-        return g.rename_columns(["nationkey", "u", "b"])
-
-    return (
-        idle.map_batches(rollup_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("nationkey")
-        .aggregate(
-            ray.data.aggregate.Sum("u", alias_name="n_custs"),
-            ray.data.aggregate.Sum("b", alias_name="total_bal_cents"),
-        )
+    return keyed_aggregate(
+        idle,
+        "nationkey",
+        {"n_custs": ("bal_cents", "count"), "total_bal_cents": ("bal_cents", "sum")},
     )
 
 
@@ -3955,12 +3613,12 @@ def winsorized_stats(sf_dir: str) -> pa.Table:
     """Per-event-type winsorized value statistics: exact p05/p95 bounds
     per group via the distinct-value-count reduction (driver state = one
     row per distinct (type, cents), bounded by value cardinality), then
-    the bounds broadcast into a clipping pass whose partials collapse to
-    the O(#types) grain.  The outlier-robust mean every metrics pipeline
-    wants, in exact integer arithmetic end to end."""
+    the bounds broadcast into a clipping pass that one keyed aggregate
+    collapses to the O(#types) grain.  The outlier-robust mean every
+    metrics pipeline wants, in exact integer arithmetic end to end."""
 
-    def vc_partial(batch: pa.Table) -> pa.Table:
-        t = pa.table(
+    def with_cents(batch: pa.Table) -> pa.Table:
+        return pa.table(
             {
                 "event_type": batch.column("event_type"),
                 "cents": pa.array(
@@ -3969,31 +3627,31 @@ def winsorized_stats(sf_dir: str) -> pa.Table:
                     ),
                     pa.int64(),
                 ),
-                "cnt": pa.array(np.ones(batch.num_rows, np.int64)),
             }
         )
-        g = t.group_by(["event_type", "cents"]).aggregate([("cnt", "sum")])
-        return g.rename_columns(["event_type", "cents", "cnt"])
 
     counts = (
-        _read(sf_dir, "events", ["event_type", "value"])
-        .map_batches(vc_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["event_type", "cents"])
-        .sum("cnt")
+        keyed_aggregate(
+            _read(sf_dir, "events", ["event_type", "value"]).map_batches(
+                with_cents, batch_format="pyarrow", zero_copy_batch=True
+            ),
+            ["event_type", "cents"],
+            {"cnt": ("cents", "count")},
+        )
         .to_pandas()
         .sort_values(["event_type", "cents"])
     )
     bounds: dict[str, tuple[int, int]] = {}
     for etype, grp in counts.groupby("event_type"):
         vals = grp["cents"].to_numpy()
-        cum = np.cumsum(grp["sum(cnt)"].to_numpy())
+        cum = np.cumsum(grp["cnt"].to_numpy())
         bounds[str(etype)] = (
             quantile_disc_pick(vals, cum, _WINSOR_LO_PM),
             quantile_disc_pick(vals, cum, _WINSOR_HI_PM),
         )
     bounds_ref = ray.put(bounds)
 
-    def clip_partial(batch: pa.Table) -> pa.Table:
+    def clipped_rows(batch: pa.Table) -> pa.Table:
         b = ray.get(bounds_ref)
         etypes = batch.column("event_type")
         cents = money_cents(batch.column("value").to_numpy(zero_copy_only=False))
@@ -4006,26 +3664,15 @@ def winsorized_stats(sf_dir: str) -> pa.Table:
         lo = lo_by[codes]
         hi = hi_by[codes]
         clipped = np.clip(cents, lo, hi)
-        t = pa.table(
-            {
-                "event_type": etypes,
-                "s": pa.array(clipped, pa.int64()),
-                "n": pa.array(np.ones(len(cents), np.int64)),
-            }
-        )
-        g = t.group_by("event_type").aggregate([("s", "sum"), ("n", "sum")])
-        return g.rename_columns(["event_type", "s", "n"])
+        return pa.table({"event_type": etypes, "s": pa.array(clipped, pa.int64())})
 
-    rolled = (
-        _read(sf_dir, "events", ["event_type", "value"])
-        .map_batches(clip_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("event_type")
-        .aggregate(
-            ray.data.aggregate.Sum("s", alias_name="s"),
-            ray.data.aggregate.Sum("n", alias_name="n"),
-        )
-        .to_pandas()
-    )
+    rolled = keyed_aggregate(
+        _read(sf_dir, "events", ["event_type", "value"]).map_batches(
+            clipped_rows, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "event_type",
+        {"s": ("s", "sum"), "n": ("s", "count")},
+    ).to_pandas()
     etypes = rolled["event_type"].tolist()
     return pa.table(
         {
@@ -4082,14 +3729,14 @@ def mad_outliers(sf_dir: str) -> "ray.data.Dataset":
         meds: dict[str, int] = {}
         for etype, grp in vc.groupby("event_type"):
             grp = grp.sort_values(val_col)
-            cum = np.cumsum(grp["sum(cnt)"].to_numpy())
+            cum = np.cumsum(grp["cnt"].to_numpy())
             meds[str(etype)] = quantile_disc_pick(
                 grp[val_col].to_numpy(), cum, 500
             )
         return meds
 
-    def vc_cents(batch: pa.Table) -> pa.Table:
-        t = pa.table(
+    def with_cents(batch: pa.Table) -> pa.Table:
+        return pa.table(
             {
                 "event_type": batch.column("event_type"),
                 "cents": pa.array(
@@ -4098,24 +3745,21 @@ def mad_outliers(sf_dir: str) -> "ray.data.Dataset":
                     ),
                     pa.int64(),
                 ),
-                "cnt": pa.array(np.ones(batch.num_rows, np.int64)),
             }
         )
-        g = t.group_by(["event_type", "cents"]).aggregate([("cnt", "sum")])
-        return g.rename_columns(["event_type", "cents", "cnt"])
 
     ds = _read(sf_dir, "events", ["event_id", "event_type", "value"])
-    vc1 = (
-        _read(sf_dir, "events", ["event_type", "value"])
-        .map_batches(vc_cents, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["event_type", "cents"])
-        .sum("cnt")
-        .to_pandas()
-    )
+    vc1 = keyed_aggregate(
+        _read(sf_dir, "events", ["event_type", "value"]).map_batches(
+            with_cents, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        ["event_type", "cents"],
+        {"cnt": ("cents", "count")},
+    ).to_pandas()
     med = _grouped_median(vc1, "cents")
     med_ref = ray.put(med)
 
-    def vc_dev(batch: pa.Table) -> pa.Table:
+    def with_dev(batch: pa.Table) -> pa.Table:
         m = ray.get(med_ref)
         etypes = batch.column("event_type")
         cents = money_cents(batch.column("value").to_numpy(zero_copy_only=False))
@@ -4123,24 +3767,15 @@ def mad_outliers(sf_dir: str) -> "ray.data.Dataset":
         codes = pc.index_in(etypes, value_set=uniq).to_numpy(zero_copy_only=False)
         med_by = np.array([m[str(u)] for u in uniq.to_pylist()], np.int64)
         dev = np.abs(cents - med_by[codes])
-        t = pa.table(
-            {
-                "event_type": etypes,
-                "dev": pa.array(dev, pa.int64()),
-                "cnt": pa.array(np.ones(len(dev), np.int64)),
-            }
-        )
-        g = t.group_by(["event_type", "dev"]).aggregate([("cnt", "sum")])
-        return g.rename_columns(["event_type", "dev", "cnt"])
+        return pa.table({"event_type": etypes, "cents": pa.array(dev, pa.int64())})
 
-    vc2 = (
-        _read(sf_dir, "events", ["event_type", "value"])
-        .map_batches(vc_dev, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["event_type", "dev"])
-        .sum("cnt")
-        .to_pandas()
-        .rename(columns={"dev": "cents"})
-    )
+    vc2 = keyed_aggregate(
+        _read(sf_dir, "events", ["event_type", "value"]).map_batches(
+            with_dev, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        ["event_type", "cents"],
+        {"cnt": ("cents", "count")},
+    ).to_pandas()
     mad = _grouped_median(vc2, "cents")
     thr_ref = ray.put({k: (med[k], 3 * mad[k]) for k in med})
 
@@ -4192,27 +3827,18 @@ def props_extract(sf_dir: str) -> "ray.data.Dataset":
     column — the semi-structured-payload step every event pipeline has.
     Extraction is a VECTORIZED RE2 pass (pyarrow extract_regex), never
     json.loads in a Python row loop; unparseable rows drop like the
-    oracle's NULLIF-CAST; partials collapse to the O(#types) grain
-    in-scan."""
+    oracle's NULLIF-CAST; one keyed aggregate collapses to the
+    O(#types) grain."""
 
     _PAT = r'"k":\s*(?P<k>\d+)'
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def parsed(batch: pa.Table) -> pa.Table:
         hit = pc.extract_regex(batch.column("props"), pattern=_PAT)
         valid = pc.is_valid(hit)
         k = pc.cast(pc.struct_field(hit, "k"), pa.int64())
-        t = pa.table(
-            {
-                "event_type": batch.column("event_type").filter(valid),
-                "k": k.filter(valid),
-                "n": pa.array(
-                    np.ones(int(pc.sum(pc.cast(valid, pa.int64())).as_py() or 0),
-                            np.int64)
-                ),
-            }
+        return pa.table(
+            {"event_type": batch.column("event_type").filter(valid), "k": k.filter(valid)}
         )
-        g = t.group_by("event_type").aggregate([("k", "sum"), ("n", "sum")])
-        return g.rename_columns(["event_type", "k", "n"])
 
     def finalize(batch: pa.Table) -> pa.Table:
         s = batch.column("sum_k").to_numpy(zero_copy_only=False)
@@ -4221,16 +3847,13 @@ def props_extract(sf_dir: str) -> "ray.data.Dataset":
             "mean_k", pa.array(s // np.maximum(n, 1), pa.int64())
         )
 
-    return (
-        _read(sf_dir, "events", ["event_type", "props"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("event_type")
-        .aggregate(
-            ray.data.aggregate.Sum("k", alias_name="sum_k"),
-            ray.data.aggregate.Sum("n", alias_name="n_parsed"),
-        )
-        .map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    return keyed_aggregate(
+        _read(sf_dir, "events", ["event_type", "props"]).map_batches(
+            parsed, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "event_type",
+        {"sum_k": ("k", "sum"), "n_parsed": ("k", "count")},
+    ).map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
 
 
 PROPS_EXTRACT_SQL = r"""
@@ -4264,8 +3887,6 @@ def time_weighted_average(sf_dir: str) -> "ray.data.Dataset":
     — switch to Python-int accumulation there.  Tie order (same
     timestamp) is pinned by event_id on BOTH sides — with ties the
     interval pairing depends on it."""
-    from ._util import partitioned_by_key, run_bounds
-
     def twa_part(part: pa.Table) -> pa.Table:
         uid = part.column("user_id").to_numpy(zero_copy_only=False)
         us = pc.cast(part.column("ts"), pa.int64()).to_numpy(zero_copy_only=False)
@@ -4348,7 +3969,7 @@ def decayed_value_sum(sf_dir: str) -> "ray.data.Dataset":
     now_ts = _read(sf_dir, "events", ["ts"]).max("ts")
     now_us = int(pa.scalar(now_ts, pa.timestamp("us")).cast(pa.int64()).as_py())
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def decayed(batch: pa.Table) -> pa.Table:
         us = pc.cast(pc.cast(batch.column("ts"), pa.timestamp("us")), pa.int64()).to_numpy(zero_copy_only=False)
         cents = money_cents(batch.column("value").to_numpy(zero_copy_only=False))
         if cents.size and int(cents.min()) < 0:
@@ -4362,24 +3983,19 @@ def decayed_value_sum(sf_dir: str) -> "ray.data.Dataset":
                 "negatives; extend both sides before lifting this guard"
             )
         shift = np.minimum((now_us - us) // _DECAY_HALF_LIFE_US, _DECAY_MAX_SHIFT)
-        t = pa.table(
+        return pa.table(
             {
                 "user_id": batch.column("user_id"),
                 "d": pa.array(cents >> shift, pa.int64()),
-                "n": pa.array(np.ones(len(us), np.int64)),
             }
         )
-        g = t.group_by("user_id").aggregate([("d", "sum"), ("n", "sum")])
-        return g.rename_columns(["user_id", "d", "n"])
 
-    return (
-        _read(sf_dir, "events", ["user_id", "ts", "value"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("user_id")
-        .aggregate(
-            ray.data.aggregate.Sum("d", alias_name="decayed_cents"),
-            ray.data.aggregate.Sum("n", alias_name="n_events"),
-        )
+    return keyed_aggregate(
+        _read(sf_dir, "events", ["user_id", "ts", "value"]).map_batches(
+            decayed, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "user_id",
+        {"decayed_cents": ("d", "sum"), "n_events": ("d", "count")},
     )
 
 
@@ -4408,7 +4024,7 @@ def activity_union(sf_dir: str) -> "ray.data.Dataset":
     orders and events normalize to one (user_id, kind, us, cents) shape
     inside their own scan batches, ``Dataset.union`` concatenates the
     streams WITHOUT a shuffle (union of block lists), and one keyed
-    rollup yields per-user totals and the last-activity timestamp.
+    aggregate yields per-user totals and the last-activity timestamp.
     The union-then-aggregate shape is how a lakehouse pipeline folds
     N activity sources into one profile without N−1 joins."""
 
@@ -4417,6 +4033,7 @@ def activity_union(sf_dir: str) -> "ray.data.Dataset":
             {
                 "user_id": batch.column("o_custkey"),
                 "is_order": pa.array(np.ones(batch.num_rows, np.int64)),
+                "is_event": pa.array(np.zeros(batch.num_rows, np.int64)),
                 "us": pc.cast(batch.column("o_orderdate"), pa.int64()),
                 "cents": pa.array(
                     money_cents(
@@ -4432,6 +4049,7 @@ def activity_union(sf_dir: str) -> "ray.data.Dataset":
             {
                 "user_id": batch.column("user_id"),
                 "is_order": pa.array(np.zeros(batch.num_rows, np.int64)),
+                "is_event": pa.array(np.ones(batch.num_rows, np.int64)),
                 "us": pc.cast(pc.cast(batch.column("ts"), pa.timestamp("us")), pa.int64()),
                 "cents": pa.array(
                     money_cents(
@@ -4449,22 +4067,6 @@ def activity_union(sf_dir: str) -> "ray.data.Dataset":
         sf_dir, "events", ["user_id", "ts", "value"]
     ).map_batches(from_events, batch_format="pyarrow", zero_copy_batch=True)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        n_order = batch.column("is_order")
-        t = pa.table(
-            {
-                "user_id": batch.column("user_id"),
-                "o": n_order,
-                "e": pc.subtract(pa.scalar(1, pa.int64()), n_order),
-                "cents": batch.column("cents"),
-                "us": batch.column("us"),
-            }
-        )
-        g = t.group_by("user_id").aggregate(
-            [("o", "sum"), ("e", "sum"), ("cents", "sum"), ("us", "max")]
-        )
-        return g.rename_columns(["user_id", "o", "e", "cents", "us"])
-
     def finalize(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
@@ -4478,18 +4080,16 @@ def activity_union(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    return (
-        orders.union(events)
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("user_id")
-        .aggregate(
-            ray.data.aggregate.Sum("o", alias_name="n_orders"),
-            ray.data.aggregate.Sum("e", alias_name="n_events"),
-            ray.data.aggregate.Sum("cents", alias_name="total_cents"),
-            ray.data.aggregate.Max("us", alias_name="last_us"),
-        )
-        .map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
-    )
+    return keyed_aggregate(
+        orders.union(events),
+        "user_id",
+        {
+            "n_orders": ("is_order", "sum"),
+            "n_events": ("is_event", "sum"),
+            "total_cents": ("cents", "sum"),
+            "last_us": ("us", "max"),
+        },
+    ).map_batches(finalize, batch_format="pyarrow", zero_copy_batch=True)
 
 
 ACTIVITY_UNION_SQL = """
@@ -4562,8 +4162,6 @@ def supplier_pagerank(sf_dir: str) -> pa.Table:
     All arithmetic is integer ppb with floor division, mirrored exactly
     by the unrolled-CTE oracle; every quantity is non-negative so
     DuckDB's truncating // and numpy's flooring // agree."""
-    from ._util import partitioned_by_key, run_bounds
-
     def packed_ps(batch: pa.Table) -> pa.Table:
         p = pc.cast(batch.column("l_partkey"), pa.int64()).to_numpy(
             zero_copy_only=False
@@ -4607,8 +4205,6 @@ def supplier_pagerank(sf_dir: str) -> pa.Table:
         edges, uniqued within the partition, so the downstream global
         dedup shuffles one int64 column."""
         empty = pa.table({"e": pa.array([], pa.int64())})
-        if part.num_rows == 0:
-            return empty
         p = part.column("p").to_numpy(zero_copy_only=False)
         s = part.column("s").to_numpy(zero_copy_only=False)
         order = np.lexsort((s, p))
@@ -4738,8 +4334,6 @@ def conversion_delay_stats(sf_dir: str) -> pa.Table:
     funnel_stages shape — no sort, no per-user Python call); the median
     uses the shared quantile_disc rule over a delay value-count
     reduction whose driver state is bounded by converted-user count."""
-    from ._util import partitioned_by_key
-
     INF = np.iinfo(np.int64).max
 
     def firsts_part(part: pa.Table) -> pa.Table:
@@ -4763,16 +4357,15 @@ def conversion_delay_stats(sf_dir: str) -> pa.Table:
             {"delay_ms": pa.array((p0[conv] - s0[conv]) // 1000, pa.int64())}
         )
 
-    delays = (
+    delays = keyed_aggregate(
         partitioned_by_key(
             _read(sf_dir, "events", ["user_id", "ts", "event_type"]),
             "user_id",
             firsts_part,
-        )
-        .groupby("delay_ms")
-        .aggregate(ray.data.aggregate.Count(alias_name="cnt"))
-        .to_pandas()
-    )
+        ),
+        "delay_ms",
+        {"cnt": ("delay_ms", "count")},
+    ).to_pandas()
     # An all-empty group stream loses its schema entirely — guard BEFORE
     # touching columns (sort_values on the schema-less frame raises).
     if not len(delays) or "delay_ms" not in delays.columns:
@@ -4840,64 +4433,49 @@ def incremental_hourly_merge(sf_dir: str) -> pa.Table:
     what the oracle computes (INCREMENTAL_HOURLY_SQL: the from-scratch
     aggregate over the whole table, in per-event integer cents — note
     this is a different value rule than HOURLY_EVENTS_SQL's
-    round-of-sum) — the equality IS the IVM correctness proof.  Both sides aggregate
-    with in-scan partials; the merge is one keyed rollup over two
+    round-of-sum) — the equality IS the IVM correctness proof.  Each
+    side is one keyed aggregate; the merge is one more over two
     already-tiny aggregate tables."""
     cutoff = int(np.datetime64(_IVM_CUTOFF, "us").astype(np.int64))
 
     def agg_side(keep_before: bool) -> "ray.data.Dataset":
-        def partial(batch: pa.Table) -> pa.Table:
+        def side_rows(batch: pa.Table) -> pa.Table:
             us = pc.cast(pc.cast(batch.column("ts"), pa.timestamp("us")), pa.int64()).to_numpy(
                 zero_copy_only=False
             )
             mask = us < cutoff if keep_before else us >= cutoff
             kept = batch.filter(pa.array(mask))
-            hour = pc.floor_temporal(kept.column("ts"), unit="hour")
             cents = money_cents(
                 kept.column("value").to_numpy(zero_copy_only=False)
             )
-            t = pa.table(
+            return pa.table(
                 {
                     "event_type": kept.column("event_type"),
-                    "window_start": hour,
-                    "n": pa.array(np.ones(kept.num_rows, np.int64)),
+                    "window_start": pc.floor_temporal(kept.column("ts"), unit="hour"),
                     "s": pa.array(cents, pa.int64()),
                 }
             )
-            g = t.group_by(["event_type", "window_start"]).aggregate(
-                [("n", "sum"), ("s", "sum")]
-            )
-            return g.rename_columns(["event_type", "window_start", "n", "s"])
 
-        return (
-            _read(sf_dir, "events", ["ts", "event_type", "value"])
-            .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby(["event_type", "window_start"])
-            .aggregate(
-                ray.data.aggregate.Sum("n", alias_name="n"),
-                ray.data.aggregate.Sum("s", alias_name="s"),
-            )
+        return keyed_aggregate(
+            _read(sf_dir, "events", ["ts", "event_type", "value"]).map_batches(
+                side_rows, batch_format="pyarrow", zero_copy_batch=True
+            ),
+            ["event_type", "window_start"],
+            {"n": ("s", "count"), "s": ("s", "sum")},
         )
 
     prior = agg_side(True)   # the materialized snapshot
     delta = agg_side(False)  # the new ingest batch
 
-    merged = (
-        prior.union(delta)
-        .groupby(["event_type", "window_start"])
-        .aggregate(
-            ray.data.aggregate.Sum("n", alias_name="n_events"),
-            ray.data.aggregate.Sum("s", alias_name="sum_cents"),
-        )
-        .to_pandas()  # bounded: one row per (type, hour)
-    )
+    merged = keyed_aggregate(
+        prior.union(delta),
+        ["event_type", "window_start"],
+        {"n_events": ("n", "sum"), "sum_cents": ("s", "sum")},
+    ).to_pandas()  # bounded: one row per (type, hour)
     return pa.table(
         {
             "event_type": pa.array(merged["event_type"], pa.string()),
-            "window_start": pa.array(
-                merged["window_start"].astype("datetime64[us]"),
-                pa.timestamp("us"),
-            ),
+            "window_start": pa.array(merged["window_start"], pa.timestamp("us")),
             "n_events": pa.array(merged["n_events"].astype("int64"), pa.int64()),
             "sum_cents": pa.array(merged["sum_cents"].astype("int64"), pa.int64()),
         }
@@ -4986,9 +4564,9 @@ def orders_cube(sf_dir: str) -> pa.Table:
     ``grouping_id`` disambiguator (GROUPING(status)*2 +
     GROUPING(priority)), n_orders and revenue in exact integer cents.
 
-    Scale shape: ONE distributed pass — a per-batch Arrow combiner
-    collapses raw orders to (status, priority, n, cents) partials, one
-    keyed shuffle rolls them to the FINEST grain — and every coarser
+    Scale shape: ONE distributed pass — one keyed aggregate rolls raw
+    orders to (status, priority, n, cents) at the FINEST grain, its
+    per-call combiner collapsing them first — and every coarser
     set is derived from that finest table, never from the raw rows.
     The finest table is bounded by |status| × |priority| (dim-
     cardinality product, independent of row count), so the driver-side
@@ -4997,35 +4575,27 @@ def orders_cube(sf_dir: str) -> pa.Table:
     Rolled-up dimensions surface as NULL; grouping_id tells a rolled-up
     NULL apart from a (hypothetical) data NULL, mirroring SQL GROUPING()."""
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def with_cents(batch: pa.Table) -> pa.Table:
         cents = money_cents(
             batch.column("o_totalprice").to_numpy(zero_copy_only=False)
         )
-        t = pa.table(
+        return pa.table(
             {
                 "s": batch.column("o_orderstatus"),
                 "p": batch.column("o_orderpriority"),
-                "n": pa.array(np.ones(len(cents), np.int64)),
                 "c": pa.array(cents, pa.int64()),
             }
         )
-        g = t.group_by(["s", "p"]).aggregate([("n", "sum"), ("c", "sum")])
-        return g.rename_columns(["s", "p", "n", "c"])
 
-    finest = (
+    finest = keyed_aggregate(
         _read(
             sf_dir,
             "orders",
             ["o_orderstatus", "o_orderpriority", "o_totalprice"],
-        )
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["s", "p"])
-        .aggregate(
-            ray.data.aggregate.Sum("n", alias_name="n"),
-            ray.data.aggregate.Sum("c", alias_name="c"),
-        )
-        .to_pandas()  # bounded: |status| x |priority| rows, post-aggregation
-    )
+        ).map_batches(with_cents, batch_format="pyarrow", zero_copy_batch=True),
+        ["s", "p"],
+        {"n": ("c", "count"), "c": ("c", "sum")},
+    ).to_pandas()  # bounded: |status| x |priority| rows, post-aggregation
 
     def rollup(df, keys: list[str], gid: int):
         if keys:
@@ -5083,39 +4653,31 @@ def hourly_dense(sf_dir: str) -> pa.Table:
     resample-and-fill step monitoring/training-curve pipelines need
     before windowed models (a missing hour must read 0, not vanish).
 
-    Scale shape: the distributed work is one combiner pass (per-batch
-    hour-floor + Arrow group-sum partials) and one groupby(hour) rollup
-    — identical to hourly_events.  The dense fill happens AFTER the
-    rollup on the bounded hourly table (rows = hours in the time span,
-    independent of event count: a decade is <90k rows), the documented
-    bounded post-aggregation contract."""
+    Scale shape: the distributed work is one hour-floor map and one
+    keyed aggregate on hour — identical to hourly_events.  The dense
+    fill happens AFTER the rollup on the bounded hourly table (rows =
+    hours in the time span, independent of event count: a decade is
+    <90k rows), the documented bounded post-aggregation contract."""
     import pandas as pd
 
-    def partial(batch: pa.Table) -> pa.Table:
-        hour = pc.floor_temporal(batch.column("ts"), unit="hour")
+    def hour_rows(batch: pa.Table) -> pa.Table:
         cents = money_cents(
             batch.column("value").to_numpy(zero_copy_only=False)
         )
-        t = pa.table(
+        return pa.table(
             {
-                "hour": hour,
-                "n": pa.array(np.ones(len(cents), np.int64)),
+                "hour": pc.floor_temporal(batch.column("ts"), unit="hour"),
                 "c": pa.array(cents, pa.int64()),
             }
         )
-        g = t.group_by(["hour"]).aggregate([("n", "sum"), ("c", "sum")])
-        return g.rename_columns(["hour", "n", "c"])
 
-    hourly = (
-        _read(sf_dir, "events", ["ts", "value"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("hour")
-        .aggregate(
-            ray.data.aggregate.Sum("n", alias_name="n"),
-            ray.data.aggregate.Sum("c", alias_name="c"),
-        )
-        .to_pandas()  # bounded: one row per hour in the span
-    )
+    hourly = keyed_aggregate(
+        _read(sf_dir, "events", ["ts", "value"]).map_batches(
+            hour_rows, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "hour",
+        {"n": ("c", "count"), "c": ("c", "sum")},
+    ).to_pandas()  # bounded: one row per hour in the span
     if not len(hourly):
         return pa.table(
             {
@@ -5288,37 +4850,17 @@ def volume_shipping(sf_dir: str) -> pa.Table:
         keep = pc.invert(
             pc.equal(batch.column("supp_nation"), batch.column("cust_nation"))
         )
-        t = batch.filter(pc.fill_null(keep, False))
-        g = t.group_by(["supp_nation", "cust_nation", "l_year"]).aggregate(
-            [("cents", "sum")]
-        )
-        return pa.table(
-            {
-                "supp_nation": g.column("supp_nation"),
-                "cust_nation": g.column("cust_nation"),
-                "l_year": g.column("l_year"),
-                "p_cents": g.column("cents_sum"),
-            }
-        )
+        return batch.filter(pc.fill_null(keep, False))
 
-    out = (
-        joined.map_batches(cross_only, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["supp_nation", "cust_nation", "l_year"])
-        .aggregate(ray.data.aggregate.Sum("p_cents", alias_name="revenue_cents"))
-        .to_pandas()
-    )
-    if out.empty:
-        # Ray's groupby on an empty stream yields a schema-less frame;
-        # pin the typed empty result the oracle also returns.
-        return pa.table(
-            {
-                "supp_nation": pa.array([], pa.string()),
-                "cust_nation": pa.array([], pa.string()),
-                "l_year": pa.array([], pa.int64()),
-                "revenue_cents": pa.array([], pa.int64()),
-            }
-        )
-    out = out.sort_values(["supp_nation", "cust_nation", "l_year"])
+    keys = ["supp_nation", "cust_nation", "l_year"]
+    out = ensure_columns(
+        keyed_aggregate(
+            joined.map_batches(cross_only, batch_format="pyarrow", zero_copy_batch=True),
+            keys,
+            {"revenue_cents": ("cents", "sum")},
+        ).to_pandas(),
+        keys + ["revenue_cents"],
+    ).sort_values(keys)
     return pa.table(
         {
             "supp_nation": pa.array(out["supp_nation"], pa.string()),
@@ -5481,27 +5023,11 @@ def market_share(sf_dir: str) -> pa.Table:
         how="inner",
     )
 
-    def year_partial(batch: pa.Table) -> pa.Table:
-        g = batch.select(["o_year", "cents", "nat_cents"]).group_by(
-            "o_year"
-        ).aggregate([("cents", "sum"), ("nat_cents", "sum")])
-        return pa.table(
-            {
-                "o_year": g.column("o_year"),
-                "p_total": g.column("cents_sum"),
-                "p_nat": g.column("nat_cents_sum"),
-            }
-        )
-
-    out = (
-        joined.map_batches(year_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("o_year")
-        .aggregate(
-            ray.data.aggregate.Sum("p_nat", alias_name="nation_cents"),
-            ray.data.aggregate.Sum("p_total", alias_name="total_cents"),
-        )
-        .to_pandas()
-    )
+    out = keyed_aggregate(
+        joined,
+        "o_year",
+        {"nation_cents": ("nat_cents", "sum"), "total_cents": ("cents", "sum")},
+    ).to_pandas()
     if out.empty:
         return pa.table(
             {
@@ -5572,8 +5098,6 @@ def attribution_last_touch(sf_dir: str) -> pa.Table:
     positions, and a run-start clamp that resets the carry at each user
     boundary without any per-user loop.  Each partition emits partial
     (src_type, n) counts; the final rollup is ≤ #event_types rows."""
-    from ._util import partitioned_by_key, run_bounds
-
     events = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
 
     def kernel(part: pa.Table) -> pa.Table:
@@ -5583,13 +5107,7 @@ def attribution_last_touch(sf_dir: str) -> pa.Table:
         et = np.asarray(part.column("event_type").to_pylist(), dtype=object)
         order = np.lexsort((eid, t, u))
         u, et = u[order], et[order]
-        n = len(u)
-        if n == 0:
-            return pa.table(
-                {"src_type": pa.array([], pa.string()),
-                 "n": pa.array([], pa.int64())}
-            )
-        idx = np.arange(n, dtype=np.int64)
+        idx = np.arange(len(u), dtype=np.int64)
         is_src = et != "purchase"
         last_src = np.maximum.accumulate(np.where(is_src, idx, -1))
         # Reset at user boundaries: a carried position from the previous
@@ -5609,12 +5127,11 @@ def attribution_last_touch(sf_dir: str) -> pa.Table:
             }
         )
 
-    out = (
-        partitioned_by_key(events, "user_id", kernel)
-        .groupby("src_type")
-        .aggregate(ray.data.aggregate.Sum("n", alias_name="n_purchases"))
-        .to_pandas()
-    )
+    out = keyed_aggregate(
+        partitioned_by_key(events, "user_id", kernel),
+        "src_type",
+        {"n_purchases": ("n", "sum")},
+    ).to_pandas()
     if out.empty:
         return pa.table(
             {
@@ -5658,7 +5175,7 @@ def corr_stats_by_type(sf_dir: str) -> pa.Table:
     """Per-event-type sufficient statistics for Pearson correlation
     between value (cents) and hour-of-day — the moment-sketch pattern:
     each batch contributes exact integer partial sums (n, Σx, Σy, Σxy,
-    Σx², Σy²), the groupby merges them associatively, and r itself is a
+    Σx², Σy²), the keyed aggregate merges them associatively, and r itself is a
     driver-side O(#types) computation downstream (pytest derives it with
     integer isqrt; the table stays float-free so the oracle hash is
     exact).  Σx² bounds: cents ≤ ~10⁵ per event keeps n·x² within int64
@@ -5666,48 +5183,30 @@ def corr_stats_by_type(sf_dir: str) -> pa.Table:
     128-bit accumulator (DuckDB's HUGEINT does the same upstream)."""
     events = _read(sf_dir, "events", ["event_type", "ts", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def moments(batch: pa.Table) -> pa.Table:
         x = money_cents(batch.column("value").to_numpy(zero_copy_only=False))
         y = (
             pc.cast(pc.hour(batch.column("ts")), pa.int64())
             .to_numpy(zero_copy_only=False)
             .astype(np.int64)
         )
-        t = pa.table(
+        return pa.table(
             {
                 "event_type": batch.column("event_type"),
-                "n": pa.array(np.ones(len(x), np.int64), pa.int64()),
-                "sum_x": pa.array(x, pa.int64()),
-                "sum_y": pa.array(y, pa.int64()),
-                "sum_xy": pa.array(x * y, pa.int64()),
-                "sum_x2": pa.array(x * x, pa.int64()),
-                "sum_y2": pa.array(y * y, pa.int64()),
-            }
-        )
-        g = t.group_by("event_type").aggregate(
-            [(c, "sum") for c in ("n", "sum_x", "sum_y", "sum_xy", "sum_x2", "sum_y2")]
-        )
-        # Select by NAME (see agg_lineitem): pyarrow's key-vs-aggregate
-        # column order is version-dependent.
-        return pa.table(
-            {"event_type": g.column("event_type")}
-            | {
-                c: g.column(f"{c}_sum")
-                for c in ("n", "sum_x", "sum_y", "sum_xy", "sum_x2", "sum_y2")
+                "x": pa.array(x, pa.int64()),
+                "y": pa.array(y, pa.int64()),
+                "xy": pa.array(x * y, pa.int64()),
+                "x2": pa.array(x * x, pa.int64()),
+                "y2": pa.array(y * y, pa.int64()),
             }
         )
 
-    out = (
-        events.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("event_type")
-        .aggregate(
-            *[
-                ray.data.aggregate.Sum(c, alias_name=c)
-                for c in ("n", "sum_x", "sum_y", "sum_xy", "sum_x2", "sum_y2")
-            ]
-        )
-        .to_pandas()
-    )
+    out = keyed_aggregate(
+        events.map_batches(moments, batch_format="pyarrow", zero_copy_batch=True),
+        "event_type",
+        {"n": ("x", "count")}
+        | {f"sum_{c}": (c, "sum") for c in ("x", "y", "xy", "x2", "y2")},
+    ).to_pandas()
     if out.empty:
         cols = {"event_type": pa.array([], pa.string())}
         for c in ("n", "sum_x", "sum_y", "sum_xy", "sum_x2", "sum_y2"):
@@ -5780,8 +5279,6 @@ def monthly_value_locf(sf_dir: str) -> pa.Table:
     per-user loop, no grid join.  The global month range comes from
     parquet FOOTER statistics (no extra scan).  Ties inside a month
     break on (ts, event_id) like the oracle's ROW_NUMBER."""
-    from ._util import partitioned_by_key, run_bounds
-
     _, hi_mo = _ts_month_bounds(f"{sf_dir}/events.parquet")
     events = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
 
@@ -5881,8 +5378,6 @@ def _skyline_2d(price: np.ndarray, size: np.ndarray) -> np.ndarray:
     iff its max size strictly beats every strictly-cheaper run's
     (running prefix max).  Equal (price, size) duplicates all survive,
     matching the SQL NOT EXISTS semantics."""
-    from ._util import run_bounds
-
     n = len(price)
     if n == 0:
         return np.empty(0, dtype=np.int64)
@@ -6065,21 +5560,16 @@ def copurchase_triangles(sf_dir: str) -> pa.Table:
     P = wide_partitions()
     edges = _copurchase_edges(sf_dir, P)  # reused twice (degrees + match)
 
-    def deg_partial(batch: pa.Table) -> pa.Table:
+    def endpoints(batch: pa.Table) -> pa.Table:
         k = batch.column("k").to_numpy(zero_copy_only=False)
         nodes = np.concatenate([k >> _TRI_SHIFT, k & ((1 << _TRI_SHIFT) - 1)])
-        n, c = np.unique(nodes, return_counts=True)
-        return pa.table(
-            {"node": pa.array(n, pa.int64()),
-             "c": pa.array(c.astype(np.int64), pa.int64())}
-        )
+        return pa.table({"node": pa.array(nodes, pa.int64())})
 
-    deg = (
-        edges.map_batches(deg_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("node")
-        .aggregate(ray.data.aggregate.Sum("c", alias_name="deg"))
-        .to_pandas()
-    )
+    deg = keyed_aggregate(
+        edges.map_batches(endpoints, batch_format="pyarrow", zero_copy_batch=True),
+        "node",
+        {"deg": ("node", "count")},
+    ).to_pandas()
     deg_keys = pa.array(deg["node"].to_numpy().astype(np.int64), pa.int64())
     deg_vals = deg["deg"].to_numpy().astype(np.int64)
     deg_ref = ray.put((deg_keys, deg_vals))
@@ -6183,46 +5673,31 @@ JOIN edges e3 ON e3.u = e1.v AND e3.v = e2.v
 
 def weekday_profile(sf_dir: str) -> pa.Table:
     """Event count and value by (event_type, ISO weekday 1=Mon..7=Sun):
-    the calendar-profile rollup.  Batch partials bound the shuffle at
-    7×#types rows per block; pyarrow's day_of_week(count_from_zero=
-    False, week_start=1) is pinned equal to DuckDB's isodow."""
+    the calendar-profile rollup.  keyed_aggregate's per-call combiner
+    bounds the exchange at 7×#types rows per call; pyarrow's
+    day_of_week(count_from_zero=False, week_start=1) is pinned equal to
+    DuckDB's isodow."""
     events = _read(sf_dir, "events", ["event_type", "ts", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def weekday_rows(batch: pa.Table) -> pa.Table:
         dow = pc.cast(
             pc.day_of_week(batch.column("ts"), count_from_zero=False, week_start=1),
             pa.int64(),
         )
         cents = money_cents(batch.column("value").to_numpy(zero_copy_only=False))
-        t = pa.table(
+        return pa.table(
             {
                 "event_type": batch.column("event_type"),
                 "isodow": dow,
-                "n": pa.array(np.ones(len(cents), np.int64), pa.int64()),
                 "cents": pa.array(cents, pa.int64()),
             }
         )
-        g = t.group_by(["event_type", "isodow"]).aggregate(
-            [("n", "sum"), ("cents", "sum")]
-        )
-        return pa.table(
-            {
-                "event_type": g.column("event_type"),
-                "isodow": g.column("isodow"),
-                "n": g.column("n_sum"),
-                "cents": g.column("cents_sum"),
-            }
-        )
 
-    out = (
-        events.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["event_type", "isodow"])
-        .aggregate(
-            ray.data.aggregate.Sum("n", alias_name="n_events"),
-            ray.data.aggregate.Sum("cents", alias_name="value_cents"),
-        )
-        .to_pandas()
-    )
+    out = keyed_aggregate(
+        events.map_batches(weekday_rows, batch_format="pyarrow", zero_copy_batch=True),
+        ["event_type", "isodow"],
+        {"n_events": ("cents", "count"), "value_cents": ("cents", "sum")},
+    ).to_pandas()
     if out.empty:
         return pa.table(
             {
@@ -6270,8 +5745,6 @@ def clamped_balance(sf_dir: str) -> "ray.data.Dataset":
     cumsum + minimum.accumulate per user run — fully vectorized inside
     ONE partitioned_by_key(user_id) shuffle, with per-run resets done
     by subtracting the run-start offsets (no per-user loop)."""
-    from ._util import partitioned_by_key, run_bounds
-
     events = _read(
         sf_dir, "events", ["event_id", "ts", "user_id", "event_type", "value"]
     )
@@ -6355,8 +5828,6 @@ def anomaly_events(sf_dir: str) -> "ray.data.Dataset":
     with s/q the window's sum / sum-of-squares.  One keyed shuffle
     (partitioned_by_key on user_id); per-partition kernel is prefix sums
     + a searchsorted-free window via max(run_start, i-8)."""
-    from ._util import money_cents, partitioned_by_key, run_bounds
-
     events = _read(
         sf_dir, "events", ["event_id", "ts", "user_id", "value"]
     )
@@ -6369,8 +5840,6 @@ def anomaly_events(sf_dir: str) -> "ray.data.Dataset":
                 "value_cents": pa.array([], pa.int64()),
             }
         )
-        if part.num_rows == 0:
-            return empty
         u = part.column("user_id").to_numpy(zero_copy_only=False)
         t = pc.cast(
             pc.cast(part.column("ts"), pa.timestamp("us")), pa.int64()
@@ -6437,9 +5906,9 @@ def order_priority_exists(sf_dir: str) -> pa.Table:
     The EXISTS collapses to an aggregate pushdown: max(l_shipdate) per
     order decides the predicate, so lineitem pre-reduces to one
     (orderkey, max) row per batch BEFORE the shuffle, both sides meet in
-    one keyed co-partition (union + groupby pk), and each partition
+    one keyed co-partition (union + exchange on pk), and each block
     emits O(#priorities) partial counts.  No order row fans out."""
-    from ._util import run_bounds, wide_partitions
+    from ._util import wide_partitions
 
     P = wide_partitions()
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate", "o_orderpriority"])
@@ -6534,12 +6003,9 @@ def order_priority_exists(sf_dir: str) -> pa.Table:
             }
         )
 
-    out = (
-        exchange(both, "pk", P, kernel)
-        .groupby("o_orderpriority")
-        .aggregate(ray.data.aggregate.Sum("n", alias_name="n_orders"))
-        .to_pandas()
-    )
+    out = keyed_aggregate(
+        exchange(both, "pk", P, kernel), "o_orderpriority", {"n_orders": ("n", "sum")}
+    ).to_pandas()
     if out.empty:
         return pa.table(
             {
@@ -6582,7 +6048,7 @@ def customer_order_distribution(sf_dir: str) -> pa.Table:
     counts) regardless of customer cardinality.  Orphan orders (custkey
     not in customer) are excluded, zero-order customers counted, exactly
     LEFT JOIN semantics."""
-    from ._util import run_bounds, wide_partitions
+    from ._util import wide_partitions
 
     P = wide_partitions()
     customers = _read(sf_dir, "customer", ["c_custkey"])
@@ -6633,13 +6099,6 @@ def customer_order_distribution(sf_dir: str) -> pa.Table:
         k = group.column("k").to_numpy(zero_copy_only=False)
         n = group.column("n").to_numpy(zero_copy_only=False)
         side = group.column("side").to_numpy(zero_copy_only=False)
-        if len(k) == 0:
-            return pa.table(
-                {
-                    "c_count": pa.array([], pa.int64()),
-                    "custdist": pa.array([], pa.int64()),
-                }
-            )
         order = np.argsort(k, kind="stable")
         k, n, side = k[order], n[order], side[order]
         b = run_bounds(k)
@@ -6654,12 +6113,9 @@ def customer_order_distribution(sf_dir: str) -> pa.Table:
             }
         )
 
-    out = (
-        exchange(both, "pk", P, kernel)
-        .groupby("c_count")
-        .aggregate(ray.data.aggregate.Sum("custdist", alias_name="custdist"))
-        .to_pandas()
-    )
+    out = keyed_aggregate(
+        exchange(both, "pk", P, kernel), "c_count", {"custdist": ("custdist", "sum")}
+    ).to_pandas()
     if out.empty:
         return pa.table(
             {
@@ -6703,8 +6159,6 @@ def event_type_overlap(sf_dir: str) -> pa.Table:
     type sets into pairs with a fully vectorized grouped-arange (no
     Python loop over users) before pre-counting locally — the shuffle
     out of the kernel is O(#type-pairs) per partition."""
-    from ._util import partitioned_by_key, run_bounds
-
     events = _read(sf_dir, "events", ["user_id", "event_type"])
 
     def distinct_partial(batch: pa.Table) -> pa.Table:
@@ -6719,8 +6173,6 @@ def event_type_overlap(sf_dir: str) -> pa.Table:
                 "n": pa.array([], pa.int64()),
             }
         )
-        if part.num_rows == 0:
-            return empty
         u = part.column("user_id").to_numpy(zero_copy_only=False)
         # dictionary-encode types once per partition
         enc = pc.dictionary_encode(pc.cast(part.column("event_type"), pa.string()))
@@ -6765,12 +6217,11 @@ def event_type_overlap(sf_dir: str) -> pa.Table:
     deduped = events.map_batches(
         distinct_partial, batch_format="pyarrow", zero_copy_batch=True
     )
-    out = (
-        partitioned_by_key(deduped, "user_id", kernel)
-        .groupby(["t1", "t2"])
-        .aggregate(ray.data.aggregate.Sum("n", alias_name="n_users"))
-        .to_pandas()
-    )
+    out = keyed_aggregate(
+        partitioned_by_key(deduped, "user_id", kernel),
+        ["t1", "t2"],
+        {"n_users": ("n", "sum")},
+    ).to_pandas()
     if out.empty:
         return pa.table(
             {
@@ -6818,8 +6269,6 @@ def small_qty_revenue(sf_dir: str) -> "ray.data.Dataset":
     row counts, so the product stays < 2^63 until ~7e16 rows per part).
     No avg-table broadcast, no join — the Q17 correlated subquery
     collapses into the partition kernel.  Output: one exact row."""
-    from ._util import money_cents, partitioned_by_key
-
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice"])
 
     def narrow(batch: pa.Table) -> pa.Table:
@@ -6840,8 +6289,6 @@ def small_qty_revenue(sf_dir: str) -> "ray.data.Dataset":
         )
 
     def kernel(part: pa.Table) -> pa.Table:
-        from ._util import run_bounds
-
         k = part.column("k").to_numpy(zero_copy_only=False)
         q = part.column("q").to_numpy(zero_copy_only=False)
         c = part.column("cents").to_numpy(zero_copy_only=False)
@@ -6879,7 +6326,7 @@ def small_qty_revenue(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    # P one-row partials → a single-row rollup (bounded by P, tiny).
+    # One-row partials, one per exchange block → a single-row rollup.
     # A zero seed row keeps the scalar contract on EMPTY input: the SQL
     # aggregate always yields one row, and map_batches is never invoked
     # over zero batches.
@@ -6934,8 +6381,6 @@ def orderkey_gaps(sf_dir: str) -> "ray.data.Dataset":
     shape, documented bound).  Gap edges against the GLOBAL key range
     [min, max] are closed by the summary pass, so output is exactly the
     lead/lag SQL's."""
-    from ._util import partitioned_by_key
-
     li = _read(sf_dir, "lineitem", ["l_orderkey"])
 
     def bucketed(batch: pa.Table) -> pa.Table:
@@ -7044,8 +6489,6 @@ def copurchase_degree_hist(sf_dir: str) -> "ray.data.Dataset":
     a (node, count) partial-agg rollup and the histogram a second
     bounded rollup over ≤ max-degree rows.  Nothing materializes beyond
     the edge set, which is the graph's sparse core."""
-    from ._util import partitioned_by_key
-
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
     def narrow(batch: pa.Table) -> pa.Table:
@@ -7059,8 +6502,6 @@ def copurchase_degree_hist(sf_dir: str) -> "ray.data.Dataset":
         )
 
     def order_pairs(part: pa.Table) -> pa.Table:
-        from ._util import run_bounds
-
         o = part.column("o").to_numpy(zero_copy_only=False)
         p = part.column("p").to_numpy(zero_copy_only=False)
         order = np.lexsort((p, o))
@@ -7093,7 +6534,7 @@ def copurchase_degree_hist(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    deg = (
+    deg = keyed_aggregate(
         partitioned_by_key(
             partitioned_by_key(
                 li.map_batches(narrow, batch_format="pyarrow", zero_copy_batch=True),
@@ -7102,26 +6543,11 @@ def copurchase_degree_hist(sf_dir: str) -> "ray.data.Dataset":
             ),
             "ek",
             dedup_and_endpoints,
-        )
-        .groupby("node")
-        .aggregate(ray.data.aggregate.Sum("c", alias_name="deg"))
+        ),
+        "node",
+        {"degree": ("c", "sum")},
     )
-
-    def hist_partial(batch: pa.Table) -> pa.Table:
-        d = batch.column("deg").to_numpy(zero_copy_only=False)
-        v, c = np.unique(d, return_counts=True)
-        return pa.table(
-            {
-                "degree": pa.array(v.astype(np.int64), pa.int64()),
-                "n": pa.array(c.astype(np.int64), pa.int64()),
-            }
-        )
-
-    return (
-        deg.map_batches(hist_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("degree")
-        .aggregate(ray.data.aggregate.Sum("n", alias_name="n_parts"))
-    )
+    return keyed_aggregate(deg, "degree", {"n_parts": ("degree", "count")})
 
 
 COPURCHASE_DEGREE_HIST_SQL = """
@@ -7156,7 +6582,7 @@ def max_concurrent_events(sf_dir: str) -> "ray.data.Dataset":
     starts at equal t, matching the half-open semantics — and takes each
     run's max prefix sum via one global cumsum + np.maximum.reduceat.
     No per-event Python, state bounded by the partition."""
-    from ._util import blake2_u63, partitioned_by_key, run_bounds
+    from ._util import blake2_u63
 
     ev = _read(sf_dir, "events", ["ts", "event_type", "value"])
 
@@ -7245,62 +6671,35 @@ def sliding_distinct_users(sf_dir: str) -> "ray.data.Dataset":
     SUM can fake (the same user in two of the three hours must count
     once).
 
-    Scale shape: (hour, user) dedups under a user-keyed shuffle (all of
-    a user's hours co-locate → np.unique rows), each distinct pair
-    fans out to ≤3 window anchors gated by the broadcast set of hours
-    that actually exist (the dimension side: bounded by the time span,
-    ~9k/year), then a SECOND user-keyed dedup of (anchor, user) collapses
-    cross-hour repeats into per-partition (anchor, partial-count) rows
-    for a bounded groupby-sum.  Two keyed shuffles of int64 pairs; the
-    corpus text/value columns never move."""
-    from ._util import partitioned_by_key
-
+    Scale shape: a distinct keyed aggregate dedups (hour, user), each
+    distinct pair fans out to ≤3 window anchors gated by the broadcast
+    set of hours that actually exist (the dimension side: bounded by
+    the time span, ~9k/year), then a user-keyed dedup of (anchor, user)
+    collapses cross-hour repeats into per-partition (anchor,
+    partial-count) rows for a bounded keyed sum.  Keyed exchanges of
+    int64 pairs only; the corpus text/value columns never move."""
     HOUR_US = 3_600 * 1_000_000
     ev = _read(sf_dir, "events", ["ts", "user_id"])
 
     def hour_user(batch: pa.Table) -> pa.Table:
         t = pc.cast(pc.cast(batch.column("ts"), pa.timestamp("us")), pa.int64()).to_numpy(zero_copy_only=False)
-        u = batch.column("user_id").to_numpy(zero_copy_only=False)
-        hu = np.unique(np.stack([(t // HOUR_US) * HOUR_US, u], axis=1), axis=0)
         return pa.table(
-            {"h": pa.array(hu[:, 0], pa.int64()), "u": pa.array(hu[:, 1], pa.int64())}
+            {
+                "h": pa.array((t // HOUR_US) * HOUR_US, pa.int64()),
+                "u": batch.column("user_id"),
+            }
         )
 
-    def dedup_pairs(part: pa.Table) -> pa.Table:
-        hu = np.unique(
-            np.stack(
-                [
-                    part.column("h").to_numpy(zero_copy_only=False),
-                    part.column("u").to_numpy(zero_copy_only=False),
-                ],
-                axis=1,
-            ),
-            axis=0,
-        )
-        return pa.table(
-            {"h": pa.array(hu[:, 0], pa.int64()), "u": pa.array(hu[:, 1], pa.int64())}
-        )
-
-    pairs = partitioned_by_key(
+    pairs = keyed_aggregate(
         ev.map_batches(hour_user, batch_format="pyarrow", zero_copy_batch=True),
-        "u",
-        dedup_pairs,
+        ["h", "u"],
+        {},
     ).materialize()  # reused: anchor-hour dimension + fan-out source
 
     # dimension side: the set of hours that actually occur (bounded by
     # the corpus time span, not its size) — broadcast once
-    hours_df = (
-        pairs.groupby("h")
-        .aggregate(ray.data.aggregate.Count(alias_name="n"))
-        .to_pandas()
-    )
-    # empty corpus: the groupby yields a columnless frame — no hours
-    hours = (
-        np.unique(hours_df["h"].to_numpy())
-        if "h" in hours_df.columns
-        else np.zeros(0, np.int64)
-    )
-    hours_ref = ray.put(hours)
+    hours_df = ensure_columns(keyed_aggregate(pairs, "h", {}).to_pandas(), ["h"])
+    hours_ref = ray.put(np.unique(hours_df["h"].to_numpy().astype(np.int64)))
 
     def fan_out(batch: pa.Table) -> pa.Table:
         valid = ray.get(hours_ref)
@@ -7336,14 +6735,14 @@ def sliding_distinct_users(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    counted = (
+    counted = keyed_aggregate(
         partitioned_by_key(
             pairs.map_batches(fan_out, batch_format="pyarrow", zero_copy_batch=True),
             "u",
             count_partial,
-        )
-        .groupby("anchor")
-        .aggregate(ray.data.aggregate.Sum("c", alias_name="n_users"))
+        ),
+        "anchor",
+        {"n_users": ("c", "sum")},
     )
 
     def finish(t: pa.Table) -> pa.Table:
@@ -7376,60 +6775,29 @@ def cumulative_unique_users(sf_dir: str) -> "ray.data.Dataset":
     no plain aggregate expresses.
 
     Scale shape: distinct-accumulation collapses to first-seen-day per
-    user (per-batch (user, min day) partials → ONE user-keyed groupby
-    min), then a per-day count (bounded by the time span) and a prefix
-    sum over that bounded day table on the driver."""
+    user (ONE user-keyed min), then a per-day count (bounded by the time
+    span) and a prefix sum over that bounded day table on the driver."""
     ev = _read(sf_dir, "events", ["ts", "user_id"])
     DAY_US = 86_400 * 1_000_000
 
-    def partial_min(batch: pa.Table) -> pa.Table:
+    def user_day(batch: pa.Table) -> pa.Table:
         t = pc.cast(pc.cast(batch.column("ts"), pa.timestamp("us")), pa.int64()).to_numpy(zero_copy_only=False)
-        u = batch.column("user_id").to_numpy(zero_copy_only=False)
-        day = (t // DAY_US) * DAY_US
-        order = np.lexsort((day, u))
-        u, day = u[order], day[order]
-        first = np.flatnonzero(np.r_[True, u[1:] != u[:-1]])
         return pa.table(
             {
-                "u": pa.array(u[first], pa.int64()),
-                "d": pa.array(day[first], pa.int64()),
+                "u": batch.column("user_id"),
+                "d": pa.array((t // DAY_US) * DAY_US, pa.int64()),
             }
         )
 
-    firsts = (
-        ev.map_batches(partial_min, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("u")
-        .aggregate(ray.data.aggregate.Min("d", alias_name="first_day"))
+    firsts = keyed_aggregate(
+        ev.map_batches(user_day, batch_format="pyarrow", zero_copy_batch=True),
+        "u",
+        {"d": ("d", "min")},
     )
-
-    def day_counts(batch: pa.Table) -> pa.Table:
-        d, c = np.unique(
-            batch.column("first_day").to_numpy(zero_copy_only=False),
-            return_counts=True,
-        )
-        return pa.table(
-            {
-                "d": pa.array(d, pa.int64()),
-                "n": pa.array(c.astype(np.int64), pa.int64()),
-            }
-        )
-
-    days = (
-        firsts.map_batches(day_counts, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("d")
-        .aggregate(ray.data.aggregate.Sum("n", alias_name="n"))
-        .to_pandas()  # bounded: one row per calendar day in the corpus
-    )
-    if "d" not in days.columns:  # empty corpus: columnless groupby frame
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "day": pa.array([], pa.timestamp("us")),
-                    "cum_users": pa.array([], pa.int64()),
-                }
-            )
-        )
-    days = days.sort_values("d")
+    days = ensure_columns(
+        keyed_aggregate(firsts, "d", {"n": ("d", "count")}).to_pandas(),
+        ["d", "n"],
+    ).sort_values("d")  # bounded: one row per calendar day in the corpus
     return ray.data.from_arrow(
         pa.table(
             {
@@ -7468,8 +6836,6 @@ def user_activity_streak(sf_dir: str) -> "ray.data.Dataset":
     the partition kernel finds every user's longest streak in one
     vectorized sweep (lexsort → dedup → consecutive-day run boundaries →
     maximum.reduceat over run lengths)."""
-    from ._util import partitioned_by_key, run_bounds
-
     ev = _read(sf_dir, "events", ["ts", "user_id"])
     DAY_US = 86_400 * 1_000_000
 
@@ -7540,49 +6906,37 @@ def weighted_median_discount(sf_dir: str) -> "ray.data.Dataset":
     "the discount at which half the SHIPPED UNITS sit below").
 
     Scale shape: the discount domain is bounded (integer percent after
-    the module money rule), so per-batch (flag, disc_pct, Σqty) partials
-    collapse the corpus into a ≤ flags × 101-row weight histogram; the
-    keyed rollup and the cumulative crossing pick are O(domain), driver
+    the module money rule), so one keyed (flag, disc_pct) → Σqty
+    aggregate collapses the corpus into a ≤ flags × 101-row weight
+    histogram; it and the cumulative crossing pick are O(domain), driver
     state bounded and corpus-size-independent.  Pick rule: smallest
     disc with 2·cumweight ≥ totalweight (the SQL mirror states it
     identically)."""
-    from ._util import money_cents
-
     li = _read(sf_dir, "lineitem", ["l_returnflag", "l_discount", "l_quantity"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def weights(batch: pa.Table) -> pa.Table:
         disc = money_cents(
             batch.column("l_discount").to_numpy(zero_copy_only=False)
         )  # discount in integer percent-of-hundred units (0.05 -> 5)
         qty = batch.column("l_quantity").to_numpy(zero_copy_only=False).astype(
             np.int64
         )
-        t = pa.table(
+        return pa.table(
             {
                 "f": batch.column("l_returnflag"),
                 "d": pa.array(disc, pa.int64()),
                 "w": pa.array(qty, pa.int64()),
             }
         )
-        g = t.group_by(["f", "d"]).aggregate([("w", "sum")])
-        return g.rename_columns(["f", "d", "w"])
 
-    hist = (
-        li.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["f", "d"])
-        .aggregate(ray.data.aggregate.Sum("w", alias_name="w"))
-        .to_pandas()  # bounded: flags x discount domain (<= 3 x 101 rows)
-    )
-    if "f" not in hist.columns:  # empty corpus: columnless groupby frame
-        return ray.data.from_arrow(
-            pa.table(
-                {
-                    "l_returnflag": pa.array([], pa.string()),
-                    "weighted_median_disc": pa.array([], pa.int64()),
-                }
-            )
-        )
-    hist = hist.sort_values(["f", "d"])
+    hist = ensure_columns(
+        keyed_aggregate(
+            li.map_batches(weights, batch_format="pyarrow", zero_copy_batch=True),
+            ["f", "d"],
+            {"w": ("w", "sum")},
+        ).to_pandas(),  # bounded: flags x discount domain (<= 3 x 101 rows)
+        ["f", "d", "w"],
+    ).sort_values(["f", "d"])
     flags, medians = [], []
     for f, sub in hist.groupby("f", sort=True):
         w = sub["w"].to_numpy()
@@ -7635,8 +6989,6 @@ def brand_affinity_lift(sf_dir: str) -> "ray.data.Dataset":
     a driver-side O(brands²) pass with an explicit int64 overflow guard
     (1000·N·c_ab must stay < 2^63 — trips loudly at ~9e15 order-pairs)."""
     import pyarrow.parquet as pq
-
-    from ._util import partitioned_by_key, run_bounds
 
     part = pq.read_table(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand"])
     brands = pc.unique(part.column("p_brand")).sort()
@@ -7701,16 +7053,15 @@ def brand_affinity_lift(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    counts = (
+    counts = keyed_aggregate(
         partitioned_by_key(
             li.map_batches(narrow, batch_format="pyarrow", zero_copy_batch=True),
             "o",
             order_kernel,
-        )
-        .groupby(["kind", "key"])
-        .aggregate(ray.data.aggregate.Sum("n", alias_name="n"))
-        .to_pandas()  # bounded: 1 + brands + brands^2 rows
-    )
+        ),
+        ["kind", "key"],
+        {"n": ("n", "sum")},
+    ).to_pandas()  # bounded: 1 + brands + brands^2 rows
     empty_out = pa.table(
         {
             "brand_a": pa.array([], pa.string()),
@@ -7877,8 +7228,6 @@ def asof_join_forward(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    from ._util import partitioned_by_key
-
     return partitioned_by_key(both, "key", probe_part)
 
 
@@ -7908,9 +7257,7 @@ def daily_churn(sf_dir: str) -> "ray.data.Dataset":
     day+1 present" is a single vectorized shift comparison (the sorted-
     successor trick — no membership hash, no self-join); per-partition
     (day, active, churned) partials roll up in a bounded day-keyed
-    groupby.  The global max day is a one-column pre-aggregate."""
-    from ._util import partitioned_by_key
-
+    aggregate.  The global max day is a one-column pre-aggregate."""
     DAY_US = 86_400 * 1_000_000
     ev = _read(sf_dir, "events", ["ts", "user_id"])
 
@@ -7937,9 +7284,6 @@ def daily_churn(sf_dir: str) -> "ray.data.Dataset":
     def kernel(part: pa.Table) -> pa.Table:
         u = part.column("u").to_numpy(zero_copy_only=False)
         d = part.column("d").to_numpy(zero_copy_only=False)
-        if len(u) == 0:
-            z = pa.array([], pa.int64())
-            return pa.table({"day": z, "a": z, "c": z})
         order = np.lexsort((d, u))
         u, d = u[order], d[order]
         keep = np.r_[True, (u[1:] != u[:-1]) | (d[1:] != d[:-1])]
@@ -7958,17 +7302,14 @@ def daily_churn(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    rolled = (
+    rolled = keyed_aggregate(
         partitioned_by_key(
             ev.map_batches(narrow, batch_format="pyarrow", zero_copy_batch=True),
             "u",
             kernel,
-        )
-        .groupby("day")
-        .aggregate(
-            ray.data.aggregate.Sum("a", alias_name="n_active"),
-            ray.data.aggregate.Sum("c", alias_name="n_churned"),
-        )
+        ),
+        "day",
+        {"n_active": ("a", "sum"), "n_churned": ("c", "sum")},
     )
 
     def finish(t: pa.Table) -> pa.Table:
@@ -8006,8 +7347,8 @@ def top_parts_per_brand(sf_dir: str, k: int = 3) -> pa.Table:
     the global top-k (top_customers) and the per-key argmax
     (top_event_per_user).
 
-    Scale shape: one keyed shuffle of (partkey, cents) partials folds
-    lineitem to ONE row per partkey; the part dimension broadcasts once
+    Scale shape: one keyed aggregate folds lineitem to ONE (partkey,
+    cents) row per partkey; the part dimension broadcasts once
     (ray.put, vectorized index_in probe — the repo's dimension-join
     convention, revenue_by_brand's shape); then a per-block numpy kernel
     emits at most k rows PER BRAND PER BLOCK, so the driver-side merge
@@ -8025,23 +7366,22 @@ def top_parts_per_brand(sf_dir: str, k: int = 3) -> pa.Table:
         )
     )
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def line_cents(batch: pa.Table) -> pa.Table:
         price = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)
         disc = batch.column("l_discount").to_numpy(zero_copy_only=False)
-        t = pa.table(
+        return pa.table(
             {
                 "p_partkey": pc.cast(batch.column("l_partkey"), pa.int64()),
                 "cents": pa.array(money_cents(price * (1 - disc)), pa.int64()),
             }
         )
-        g = t.group_by("p_partkey").aggregate([("cents", "sum")])
-        return g.rename_columns(["p_partkey", "cents"])
 
-    per_part = (
-        _read(sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_discount"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("p_partkey")
-        .aggregate(ray.data.aggregate.Sum("cents", alias_name="cents"))
+    per_part = keyed_aggregate(
+        _read(
+            sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_discount"]
+        ).map_batches(line_cents, batch_format="pyarrow", zero_copy_batch=True),
+        "p_partkey",
+        {"cents": ("cents", "sum")},
     )
 
     def brand_topk(batch: pa.Table) -> pa.Table:
@@ -8079,8 +7419,6 @@ def top_parts_per_brand(sf_dir: str, k: int = 3) -> pa.Table:
                 "cents": pa.array(c2[sel], pa.int64()),
             }
         )
-
-    from ._util import ensure_columns
 
     cand = ensure_columns(
         per_part.map_batches(
@@ -8141,8 +7479,6 @@ def late_event_audit(sf_dir: str) -> "ray.data.Dataset":
     user-keyed shuffle (partitioned_by_key), per-partition kernel:
     lexsort by (user, event_id), running max via maximum.accumulate
     reset at run starts, one add.reduceat per user run."""
-    from ._util import partitioned_by_key, run_bounds
-
     ev = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
 
     def narrow(batch: pa.Table) -> pa.Table:
@@ -8332,10 +7668,9 @@ def cdc_upsert(sf_dir: str) -> "ray.data.Dataset":
     payload) rows and resolved in ONE orderkey-keyed shuffle — the
     partition kernel sorts (key, priority desc) and keeps each key's
     highest-precedence row (delete > upsert > base), dropping
-    tombstoned keys; the status rollup is a second bounded groupby.
+    tombstoned keys; the status rollup is a second bounded keyed
+    aggregate.
     No side materializes; precedence is a per-key constant-time pick."""
-    from ._util import partitioned_by_key, run_bounds
-
     ds = _read(sf_dir, "orders", ["o_orderkey", "o_orderstatus", "o_totalprice"])
 
     _STATUS = ["F", "O", "P"]  # bounded domain, encoded for the int kernel
@@ -8375,14 +7710,6 @@ def cdc_upsert(sf_dir: str) -> "ray.data.Dataset":
 
     def kernel(part: pa.Table) -> pa.Table:
         k = part.column("k").to_numpy(zero_copy_only=False)
-        if len(k) == 0:
-            return pa.table(
-                {
-                    "scode": pa.array([], pa.int64()),
-                    "n_part": pa.array([], pa.int64()),
-                    "cents_part": pa.array([], pa.int64()),
-                }
-            )
         op = part.column("op").to_numpy(zero_copy_only=False)
         cents = part.column("cents").to_numpy(zero_copy_only=False)
         sc = part.column("scode").to_numpy(zero_copy_only=False)
@@ -8406,17 +7733,14 @@ def cdc_upsert(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    rolled = (
+    rolled = keyed_aggregate(
         partitioned_by_key(
             ds.map_batches(explode_cdc, batch_format="pyarrow", zero_copy_batch=True),
             "k",
             kernel,
-        )
-        .groupby("scode")
-        .aggregate(
-            ray.data.aggregate.Sum("n_part", alias_name="n_orders"),
-            ray.data.aggregate.Sum("cents_part", alias_name="total_cents"),
-        )
+        ),
+        "scode",
+        {"n_orders": ("n_part", "sum"), "total_cents": ("cents_part", "sum")},
     )
 
     def finish(t: pa.Table) -> pa.Table:
@@ -8471,8 +7795,6 @@ def suppliers_kept_waiting(sf_dir: str, k: int = 20) -> pa.Table:
     nothing after the one shuffle scales with lineitem."""
     import pyarrow.parquet as pq
 
-    from ._util import partitioned_by_key, run_bounds
-
     LATE_US = 30 * 86400 * 1_000_000  # 30 days, in timestamp[us] units
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -8490,9 +7812,6 @@ def suppliers_kept_waiting(sf_dir: str, k: int = 20) -> pa.Table:
         return t.rename_columns(["k", "s", "mn", "mx"])
 
     def kernel(part: pa.Table) -> pa.Table:
-        empty = pa.table({"s_suppkey": pa.array([], pa.int64())})
-        if part.num_rows == 0:
-            return empty
         kk = part.column("k").to_numpy(zero_copy_only=False)
         ss = part.column("s").to_numpy(zero_copy_only=False)
         mn = part.column("mn").to_numpy(zero_copy_only=False)
@@ -8521,7 +7840,7 @@ def suppliers_kept_waiting(sf_dir: str, k: int = 20) -> pa.Table:
         kernel,
     )
 
-    counts = credited.groupby("s_suppkey").count()
+    counts = keyed_aggregate(credited, "s_suppkey", {"numwait": ("s_suppkey", "count")})
 
     # bounded supplier dim: broadcast names once, select_k per block
     sup = pq.read_table(
@@ -8537,7 +7856,7 @@ def suppliers_kept_waiting(sf_dir: str, k: int = 20) -> pa.Table:
         batch = pa.table(
             {
                 "s_name": pc.fill_null(pc.take(names, idx), ""),
-                "numwait": pc.cast(batch.column("count()"), pa.int64()),
+                "numwait": batch.column("numwait"),
             }
         )
         sel = pc.select_k_unstable(
@@ -8546,8 +7865,6 @@ def suppliers_kept_waiting(sf_dir: str, k: int = 20) -> pa.Table:
             sort_keys=[("numwait", "descending"), ("s_name", "ascending")],
         )
         return batch.take(sel)
-
-    from ._util import ensure_columns
 
     agg = ensure_columns(
         counts.map_batches(
@@ -8639,14 +7956,13 @@ def sales_opportunity(sf_dir: str) -> pa.Table:
         keep = pc.equal(batch.column("o_orderpriority"), "1-URGENT")
         return batch.filter(keep).select(["o_custkey"])
 
-    buyers = (
-        _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
-        .map_batches(urgent_keys, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("o_custkey")
-        .count()
-        .select_columns(["o_custkey"])
-        .take_all()
-    )  # bounded: distinct buyers <= customer dim
+    buyers = keyed_aggregate(
+        _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"]).map_batches(
+            urgent_keys, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "o_custkey",
+        {},
+    ).take_all()  # bounded: distinct buyers <= customer dim
     buyers_ref = ray.put(
         np.sort(np.array([r["o_custkey"] for r in buyers], np.int64))
     )
@@ -8674,13 +7990,10 @@ def sales_opportunity(sf_dir: str) -> pa.Table:
             }
         )
 
-    rolled = (
-        cust.map_batches(pick, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("c_nationkey")
-        .aggregate(
-            ray.data.aggregate.Count(alias_name="numcust"),
-            ray.data.aggregate.Sum("cents", alias_name="totacctbal_cents"),
-        )
+    rolled = keyed_aggregate(
+        cust.map_batches(pick, batch_format="pyarrow", zero_copy_batch=True),
+        "c_nationkey",
+        {"numcust": ("cents", "count"), "totacctbal_cents": ("cents", "sum")},
     )
 
     nat = pq.read_table(
@@ -8689,7 +8002,6 @@ def sales_opportunity(sf_dir: str) -> pa.Table:
     nmap = dict(
         zip(nat.column("n_nationkey").to_pylist(), nat.column("n_name").to_pylist())
     )
-    from ._util import ensure_columns
 
     agg = ensure_columns(
         rolled.to_pandas(),  # bounded: one row per nation
@@ -8744,20 +8056,9 @@ def user_event_path(sf_dir: str, cap: int = 20) -> "ray.data.Dataset":
     have no reduceat — but it touches at most `cap` short tokens per
     user and runs inside the bounded-P partition kernel, never as a
     per-group UDF)."""
-    from ._util import partitioned_by_key, run_bounds
-
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
 
     def kernel(part: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "user_id": pa.array([], pa.int64()),
-                "path": pa.array([], pa.string()),
-                "n_events": pa.array([], pa.int64()),
-            }
-        )
-        if part.num_rows == 0:
-            return empty
         u = part.column("user_id").to_numpy(zero_copy_only=False)
         ts = pc.cast(
             pc.cast(part.column("ts"), pa.timestamp("us")), pa.int64()
@@ -8878,8 +8179,6 @@ def moving_median_3(sf_dir: str) -> "ray.data.Dataset":
     event_id) and computes median-of-3 closed-form (a+b+c-min-max) over
     three shifted slices — pure numpy, no per-window loop, and exact in
     integer cents (the median of three ints IS one of them)."""
-    from ._util import partitioned_by_key
-
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "value"])
 
     def kernel(part: pa.Table) -> pa.Table:
@@ -8945,19 +8244,17 @@ def skew_profile(sf_dir: str, topn: int = 10) -> pa.Table:
     whether a keyed shuffle needs salting.  This is engine
     introspection-as-an-operator: run it BEFORE a groupby at 100 TB.
 
-    Scale shape: per-batch partial counts collapse the fact table to
-    (key, count) rows (one bounded keyed shuffle); totals come from a
+    Scale shape: one keyed aggregate collapses the fact table to
+    (key, count) rows; totals come from a
     distributed aggregate over that rollup and the top-N from per-block
     select_k — the driver only ever sees blocks x N candidate rows,
     never the key set."""
-    counts = (
-        _read(sf_dir, "events", ["user_id"])
-        .groupby("user_id")
-        .count()
+    counts = keyed_aggregate(
+        _read(sf_dir, "events", ["user_id"]), "user_id", {"n": ("user_id", "count")}
     )
 
     totals = counts.aggregate(
-        ray.data.aggregate.Sum("count()", alias_name="total_rows"),
+        ray.data.aggregate.Sum("n", alias_name="total_rows"),
         ray.data.aggregate.Count(alias_name="distinct_keys"),
     )
 
@@ -8965,22 +8262,20 @@ def skew_profile(sf_dir: str, topn: int = 10) -> pa.Table:
         idx = pc.select_k_unstable(
             batch,
             k=min(topn, batch.num_rows),
-            sort_keys=[("count()", "descending"), ("user_id", "ascending")],
+            sort_keys=[("n", "descending"), ("user_id", "ascending")],
         )
         return batch.take(idx)
-
-    from ._util import ensure_columns
 
     cand = ensure_columns(
         counts.map_batches(
             local_topk, batch_format="pyarrow", zero_copy_batch=True
         ).to_pandas(),  # bounded: blocks x topn candidates
-        ["user_id", "count()"],
-    ).sort_values(["count()", "user_id"], ascending=[False, True]).head(topn)
+        ["user_id", "n"],
+    ).sort_values(["n", "user_id"], ascending=[False, True]).head(topn)
 
     total = int(totals["total_rows"] or 0)
     nkeys = int(totals["distinct_keys"] or 0)
-    top = cand["count()"].to_numpy(dtype=np.int64)
+    top = cand["n"].to_numpy(dtype=np.int64)
     return pa.table(
         {
             "total_rows": pa.array([total], pa.int64()),
@@ -9025,8 +8320,6 @@ def join_size_by_key(sf_dir: str) -> pa.Table:
     shuffle whose kernel multiplies per-key pairs via run boundaries;
     the final sum/count/max is a scalar aggregate — no join rows ever
     exist."""
-    from ._util import partitioned_by_key, run_bounds
-
     def count_side(table: str, key: str, side: int):
         def partial(batch: pa.Table) -> pa.Table:
             g = batch.select([key]).group_by(key).aggregate([([], "count_all")])
@@ -9054,8 +8347,6 @@ def join_size_by_key(sf_dir: str) -> pa.Table:
                 "max_contrib": pa.array([], pa.int64()),
             }
         )
-        if part.num_rows == 0:
-            return empty
         k = part.column("k").to_numpy(zero_copy_only=False)
         c = part.column("c").to_numpy(zero_copy_only=False)
         s = part.column("side").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -9213,31 +8504,26 @@ def local_supplier_volume(sf_dir: str) -> pa.Table:
         )
     )
 
-    def same_nation_rollup(batch: pa.Table) -> pa.Table:
+    def same_nation(batch: pa.Table) -> pa.Table:
         ckeys, cnk, nkeys, nnames, in_asia = ray.get(dim_ref)
         cidx = pc.index_in(batch.column("o_custkey"), value_set=ckeys)
         cust_nation = pc.take(cnk, cidx)
         same = pc.equal(cust_nation, batch.column("s_nationkey"))
         nidx = pc.index_in(batch.column("s_nationkey"), value_set=nkeys)
         keep = pc.and_kleene(same, pc.take(in_asia, nidx))
-        sub = pa.table(
+        return pa.table(
             {
                 "n_name": pc.take(nnames, nidx),
                 "cents": batch.column("cents"),
             }
         ).filter(pc.fill_null(keep, False))
-        g = sub.group_by("n_name").aggregate([("cents", "sum")])
-        return g.rename_columns(["n_name", "p_rev"])
-
-    from ._util import ensure_columns
 
     out = ensure_columns(
-        joined.map_batches(
-            same_nation_rollup, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("n_name")
-        .aggregate(ray.data.aggregate.Sum("p_rev", alias_name="revenue_cents"))
-        .to_pandas(),  # bounded: <= 25 nations
+        keyed_aggregate(
+            joined.map_batches(same_nation, batch_format="pyarrow", zero_copy_batch=True),
+            "n_name",
+            {"revenue_cents": ("cents", "sum")},
+        ).to_pandas(),  # bounded: <= 25 nations
         ["n_name", "revenue_cents"],
     ).sort_values("n_name")
     return pa.table(
@@ -9281,20 +8567,9 @@ def interval_coverage(sf_dir: str, pad_us: int = 300_000_000) -> "ray.data.Datas
     vectorized boundary mask + two reduceat sweeps (per-island span,
     then per-user rollup).  No per-user loop, no quadratic overlap
     test."""
-    from ._util import partitioned_by_key, run_bounds
-
     ds = _read(sf_dir, "events", ["user_id", "ts"])
 
     def kernel(part: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "user_id": pa.array([], pa.int64()),
-                "n_islands": pa.array([], pa.int64()),
-                "covered_us": pa.array([], pa.int64()),
-            }
-        )
-        if part.num_rows == 0:
-            return empty
         u = part.column("user_id").to_numpy(zero_copy_only=False)
         ts = pc.cast(
             pc.cast(part.column("ts"), pa.timestamp("us")), pa.int64()
@@ -9355,10 +8630,10 @@ def supplier_hhi(sf_dir: str) -> pa.Table:
     hash-exact) — the skew/diversity rollup a curation pipeline runs on
     source mix as much as a warehouse runs on suppliers.
 
-    Scale shape: lineitem collapses to (nation, supplier, cents)
-    partials (supplier→nation is a broadcast dim probe) in one bounded
-    keyed rollup; nation totals are a 25-row broadcast; the share² sum
-    is another per-batch partial + bounded rollup.  Shares use floor
+    Scale shape: lineitem collapses to (nation, supplier, cents) rows
+    (supplier→nation is a broadcast dim probe) in one bounded keyed
+    aggregate; nation totals are a 25-row broadcast; the share² sum is
+    another bounded keyed aggregate.  Shares use floor
     division on non-negative cents only (DuckDB // truncates toward
     zero — keep operands non-negative, the dsir_weights rule)."""
     import pyarrow.parquet as pq
@@ -9373,69 +8648,56 @@ def supplier_hhi(sf_dir: str) -> pa.Table:
         )
     )
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def supplier_rows(batch: pa.Table) -> pa.Table:
         keys, nk = ray.get(sup_ref)
         idx = pc.index_in(batch.column("l_suppkey"), value_set=keys)
         price = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)
         disc = batch.column("l_discount").to_numpy(zero_copy_only=False)
-        t = pa.table(
+        return pa.table(
             {
                 "nk": pc.take(nk, idx),
                 "s": pc.cast(batch.column("l_suppkey"), pa.int64()),
                 "cents": pa.array(money_cents(price * (1 - disc)), pa.int64()),
             }
         )
-        g = t.group_by(["nk", "s"]).aggregate([("cents", "sum")])
-        return g.rename_columns(["nk", "s", "cents"])
 
-    per_supp = (
+    per_supp = keyed_aggregate(
         _read(
             sf_dir,
             "lineitem",
             ["l_suppkey", "l_extendedprice", "l_discount"],
-        )
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["nk", "s"])
-        .sum("cents")
-        .rename_columns({"sum(cents)": "cents"})
-    )
+        ).map_batches(supplier_rows, batch_format="pyarrow", zero_copy_batch=True),
+        ["nk", "s"],
+        {"cents": ("cents", "sum")},
+    ).materialize()  # consumed twice: nation totals + share squares
 
     # nation totals: bounded (25 rows) -> broadcast
     totals = {
         r["nk"]: (r["total"], r["n"])
-        for r in per_supp.groupby("nk")
-        .aggregate(
-            ray.data.aggregate.Sum("cents", alias_name="total"),
-            ray.data.aggregate.Count(alias_name="n"),
-        )
-        .take_all()
+        for r in keyed_aggregate(
+            per_supp, "nk", {"total": ("cents", "sum"), "n": ("cents", "count")}
+        ).take_all()
     }
     tot_ref = ray.put(totals)
 
-    def hhi_partial(batch: pa.Table) -> pa.Table:
+    def share_squares(batch: pa.Table) -> pa.Table:
         tot = ray.get(tot_ref)
         nk = batch.column("nk").to_numpy(zero_copy_only=False)
         cents = batch.column("cents").to_numpy(zero_copy_only=False)
         denom = np.array([tot[k][0] for k in nk], dtype=np.int64)
         share = cents * 1000 // np.maximum(denom, 1)
-        t = pa.table(
+        return pa.table(
             {"nk": pa.array(nk, pa.int64()), "sq": pa.array(share * share, pa.int64())}
         )
-        g = t.group_by("nk").aggregate([("sq", "sum"), ([], "count_all")])
-        return g.rename_columns(["nk", "sq", "n_part"])
-
-    from ._util import ensure_columns
 
     rolled = ensure_columns(
-        per_supp.map_batches(
-            hhi_partial, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("nk")
-        .aggregate(
-            ray.data.aggregate.Sum("sq", alias_name="hhi"),
-            ray.data.aggregate.Sum("n_part", alias_name="n_suppliers"),
-        )
-        .to_pandas(),  # bounded: <= 25 nations
+        keyed_aggregate(
+            per_supp.map_batches(
+                share_squares, batch_format="pyarrow", zero_copy_batch=True
+            ),
+            "nk",
+            {"hhi": ("sq", "sum"), "n_suppliers": ("sq", "count")},
+        ).to_pandas(),  # bounded: <= 25 nations
         ["nk", "hhi", "n_suppliers"],
     )
 
@@ -9584,8 +8846,8 @@ def top_supplier_q15(sf_dir: str) -> pa.Table:
     subquery over an aggregate view), distinct from top-k: ties all
     surface, nothing is ranked.
 
-    Scale shape: lineitem date-prunes and pre-combines to (suppkey,
-    cents) partials in one narrow pass; the supplier rollup is bounded
+    Scale shape: lineitem date-prunes to (suppkey, cents) rows in one
+    narrow pass; the supplier keyed aggregate is bounded
     by the supplier dim; the max is ONE driver scalar from a
     distributed aggregate (never a sorted row set); the equality filter
     re-streams the bounded rollup.  Names broadcast; output sorted by
@@ -9595,7 +8857,7 @@ def top_supplier_q15(sf_dir: str) -> pa.Table:
     LO = np.datetime64("1996-01-01", "us").astype("int64")
     HI = np.datetime64("1996-04-01", "us").astype("int64")
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def window_cents(batch: pa.Table) -> pa.Table:
         ship = pc.cast(
             pc.cast(batch.column("l_shipdate"), pa.timestamp("us")), pa.int64()
         ).to_numpy(zero_copy_only=False)
@@ -9603,25 +8865,21 @@ def top_supplier_q15(sf_dir: str) -> pa.Table:
         sub = batch.filter(pa.array(keep))
         price = sub.column("l_extendedprice").to_numpy(zero_copy_only=False)
         disc = sub.column("l_discount").to_numpy(zero_copy_only=False)
-        t = pa.table(
+        return pa.table(
             {
                 "s": pc.cast(sub.column("l_suppkey"), pa.int64()),
                 "cents": pa.array(money_cents(price * (1 - disc)), pa.int64()),
             }
         )
-        g = t.group_by("s").aggregate([("cents", "sum")])
-        return g.rename_columns(["s", "cents"])
 
-    per_supp = (
+    per_supp = keyed_aggregate(
         _read(
             sf_dir,
             "lineitem",
             ["l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"],
-        )
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("s")
-        .sum("cents")
-        .rename_columns({"sum(cents)": "total_cents"})
+        ).map_batches(window_cents, batch_format="pyarrow", zero_copy_batch=True),
+        "s",
+        {"total_cents": ("cents", "sum")},
     )
 
     best = per_supp.aggregate(
@@ -9638,8 +8896,6 @@ def top_supplier_q15(sf_dir: str) -> pa.Table:
 
     def pick(batch: pa.Table) -> pa.Table:
         return batch.filter(pc.equal(batch.column("total_cents"), best))
-
-    from ._util import ensure_columns
 
     winners = ensure_columns(
         per_supp.map_batches(
@@ -9694,35 +8950,28 @@ def benford_profile(sf_dir: str) -> pa.Table:
 
     Scale shape: the digit extraction is a vectorized string head
     (astype('U1') on integer cents — no log10 float edge at powers of
-    ten); per-batch (digit, count) partials roll up to ≤9 rows; the
+    ten); one keyed aggregate rolls the digits up to ≤9 rows; the
     permille normalization happens on that bounded table."""
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def first_digit(batch: pa.Table) -> pa.Table:
         cents = money_cents(
             batch.column("o_totalprice").to_numpy(zero_copy_only=False)
         )
         digit = cents.astype("U1").astype(np.int64)
-        t = pa.table({"digit": pa.array(digit, pa.int64())})
-        g = t.group_by("digit").aggregate([([], "count_all")])
-        return pa.table(
-            {
-                "digit": g.column("digit"),
-                "n": pc.cast(g.column("count_all"), pa.int64()),
-            }
-        )
-
-    from ._util import ensure_columns
+        return pa.table({"digit": pa.array(digit, pa.int64())})
 
     rolled = ensure_columns(
-        _read(sf_dir, "orders", ["o_totalprice"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("digit")
-        .sum("n")
-        .to_pandas(),  # bounded: <= 9 digits
-        ["digit", "sum(n)"],
+        keyed_aggregate(
+            _read(sf_dir, "orders", ["o_totalprice"]).map_batches(
+                first_digit, batch_format="pyarrow", zero_copy_batch=True
+            ),
+            "digit",
+            {"n": ("digit", "count")},
+        ).to_pandas(),  # bounded: <= 9 digits
+        ["digit", "n"],
     ).sort_values("digit")
-    total = int(rolled["sum(n)"].sum())
-    n = rolled["sum(n)"].to_numpy(dtype=np.int64)
+    total = int(rolled["n"].sum())
+    n = rolled["n"].to_numpy(dtype=np.int64)
     return pa.table(
         {
             "digit": pa.array(rolled["digit"].astype("int64"), pa.int64()),
@@ -9839,21 +9088,9 @@ def scd2_history(sf_dir: str) -> pa.Table:
     vectorized kernel per exchange block (lexsort + run-boundary sweep),
     never a per-user map_groups.  Ordering is made total with
     (ts, event_id) so ties are deterministic on both sides."""
-    from ._util import ensure_columns, partitioned_by_key
-
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
 
     def kernel(part: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "user_id": pa.array([], pa.int64()),
-                "event_type": pa.array([], pa.string()),
-                "valid_from": pa.array([], pa.timestamp("us")),
-                "valid_to": pa.array([], pa.timestamp("us")),
-            }
-        )
-        if part.num_rows == 0:
-            return empty
         uid = part.column("user_id").to_numpy(zero_copy_only=False)
         eid = part.column("event_id").to_numpy(zero_copy_only=False)
         ts = pc.cast(
@@ -9935,38 +9172,35 @@ def watermark_hourly(sf_dir: str, bucket_size: int = _WM_BUCKET) -> pa.Table:
     Scale shape — a distributed prefix scan, no global sort:
     (1) one streaming pass rolls up the MAX event-time per contiguous
         arrival bucket (event_id // 2^18; max is order-free, so this
-        is a plain bounded groupby);
+        is a plain bounded keyed aggregate);
     (2) the driver computes the exclusive prefix-max over the bucket
         maxima (one row per bucket) and broadcasts the offsets;
     (3) one partitioned_by_key(bucket) pass sorts each bucket by
         event_id, takes the local exclusive cummax, combines it with
         the bucket's prefix offset to recover the EXACT global
-        watermark at every row, flags lateness and folds to (hour,
-        on-time, late) partials — finished by a tiny hour rollup."""
-    from ._util import ensure_columns, partitioned_by_key
-
+        watermark at every row and flags lateness — finished by a tiny
+        keyed (hour, on-time, late) aggregate."""
     ds = _read(sf_dir, "events", ["event_id", "ts"])
 
-    def bucket_max(batch: pa.Table) -> pa.Table:
+    def bucket_ts(batch: pa.Table) -> pa.Table:
         eid = batch.column("event_id").to_numpy(zero_copy_only=False)
         ts = pc.cast(
             pc.cast(batch.column("ts"), pa.timestamp("us")), pa.int64()
         ).to_numpy(zero_copy_only=False)
-        b = eid // bucket_size
-        t = pa.table(
+        return pa.table(
             {
-                "bucket": pa.array(b, pa.int64()),
-                "mx": pa.array(ts, pa.int64()),
+                "bucket": pa.array(eid // bucket_size, pa.int64()),
+                "ts": pa.array(ts, pa.int64()),
             }
-        ).group_by("bucket").aggregate([("mx", "max")])
-        return t.rename_columns(["bucket", "mx"])
+        )
 
     bmax = ensure_columns(
-        ds.map_batches(bucket_max, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .max("mx")
-        .to_pandas(),  # bounded: one row per 2^18 arrival ids
-        ["bucket", "max(mx)"],
+        keyed_aggregate(
+            ds.map_batches(bucket_ts, batch_format="pyarrow", zero_copy_batch=True),
+            "bucket",
+            {"mx": ("ts", "max")},
+        ).to_pandas(),  # bounded: one row per 2^18 arrival ids
+        ["bucket", "mx"],
     ).sort_values("bucket")
     if len(bmax) == 0:
         return pa.table(
@@ -9977,7 +9211,7 @@ def watermark_hourly(sf_dir: str, bucket_size: int = _WM_BUCKET) -> pa.Table:
             }
         )
     buckets = bmax["bucket"].to_numpy()
-    maxes = bmax["max(mx)"].to_numpy()
+    maxes = bmax["mx"].to_numpy()
     # exclusive prefix max: watermark entering each bucket
     prefix = np.r_[np.iinfo(np.int64).min, np.maximum.accumulate(maxes)[:-1]]
     offsets = dict(zip(buckets.tolist(), prefix.tolist()))
@@ -9994,15 +9228,6 @@ def watermark_hourly(sf_dir: str, bucket_size: int = _WM_BUCKET) -> pa.Table:
         )
 
     def kernel(part: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "hour": pa.array([], pa.int64()),
-                "ontime": pa.array([], pa.int64()),
-                "late": pa.array([], pa.int64()),
-            }
-        )
-        if part.num_rows == 0:
-            return empty
         offs = ray.get(offsets_ref)
         eid = part.column("event_id").to_numpy(zero_copy_only=False)
         ts = pc.cast(part.column("ts"), pa.int64()).to_numpy(
@@ -10011,8 +9236,6 @@ def watermark_hourly(sf_dir: str, bucket_size: int = _WM_BUCKET) -> pa.Table:
         bk = part.column("bucket").to_numpy(zero_copy_only=False)
         order = np.lexsort((eid, bk))
         eid, ts, bk = eid[order], ts[order], bk[order]
-        from ._util import run_bounds
-
         wm = np.empty(len(ts), dtype=np.int64)
         rb = run_bounds(bk)
         for s, e in zip(rb[:-1], rb[1:]):
@@ -10022,40 +9245,35 @@ def watermark_hourly(sf_dir: str, bucket_size: int = _WM_BUCKET) -> pa.Table:
             ]
             wm[s:e] = np.maximum(excl, offs[int(bk[s])])
         late = (wm > np.iinfo(np.int64).min) & (ts < wm - _WM_LATE_US)
-        hour = ts // _HOUR_US * _HOUR_US
-        t = pa.table(
+        return pa.table(
             {
-                "hour": pa.array(hour, pa.int64()),
+                "hour": pa.array(ts // _HOUR_US * _HOUR_US, pa.int64()),
                 "ontime": pa.array((~late).astype(np.int64), pa.int64()),
                 "late": pa.array(late.astype(np.int64), pa.int64()),
             }
-        ).group_by("hour").aggregate([("ontime", "sum"), ("late", "sum")])
-        return t.rename_columns(["hour", "ontime", "late"])
+        )
 
     rolled = ensure_columns(
-        partitioned_by_key(
-            ds.map_batches(
-                add_bucket, batch_format="pyarrow", zero_copy_batch=True
+        keyed_aggregate(
+            partitioned_by_key(
+                ds.map_batches(
+                    add_bucket, batch_format="pyarrow", zero_copy_batch=True
+                ),
+                "bucket",
+                kernel,
             ),
-            "bucket",
-            kernel,
-        )
-        .groupby("hour")
-        .sum(["ontime", "late"])
-        .to_pandas(),  # bounded: one row per active hour
-        ["hour", "sum(ontime)", "sum(late)"],
+            "hour",
+            {"n_ontime": ("ontime", "sum"), "n_late": ("late", "sum")},
+        ).to_pandas(),  # bounded: one row per active hour
+        ["hour", "n_ontime", "n_late"],
     ).sort_values("hour")
     return pa.table(
         {
             "hour": pa.array(
                 rolled["hour"].astype("int64"), pa.int64()
             ).cast(pa.timestamp("us")),
-            "n_ontime": pa.array(
-                rolled["sum(ontime)"].astype("int64"), pa.int64()
-            ),
-            "n_late": pa.array(
-                rolled["sum(late)"].astype("int64"), pa.int64()
-            ),
+            "n_ontime": pa.array(rolled["n_ontime"].astype("int64"), pa.int64()),
+            "n_late": pa.array(rolled["n_late"].astype("int64"), pa.int64()),
         }
     )
 
@@ -10095,8 +9313,6 @@ def top_paths(sf_dir: str, cap: int = 5, k: int = 10) -> pa.Table:
     partition (strings shuffle once, bounded by users, not events),
     folds with a per-partition group count, and the final top-k is a
     per-block select_k + bounded driver merge — no global sort."""
-    from ._util import ensure_columns, partitioned_by_key
-
     paths = user_event_path(sf_dir, cap=cap)
 
     def count_kernel(group: pa.Table) -> pa.Table:
@@ -10166,21 +9382,9 @@ def rfm_scores(sf_dir: str) -> pa.Table:
     map.  For metrics with unbounded value domains at extreme scale,
     swap the histogram for percent_rank's two-stage bucketed ranks;
     with money bounded (price caps) the dict stays small."""
-    from ._util import ensure_columns, partitioned_by_key, run_bounds
-
     ds = _read(sf_dir, "orders", ["o_custkey", "o_totalprice", "o_orderdate"])
 
     def fold(part: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "custkey": pa.array([], pa.int64()),
-                "last_us": pa.array([], pa.int64()),
-                "f": pa.array([], pa.int64()),
-                "m": pa.array([], pa.int64()),
-            }
-        )
-        if part.num_rows == 0:
-            return empty
         ck = part.column("o_custkey").to_numpy(zero_copy_only=False)
         dt = pc.cast(
             pc.cast(part.column("o_orderdate"), pa.timestamp("us")), pa.int64()
@@ -10208,8 +9412,7 @@ def rfm_scores(sf_dir: str) -> pa.Table:
         partitioned_by_key(ds, "o_custkey", fold)
     )  # reused for the global max, three histograms, and scoring
 
-    mx = per_cust.aggregate(ray.data.aggregate.Max("last_us"))
-    max_us = int(mx.get("max(last_us)") or 0)
+    max_us = int(per_cust.max("last_us") or 0)
     n_total = per_cust.count()
     if n_total == 0:
         return pa.table(
@@ -10239,27 +9442,13 @@ def rfm_scores(sf_dir: str) -> pa.Table:
     )
 
     def hist_of(col: str) -> dict:
-        def partial(batch: pa.Table) -> pa.Table:
-            v = batch.column(col).to_numpy(zero_copy_only=False)
-            vals, cnts = np.unique(v, return_counts=True)
-            return pa.table(
-                {
-                    "v": pa.array(vals, pa.int64()),
-                    "c": pa.array(cnts, pa.int64()),
-                }
-            )
-
         h = (
-            scored_input.map_batches(
-                partial, batch_format="pyarrow", zero_copy_batch=True
-            )
-            .groupby("v")
-            .sum("c")
+            keyed_aggregate(scored_input, col, {"c": (col, "count")})
             .to_pandas()  # bounded: one row per distinct metric value
-            .sort_values("v")
+            .sort_values(col)
         )
-        vals = h["v"].to_numpy()
-        cnts = h["sum(c)"].to_numpy()
+        vals = h[col].to_numpy()
+        cnts = h["c"].to_numpy()
         smaller = np.r_[0, np.cumsum(cnts)[:-1]]  # RANK() − 1
         return dict(zip(vals.tolist(), smaller.tolist()))
 
@@ -10323,8 +9512,7 @@ def pruned_read_revenue(sf_dir: str) -> pa.Table:
     read is the whole scan: bytes that never leave storage cost
     nothing downstream.
 
-    Scale shape: pruned scan → per-batch partial rollup → ≤ statuses
-    × blocks groupby."""
+    Scale shape: pruned scan → one keyed aggregate per order status."""
     import pyarrow.dataset as pads
 
     ds = ray.data.read_parquet(
@@ -10333,41 +9521,30 @@ def pruned_read_revenue(sf_dir: str) -> pa.Table:
         filter=pads.field("o_orderpriority") == "1-URGENT",
     )
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def status_cents(batch: pa.Table) -> pa.Table:
         cents = money_cents(
             batch.column("o_totalprice").to_numpy(zero_copy_only=False)
         )
-        t = (
-            pa.table(
-                {
-                    "o_orderstatus": pc.cast(
-                        batch.column("o_orderstatus"), pa.string()
-                    ),
-                    "n": pa.array(np.ones(len(batch), np.int64), pa.int64()),
-                    "cents": pa.array(cents, pa.int64()),
-                }
-            )
-            .group_by("o_orderstatus")
-            .aggregate([("n", "sum"), ("cents", "sum")])
+        return pa.table(
+            {
+                "o_orderstatus": pc.cast(batch.column("o_orderstatus"), pa.string()),
+                "cents": pa.array(cents, pa.int64()),
+            }
         )
-        return t.rename_columns(["o_orderstatus", "n", "cents"])
-
-    from ._util import ensure_columns
 
     df = ensure_columns(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("o_orderstatus")
-        .sum(["n", "cents"])
-        .to_pandas(),  # bounded: one row per order status
-        ["o_orderstatus", "sum(n)", "sum(cents)"],
+        keyed_aggregate(
+            ds.map_batches(status_cents, batch_format="pyarrow", zero_copy_batch=True),
+            "o_orderstatus",
+            {"n_orders": ("cents", "count"), "total_cents": ("cents", "sum")},
+        ).to_pandas(),  # bounded: one row per order status
+        ["o_orderstatus", "n_orders", "total_cents"],
     ).sort_values("o_orderstatus")
     return pa.table(
         {
             "o_orderstatus": pa.array(df["o_orderstatus"], pa.string()),
-            "n_orders": pa.array(df["sum(n)"].astype("int64"), pa.int64()),
-            "total_cents": pa.array(
-                df["sum(cents)"].astype("int64"), pa.int64()
-            ),
+            "n_orders": pa.array(df["n_orders"].astype("int64"), pa.int64()),
+            "total_cents": pa.array(df["total_cents"].astype("int64"), pa.int64()),
         }
     )
 
@@ -10395,8 +9572,6 @@ def event_trigram_counts(sf_dir: str, k: int = 25) -> pa.Table:
     per-partition coded-trigram bincount (≤ types³ partial rows per
     partition regardless of stream length), tiny rollup, then top-k by
     per-block select_k + bounded driver merge."""
-    from ._util import ensure_columns, partitioned_by_key
-
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts", "event_id"])
 
     def partial(part: pa.Table) -> pa.Table:
@@ -10437,10 +9612,11 @@ def event_trigram_counts(sf_dir: str, k: int = 25) -> pa.Table:
         )
 
     rolled = ensure_columns(
-        partitioned_by_key(ds, "user_id", partial)
-        .groupby(["t1", "t2", "t3"])
-        .aggregate(ray.data.aggregate.Sum("cnt_part", alias_name="cnt"))
-        .to_pandas(),  # bounded: ≤ types³ rows
+        keyed_aggregate(
+            partitioned_by_key(ds, "user_id", partial),
+            ["t1", "t2", "t3"],
+            {"cnt": ("cnt_part", "sum")},
+        ).to_pandas(),  # bounded: ≤ types³ rows
         ["t1", "t2", "t3", "cnt"],
     )
     rolled = rolled.sort_values(
@@ -10486,30 +9662,23 @@ def range_partition_plan(sf_dir: str, n_buckets: int = 8) -> pa.Table:
 
     Scale shape: one streaming pass folds to a (cents, count)
     histogram — bounded by DISTINCT price values (prices are domain-
-    bounded), shuffled as a tiny rollup; the boundary walk runs on the
+    bounded), one keyed aggregate; the boundary walk runs on the
     bounded histogram on the driver."""
-    from ._util import ensure_columns
-
     ds = _read(sf_dir, "orders", ["o_totalprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def to_cents(batch: pa.Table) -> pa.Table:
         cents = money_cents(
             batch.column("o_totalprice").to_numpy(zero_copy_only=False)
         )
-        v, c = np.unique(cents, return_counts=True)
-        return pa.table(
-            {
-                "cents": pa.array(v, pa.int64()),
-                "c": pa.array(c.astype(np.int64), pa.int64()),
-            }
-        )
+        return pa.table({"cents": pa.array(cents, pa.int64())})
 
     hist = ensure_columns(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("cents")
-        .sum("c")
-        .to_pandas(),  # bounded: one row per distinct price
-        ["cents", "sum(c)"],
+        keyed_aggregate(
+            ds.map_batches(to_cents, batch_format="pyarrow", zero_copy_batch=True),
+            "cents",
+            {"c": ("cents", "count")},
+        ).to_pandas(),  # bounded: one row per distinct price
+        ["cents", "c"],
     ).sort_values("cents")
     if len(hist) == 0:
         return pa.table(
@@ -10521,7 +9690,7 @@ def range_partition_plan(sf_dir: str, n_buckets: int = 8) -> pa.Table:
             }
         )
     vals = hist["cents"].to_numpy()
-    cnts = hist["sum(c)"].to_numpy()
+    cnts = hist["c"].to_numpy()
     cum = np.cumsum(cnts)
     n = int(cum[-1])
     out_b, out_lo, out_hi, out_n = [], [], [], []
@@ -10573,49 +9742,29 @@ def user_set_ops(sf_dir: str) -> pa.Table:
     (user, day) cell is classified click-only (clicked EXCEPT
     purchased), purchase-only, or both (INTERSECT) — the cohort
     set-algebra report, computed WITHOUT materializing the two
-    distinct sets and shuffling them through set operators: each batch
-    folds to per-cell membership flags (OR merges as Max over 0/1),
-    one keyed rollup classifies every cell.
+    distinct sets and shuffling them through set operators: each row
+    carries membership flags (OR merges as Max over 0/1), one keyed
+    aggregate per cell classifies every cell.
 
-    Scale shape: bounded per-batch partials, one (user, day)-keyed
-    rollup, a 3-row result."""
-    from ._util import ensure_columns
-
+    Scale shape: one (user, day)-keyed aggregate, then one on the class
+    for a 3-row result."""
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_type"])
     _DAY_US2 = 86_400_000_000
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def flags(batch: pa.Table) -> pa.Table:
         et = np.asarray(batch.column("event_type").to_pylist(), dtype=object)
-        uid = batch.column("user_id").to_numpy(zero_copy_only=False)
         ts = pc.cast(
             pc.cast(batch.column("ts"), pa.timestamp("us")), pa.int64()
         ).to_numpy(zero_copy_only=False)
-        day = ts // _DAY_US2
         is_c = (et == "click").astype(np.int64)
         is_p = (et == "purchase").astype(np.int64)
-        keep = (is_c | is_p) > 0
-        if not keep.any():
-            return pa.table(
-                {
-                    "user_id": pa.array([], pa.int64()),
-                    "day": pa.array([], pa.int64()),
-                    "c": pa.array([], pa.int64()),
-                    "p": pa.array([], pa.int64()),
-                }
-            )
-        uid, day, is_c, is_p = uid[keep], day[keep], is_c[keep], is_p[keep]
-        cell = uid * 1_000_000 + day  # day count since epoch < 1e6
-        u, inv = np.unique(cell, return_inverse=True)
-        c = np.zeros(len(u), dtype=np.int64)
-        p = np.zeros(len(u), dtype=np.int64)
-        np.maximum.at(c, inv, is_c)
-        np.maximum.at(p, inv, is_p)
+        keep = np.flatnonzero((is_c | is_p) > 0)
         return pa.table(
             {
-                "user_id": pa.array(u // 1_000_000, pa.int64()),
-                "day": pa.array(u % 1_000_000, pa.int64()),
-                "c": pa.array(c, pa.int64()),
-                "p": pa.array(p, pa.int64()),
+                "user_id": batch.column("user_id").take(keep),
+                "day": pa.array(ts[keep] // _DAY_US2, pa.int64()),
+                "c": pa.array(is_c[keep], pa.int64()),
+                "p": pa.array(is_p[keep], pa.int64()),
             }
         )
 
@@ -10627,30 +9776,25 @@ def user_set_ops(sf_dir: str) -> pa.Table:
             ["click_only", "purchase_only"],
             default="both",
         )
-        return pa.table(
-            {
-                "op": pa.array(op, pa.string()),
-                "n": pa.array(np.ones(b.num_rows, np.int64), pa.int64()),
-            }
-        )
+        return pa.table({"op": pa.array(op, pa.string())})
 
+    cells = keyed_aggregate(
+        ds.map_batches(flags, batch_format="pyarrow", zero_copy_batch=True),
+        ["user_id", "day"],
+        {"c": ("c", "max"), "p": ("p", "max")},
+    )
     rolled = ensure_columns(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["user_id", "day"])
-        .aggregate(
-            ray.data.aggregate.Max("c", alias_name="c"),
-            ray.data.aggregate.Max("p", alias_name="p"),
-        )
-        .map_batches(classify, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("op")
-        .sum("n")
-        .to_pandas(),  # 3 rows
-        ["op", "sum(n)"],
+        keyed_aggregate(
+            cells.map_batches(classify, batch_format="pyarrow", zero_copy_batch=True),
+            "op",
+            {"n_cells": ("op", "count")},
+        ).to_pandas(),  # 3 rows
+        ["op", "n_cells"],
     ).sort_values("op")
     return pa.table(
         {
             "op": pa.array(rolled["op"], pa.string()),
-            "n_cells": pa.array(rolled["sum(n)"].astype("int64"), pa.int64()),
+            "n_cells": pa.array(rolled["n_cells"].astype("int64"), pa.int64()),
         }
     )
 
@@ -10685,18 +9829,9 @@ def revenue_concentration(sf_dir: str) -> pa.Table:
     Scale shape: one custkey-keyed fold to per-customer cents, then a
     (spend → customer count) histogram rollup — bounded by distinct
     spend values — walked top-down on the driver."""
-    from ._util import ensure_columns, partitioned_by_key, run_bounds
-
     ds = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
     def fold(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return pa.table(
-                {
-                    "custkey": pa.array([], pa.int64()),
-                    "m": pa.array([], pa.int64()),
-                }
-            )
         ck = part.column("o_custkey").to_numpy(zero_copy_only=False)
         cents = money_cents(
             part.column("o_totalprice").to_numpy(zero_copy_only=False)
@@ -10711,23 +9846,11 @@ def revenue_concentration(sf_dir: str) -> pa.Table:
             }
         )
 
-    def hist(batch: pa.Table) -> pa.Table:
-        v = batch.column("m").to_numpy(zero_copy_only=False)
-        vals, cnts = np.unique(v, return_counts=True)
-        return pa.table(
-            {
-                "m": pa.array(vals, pa.int64()),
-                "c": pa.array(cnts.astype(np.int64), pa.int64()),
-            }
-        )
-
     h = ensure_columns(
-        partitioned_by_key(ds, "o_custkey", fold)
-        .map_batches(hist, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("m")
-        .sum("c")
-        .to_pandas(),  # bounded: one row per distinct spend value
-        ["m", "sum(c)"],
+        keyed_aggregate(
+            partitioned_by_key(ds, "o_custkey", fold), "m", {"c": ("m", "count")}
+        ).to_pandas(),  # bounded: one row per distinct spend value
+        ["m", "c"],
     ).sort_values("m", ascending=False)
     if len(h) == 0:
         return pa.table(
@@ -10738,7 +9861,7 @@ def revenue_concentration(sf_dir: str) -> pa.Table:
             }
         )
     vals = h["m"].to_numpy()
-    cnts = h["sum(c)"].to_numpy()
+    cnts = h["c"].to_numpy()
     cum_n = np.cumsum(cnts)
     cum_s = np.cumsum(vals * cnts)
     n = int(cum_n[-1])
@@ -10798,47 +9921,34 @@ def value_drift(sf_dir: str) -> pa.Table:
     before mixing them.  All arithmetic is integer permille (floored),
     mirrored exactly by the oracle.
 
-    Scale shape: one streaming pass folds to a (type, bin, count)
+    Scale shape: one keyed aggregate folds to a (type, bin, count)
     histogram — bounded by types × bins — and the drift math runs on
     the bounded rollup."""
-    from ._util import ensure_columns
-
     ds = _read(sf_dir, "events", ["event_type", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def binned(batch: pa.Table) -> pa.Table:
         et = np.asarray(batch.column("event_type").to_pylist(), dtype=object)
         v = batch.column("value").to_numpy(zero_copy_only=False)
-        keep = (et == "click") | (et == "purchase")
-        if not keep.any():
-            return pa.table(
-                {
-                    "event_type": pa.array([], pa.string()),
-                    "bin": pa.array([], pa.int64()),
-                    "c": pa.array([], pa.int64()),
-                }
-            )
-        et, v = et[keep], v[keep]
-        b = np.floor(v / 10).astype(np.int64)
-        t = pa.table(
+        keep = np.flatnonzero((et == "click") | (et == "purchase"))
+        return pa.table(
             {
-                "event_type": pa.array(et.astype(str).tolist(), pa.string()),
-                "bin": pa.array(b, pa.int64()),
-                "c": pa.array(np.ones(len(b), np.int64), pa.int64()),
+                "event_type": batch.column("event_type").take(keep),
+                "bin": pa.array(np.floor(v[keep] / 10).astype(np.int64), pa.int64()),
             }
-        ).group_by(["event_type", "bin"]).aggregate([("c", "sum")])
-        return t.rename_columns(["event_type", "bin", "c"])
+        )
 
     h = ensure_columns(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["event_type", "bin"])
-        .sum("c")
-        .to_pandas(),  # bounded: 2 × bins rows
-        ["event_type", "bin", "sum(c)"],
+        keyed_aggregate(
+            ds.map_batches(binned, batch_format="pyarrow", zero_copy_batch=True),
+            ["event_type", "bin"],
+            {"c": ("bin", "count")},
+        ).to_pandas(),  # bounded: 2 × bins rows
+        ["event_type", "bin", "c"],
     )
 
     piv = (
         h.pivot_table(
-            index="bin", columns="event_type", values="sum(c)", fill_value=0
+            index="bin", columns="event_type", values="c", fill_value=0
         )
         .reindex(columns=["click", "purchase"], fill_value=0)
         .sort_index()
@@ -10915,41 +10025,35 @@ def weekday_hour_heatmap(sf_dir: str) -> pa.Table:
     derived in pure integer math from the µs timestamp
     ((days_since_epoch + 4) % 7 — 1970-01-01 was a Thursday).
 
-    Scale shape: per-batch fold to ≤ 168 cells, one bounded rollup."""
-    from ._util import ensure_columns
-
+    Scale shape: one keyed aggregate to ≤ 168 cells."""
     ds = _read(sf_dir, "events", ["ts"])
     _DAY = 86_400_000_000
     _HR = 3_600_000_000
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cell(batch: pa.Table) -> pa.Table:
         ts = pc.cast(
             pc.cast(batch.column("ts"), pa.timestamp("us")), pa.int64()
         ).to_numpy(zero_copy_only=False)
-        dow = (ts // _DAY + 4) % 7
-        hr = (ts % _DAY) // _HR
-        cell = dow * 24 + hr
-        c, n = np.unique(cell, return_counts=True)
         return pa.table(
             {
-                "dow": pa.array(c // 24, pa.int64()),
-                "hour": pa.array(c % 24, pa.int64()),
-                "n": pa.array(n.astype(np.int64), pa.int64()),
+                "dow": pa.array((ts // _DAY + 4) % 7, pa.int64()),
+                "hour": pa.array((ts % _DAY) // _HR, pa.int64()),
             }
         )
 
     df = ensure_columns(
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["dow", "hour"])
-        .sum("n")
-        .to_pandas(),  # ≤ 168 rows
-        ["dow", "hour", "sum(n)"],
+        keyed_aggregate(
+            ds.map_batches(cell, batch_format="pyarrow", zero_copy_batch=True),
+            ["dow", "hour"],
+            {"n": ("dow", "count")},
+        ).to_pandas(),  # ≤ 168 rows
+        ["dow", "hour", "n"],
     ).sort_values(["dow", "hour"])
     return pa.table(
         {
             "dow": pa.array(df["dow"].astype("int64"), pa.int64()),
             "hour": pa.array(df["hour"].astype("int64"), pa.int64()),
-            "n_events": pa.array(df["sum(n)"].astype("int64"), pa.int64()),
+            "n_events": pa.array(df["n"].astype("int64"), pa.int64()),
         }
     )
 
@@ -10976,22 +10080,9 @@ def temporal_split(sf_dir: str, train_permille: int = 800) -> pa.Table:
     Scale shape: one user-keyed shuffle, vectorized rank-within-run
     kernel (lexsort + run boundaries + position arithmetic), bounded
     2-rows-per-user output."""
-    from ._util import ensure_columns, partitioned_by_key, run_bounds
-
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id"])
 
     def kernel(part: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "user_id": pa.array([], pa.int64()),
-                "split": pa.array([], pa.string()),
-                "n_events": pa.array([], pa.int64()),
-                "min_ts": pa.array([], pa.timestamp("us")),
-                "max_ts": pa.array([], pa.timestamp("us")),
-            }
-        )
-        if part.num_rows == 0:
-            return empty
         uid = part.column("user_id").to_numpy(zero_copy_only=False)
         eid = part.column("event_id").to_numpy(zero_copy_only=False)
         ts = pc.cast(
@@ -11071,20 +10162,9 @@ def state_dwell_times(sf_dir: str) -> pa.Table:
     Scale shape: scd2_history's single user-keyed shuffle and run
     sweep, with the interval rows folded to a ≤-types rollup inside
     the same kernel — durations never leave the partition as rows."""
-    from ._util import ensure_columns, partitioned_by_key
-
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
 
     def kernel(part: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "event_type": pa.array([], pa.string()),
-                "dwell_us": pa.array([], pa.int64()),
-                "n_intervals": pa.array([], pa.int64()),
-            }
-        )
-        if part.num_rows == 0:
-            return empty
         uid = part.column("user_id").to_numpy(zero_copy_only=False)
         eid = part.column("event_id").to_numpy(zero_copy_only=False)
         ts = pc.cast(
@@ -11116,21 +10196,18 @@ def state_dwell_times(sf_dir: str) -> pa.Table:
         )
 
     df = ensure_columns(
-        partitioned_by_key(ds, "user_id", kernel)
-        .groupby("event_type")
-        .sum(["dwell_us", "n_intervals"])
-        .to_pandas(),  # ≤ types rows
-        ["event_type", "sum(dwell_us)", "sum(n_intervals)"],
+        keyed_aggregate(
+            partitioned_by_key(ds, "user_id", kernel),
+            "event_type",
+            {"dwell_us": ("dwell_us", "sum"), "n_intervals": ("n_intervals", "sum")},
+        ).to_pandas(),  # ≤ types rows
+        ["event_type", "dwell_us", "n_intervals"],
     ).sort_values("event_type")
     return pa.table(
         {
             "event_type": pa.array(df["event_type"], pa.string()),
-            "dwell_us": pa.array(
-                df["sum(dwell_us)"].astype("int64"), pa.int64()
-            ),
-            "n_intervals": pa.array(
-                df["sum(n_intervals)"].astype("int64"), pa.int64()
-            ),
+            "dwell_us": pa.array(df["dwell_us"].astype("int64"), pa.int64()),
+            "n_intervals": pa.array(df["n_intervals"].astype("int64"), pa.int64()),
         }
     )
 
@@ -11168,9 +10245,8 @@ def pk_audit(sf_dir: str) -> pa.Table:
     op exists so a broken ingest is caught by a 3-row report, not a
     corrupted join downstream.
 
-    Scale shape: per table, one pass of per-batch (key, partial count)
-    rollups → key-keyed rollup → ≤-1-row fold (rows, distinct, dups
-    are all sums over the bounded per-key count table — which itself
+    Scale shape: per table, one keyed count per key → ≤-1-row fold
+    (rows, distinct, dups are all sums over the bounded per-key count table — which itself
     never reaches the driver; the fold is a second tiny aggregate)."""
 
     specs = [
@@ -11181,20 +10257,6 @@ def pk_audit(sf_dir: str) -> pa.Table:
     names, rows_l, dist_l, dup_l = [], [], [], []
     for table, key in specs:
         ds = _read(sf_dir, table, [key])
-
-        def partial(batch: pa.Table, key=key) -> pa.Table:
-            v, c = np.unique(
-                pc.cast(batch.column(key), pa.int64()).to_numpy(
-                    zero_copy_only=False
-                ),
-                return_counts=True,
-            )
-            return pa.table(
-                {
-                    "k": pa.array(v, pa.int64()),
-                    "c": pa.array(c.astype(np.int64), pa.int64()),
-                }
-            )
 
         def fold(batch: pa.Table) -> pa.Table:
             c = batch.column("c").to_numpy(zero_copy_only=False)
@@ -11207,10 +10269,7 @@ def pk_audit(sf_dir: str) -> pa.Table:
             )
 
         agg = (
-            ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("k")
-            .sum("c")
-            .rename_columns({"sum(c)": "c"})
+            keyed_aggregate(ds, key, {"c": (key, "count")})
             .map_batches(fold, batch_format="pyarrow", zero_copy_batch=True)
             .aggregate(
                 ray.data.aggregate.Sum("rows", alias_name="rows"),
@@ -11265,8 +10324,8 @@ def spearman_rank_stats(sf_dir: str) -> pa.Table:
     """Exact Spearman sufficient statistics between l_quantity and
     l_discount, the bounded-domain rank trick: both columns have tiny
     value domains (50 x 11), so instead of globally sorting 100 TB of
-    rows to assign ranks, each batch emits a (qty, disc) joint histogram
-    (pre-combined), one keyed shuffle merges it to <= 550 cells, and the
+    rows to assign ranks, one keyed aggregate counts the (qty, disc)
+    joint histogram (<= 550 cells, pre-combined per call), and the
     driver derives tie-averaged ranks from the marginal counts — a
     frequency-of-frequencies computation over the cell table, never the
     rows.  Ranks are DOUBLED so tie-averages stay integral
@@ -11279,33 +10338,20 @@ def spearman_rank_stats(sf_dir: str) -> pa.Table:
     histogram cells; rank derivation is O(domain), not O(rows)."""
     li = _read(sf_dir, "lineitem", ["l_quantity", "l_discount"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def cells(batch: pa.Table) -> pa.Table:
         q = (
             batch.column("l_quantity")
             .to_numpy(zero_copy_only=False)
             .astype(np.int64)
         )
         d = money_cents(batch.column("l_discount").to_numpy(zero_copy_only=False))
-        # Pack the pair into one int64 key (domain tiny; guard it so an
-        # out-of-domain value raises instead of corrupting the histogram).
-        if len(d) and (q.min() < 0 or d.min() < 0 or d.max() >= 1000):
-            raise ValueError("spearman_rank_stats: value outside packed domain")
-        packed = q * 1000 + d
-        keys, cnt = np.unique(packed, return_counts=True)
-        return pa.table(
-            {
-                "q": pa.array(keys // 1000, pa.int64()),
-                "d": pa.array(keys % 1000, pa.int64()),
-                "cnt": pa.array(cnt.astype(np.int64), pa.int64()),
-            }
-        )
+        return pa.table({"q": pa.array(q, pa.int64()), "d": pa.array(d, pa.int64())})
 
-    joint = (
-        li.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["q", "d"])
-        .aggregate(ray.data.aggregate.Sum("cnt", alias_name="cnt"))
-        .to_pandas()
-    )
+    joint = keyed_aggregate(
+        li.map_batches(cells, batch_format="pyarrow", zero_copy_batch=True),
+        ["q", "d"],
+        {"cnt": ("q", "count")},
+    ).to_pandas()
     names = ["n", "sum_rx", "sum_ry", "sum_rxy", "sum_rx2", "sum_ry2"]
     if joint.empty:
         return pa.table({c: pa.array([0], pa.int64()) for c in names})
@@ -11371,35 +10417,15 @@ def source_lang_gini(sf_dir: str) -> pa.Table:
     balance diagnostic an LLM-data pipeline runs before fixing sampling
     weights.  gini_permille = 1000 - floor(1000 * sum(c^2) / n^2), exact
     integer arithmetic end-to-end (operands non-negative, so DuckDB's
-    truncating // and Python's floor // agree).  Scale shape: batches
-    pre-combine to (source, lang) cells, one keyed shuffle merges the
-    cell table (|sources| x |langs|, tiny), and the quadratic sum is a
+    truncating // and Python's floor // agree).  Scale shape: one keyed
+    aggregate counts the (source, lang) cell table (|sources| x |langs|,
+    tiny, pre-combined per call), and the quadratic sum is a
     second cell-level rollup — rows never shuffle."""
     docs = _read(sf_dir, "documents", ["source", "lang"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "source": batch.column("source"),
-                "lang": batch.column("lang"),
-                "cnt": pa.array(np.ones(batch.num_rows, np.int64), pa.int64()),
-            }
-        )
-        g = t.group_by(["source", "lang"]).aggregate([("cnt", "sum")])
-        return pa.table(
-            {
-                "source": g.column("source"),
-                "lang": g.column("lang"),
-                "cnt": g.column("cnt_sum"),
-            }
-        )
-
-    cells = (
-        docs.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["source", "lang"])
-        .aggregate(ray.data.aggregate.Sum("cnt", alias_name="cnt"))
-        .to_pandas()
-    )
+    cells = keyed_aggregate(
+        docs, ["source", "lang"], {"cnt": ("source", "count")}
+    ).to_pandas()
     if cells.empty:
         return pa.table(
             {
@@ -11501,16 +10527,11 @@ def merkle_shards(sf_dir: str, buckets: int = 64) -> pa.Table:
             }
         )
 
-    out = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("bucket")
-        .aggregate(
-            ray.data.aggregate.Sum("n", alias_name="n_rows"),
-            ray.data.aggregate.Sum("s", alias_name="s"),
-        )
-        .to_pandas()
-    )
-    from ._util import ensure_columns
+    out = keyed_aggregate(
+        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+        "bucket",
+        {"n_rows": ("n", "sum"), "s": ("s", "sum")},
+    ).to_pandas()
 
     out = ensure_columns(out, ["bucket", "n_rows", "s"]).sort_values("bucket")
     return pa.table(
@@ -11600,17 +10621,11 @@ def expectations_report(sf_dir: str) -> pa.Table:
             doc_rules, batch_format="pyarrow", zero_copy_batch=True
         ),
     ]
-    ds = parts[0].union(*parts[1:])
-    out = (
-        ds.groupby("rule")
-        .aggregate(
-            ray.data.aggregate.Sum("n_rows", alias_name="n_rows"),
-            ray.data.aggregate.Sum("n_pass", alias_name="n_pass"),
-        )
-        .to_pandas()
-    )
-    from ._util import ensure_columns
-
+    out = keyed_aggregate(
+        parts[0].union(*parts[1:]),
+        "rule",
+        {"n_rows": ("n_rows", "sum"), "n_pass": ("n_pass", "sum")},
+    ).to_pandas()
     out = ensure_columns(out, ["rule", "n_rows", "n_pass"]).sort_values("rule")
     nr = out["n_rows"].to_numpy().astype(np.int64)
     npass = out["n_pass"].to_numpy().astype(np.int64)
@@ -11671,37 +10686,34 @@ def seasonal_naive_mae(sf_dir: str) -> pa.Table:
     over daily value totals, in exact integer cents.  The shape every
     pipeline-health dashboard needs before trusting a volume forecast.
 
-    Scale shape: rows fold to a (type, day, cents) cell table per
-    batch, ONE keyed shuffle merges it, and the lag-7 alignment runs on
+    Scale shape: ONE keyed aggregate folds rows to a (type, day, cents)
+    cell table, and the lag-7 alignment runs on
     the merged cell table (|types| x |days| — bounded by the calendar,
     not the corpus, so driver-side alignment holds at any scale).
     Missing days are skipped (join semantics), not zero-filled —
     mirrored by the SQL self-join on day = day + 7."""
     ev = _read(sf_dir, "events", ["event_type", "ts", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def day_cents(batch: pa.Table) -> pa.Table:
         ts = pc.cast(batch.column("ts"), pa.timestamp("us"))
         day = (
             pc.cast(ts, pa.int64()).to_numpy(zero_copy_only=False)
             // _DAY_US
         )
         cents = money_cents(batch.column("value").to_numpy(zero_copy_only=False))
-        t = pa.table(
+        return pa.table(
             {
                 "event_type": batch.column("event_type"),
                 "day": pa.array(day, pa.int64()),
                 "cents": pa.array(cents, pa.int64()),
             }
         )
-        g = t.group_by(["event_type", "day"]).aggregate([("cents", "sum")])
-        return g.rename_columns(["event_type", "day", "cents"])
 
-    cells = (
-        ev.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["event_type", "day"])
-        .aggregate(ray.data.aggregate.Sum("cents", alias_name="cents"))
-        .to_pandas()
-    )
+    cells = keyed_aggregate(
+        ev.map_batches(day_cents, batch_format="pyarrow", zero_copy_batch=True),
+        ["event_type", "day"],
+        {"cents": ("cents", "sum")},
+    ).to_pandas()
     names = ["event_type", "n_days", "abs_err_sum"]
     if cells.empty:
         return pa.table(
@@ -11779,8 +10791,6 @@ def cascade_delete_audit(sf_dir: str) -> pa.Table:
     where an affected key is present — shuffle volume is two ints per
     distinct orderkey."""
     from ray.data.aggregate import Sum
-
-    from ._util import partitioned_by_key
 
     def count_where(ds, col: str, fn) -> int:
         def fold(batch: pa.Table) -> pa.Table:
@@ -11897,86 +10907,47 @@ def ab_test_report(sf_dir: str) -> pa.Table:
     integer cents.  Significance math is a trivial downstream divide —
     the table carries the exact sufficient counts.
 
-    Scale shape: batches fold to (user, conv, cents) cells; one
-    user-keyed shuffle merges them (Max/Sum — both associative), the
-    arm rollup is a 2-group aggregate.  User assignment hashes inside
-    the kernel — no assignment table is joined or broadcast."""
-    from ray.data.aggregate import Max, Sum
-
-    from ._util import ensure_columns, md5_u64
+    Scale shape: one user-keyed aggregate folds events to (user, conv,
+    cents) cells (Max/Sum — both associative), the arm rollup is a
+    2-group keyed aggregate.  User assignment hashes per user row — no
+    assignment table is joined or broadcast."""
+    from ._util import md5_u64
 
     ev = _read(sf_dir, "events", ["user_id", "event_type", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        uid = batch.column("user_id")
-        is_p = pc.equal(batch.column("event_type"), pa.scalar("purchase"))
+    def purchases(batch: pa.Table) -> pa.Table:
+        mask = pc.equal(batch.column("event_type"), "purchase").to_numpy(
+            zero_copy_only=False
+        )
         cents = money_cents(batch.column("value").to_numpy(zero_copy_only=False))
-        mask = is_p.to_numpy(zero_copy_only=False)
-        t = pa.table(
+        return pa.table(
             {
-                "user_id": uid,
+                "user_id": batch.column("user_id"),
                 "conv": pa.array(mask.astype(np.int64), pa.int64()),
-                "cents": pa.array(
-                    np.where(mask, cents, 0).astype(np.int64), pa.int64()
-                ),
-            }
-        )
-        g = t.group_by("user_id").aggregate([("conv", "max"), ("cents", "sum")])
-        return pa.table(
-            {
-                "user_id": g.column("user_id"),
-                "conv": g.column("conv_max"),
-                "cents": g.column("cents_sum"),
+                "cents": pa.array(np.where(mask, cents, 0), pa.int64()),
             }
         )
 
-    users = (
-        ev.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("user_id")
-        .aggregate(
-            Max("conv", alias_name="conv"), Sum("cents", alias_name="cents")
-        )
+    users = keyed_aggregate(
+        ev.map_batches(purchases, batch_format="pyarrow", zero_copy_batch=True),
+        "user_id",
+        {"conv": ("conv", "max"), "cents": ("cents", "sum")},
     )
 
-    def arm_fold(batch: pa.Table) -> pa.Table:
+    def with_arm(batch: pa.Table) -> pa.Table:
         uid = batch.column("user_id").to_numpy(zero_copy_only=False)
-        arm = (md5_u64(uid) % 2).astype(np.int64)
-        conv = batch.column("conv").to_numpy(zero_copy_only=False)
-        cents = batch.column("cents").to_numpy(zero_copy_only=False)
-        rows = []
-        for a, name in ((0, "A"), (1, "B")):
-            sel = arm == a
-            if not sel.any():
-                continue  # the oracle emits no row for an absent arm
-            rows.append(
-                (
-                    name,
-                    int(sel.sum()),
-                    int(conv[sel].sum()),
-                    int(cents[sel].sum()),
-                )
-            )
-        return pa.table(
-            {
-                "arm": pa.array([r[0] for r in rows], pa.string()),
-                "n_users": pa.array([r[1] for r in rows], pa.int64()),
-                "n_converted": pa.array([r[2] for r in rows], pa.int64()),
-                "sum_purchase_cents": pa.array(
-                    [r[3] for r in rows], pa.int64()
-                ),
-            }
-        )
+        arm = np.where(md5_u64(uid) % 2 == 0, "A", "B")
+        return batch.append_column("arm", pa.array(arm, pa.string()))
 
-    out = (
-        users.map_batches(arm_fold, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("arm")
-        .aggregate(
-            Sum("n_users", alias_name="n_users"),
-            Sum("n_converted", alias_name="n_converted"),
-            Sum("sum_purchase_cents", alias_name="sum_purchase_cents"),
-        )
-        .to_pandas()
-    )
+    out = keyed_aggregate(
+        users.map_batches(with_arm, batch_format="pyarrow", zero_copy_batch=True),
+        "arm",
+        {
+            "n_users": ("conv", "count"),
+            "n_converted": ("conv", "sum"),
+            "sum_purchase_cents": ("cents", "sum"),
+        },
+    ).to_pandas()
     out = ensure_columns(
         out, ["arm", "n_users", "n_converted", "sum_purchase_cents"]
     ).sort_values("arm")
@@ -12027,41 +10998,20 @@ ORDER BY 1
 def freshness_report(sf_dir: str) -> pa.Table:
     """Ops-dashboard freshness: per event type, row count, newest
     timestamp, and staleness (whole hours behind the freshest type) —
-    the first thing an ingestion SLO monitor computes.  Batches fold to
-    one (type, max_us, n) row; one tiny keyed rollup; the global max is
+    the first thing an ingestion SLO monitor computes.  One tiny keyed
+    aggregate folds rows to (type, max_us, n); the global max is
     derived from the <= |types| result rows, never a second scan."""
-    from ray.data.aggregate import Max, Sum
-
-    from ._util import ensure_columns
-
     ev = _read(sf_dir, "events", ["event_type", "ts"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        us = pc.cast(
-            pc.cast(batch.column("ts"), pa.timestamp("us")), pa.int64()
-        ).to_numpy(zero_copy_only=False)
-        t = pa.table(
-            {
-                "event_type": batch.column("event_type"),
-                "mx": pa.array(us, pa.int64()),
-                "n": pa.array(np.ones(len(us), np.int64), pa.int64()),
-            }
-        )
-        g = t.group_by("event_type").aggregate([("mx", "max"), ("n", "sum")])
-        return pa.table(
-            {
-                "event_type": g.column("event_type"),
-                "mx": g.column("mx_max"),
-                "n": g.column("n_sum"),
-            }
-        )
+    def micros(batch: pa.Table) -> pa.Table:
+        us = pc.cast(pc.cast(batch.column("ts"), pa.timestamp("us")), pa.int64())
+        return pa.table({"event_type": batch.column("event_type"), "us": us})
 
-    out = (
-        ev.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("event_type")
-        .aggregate(Max("mx", alias_name="mx"), Sum("n", alias_name="n"))
-        .to_pandas()
-    )
+    out = keyed_aggregate(
+        ev.map_batches(micros, batch_format="pyarrow", zero_copy_batch=True),
+        "event_type",
+        {"mx": ("us", "max"), "n": ("us", "count")},
+    ).to_pandas()
     out = ensure_columns(out, ["event_type", "mx", "n"]).sort_values(
         "event_type"
     )
@@ -12177,31 +11127,28 @@ def topk_stability(sf_dir: str, k: int = 20) -> pa.Table:
     Total order (revenue DESC, partkey ASC) makes ties deterministic
     on both sides.
 
-    Scale shape: rows fold to (half, partkey, cents) cells; one keyed
-    shuffle merges them; each output block keeps only its local top-k
+    Scale shape: one keyed aggregate folds rows to (half, partkey,
+    cents) cells; each output block keeps only its local top-k
     per half (select-k, no global sort), so the driver merge sees
     <= 2k rows per block and the final exact top-k is a tiny lexsort."""
     li = _read(
         sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"]
     )
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def half_rev(batch: pa.Table) -> pa.Table:
         us = pc.cast(
             pc.cast(batch.column("l_shipdate"), pa.timestamp("us")), pa.int64()
         ).to_numpy(zero_copy_only=False)
         half = (us >= _TOPK_SPLIT_US).astype(np.int64)
         price = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)
         disc = batch.column("l_discount").to_numpy(zero_copy_only=False)
-        cents = money_cents(price * (1 - disc))
-        t = pa.table(
+        return pa.table(
             {
                 "half": pa.array(half, pa.int64()),
                 "l_partkey": batch.column("l_partkey"),
-                "rev": pa.array(cents, pa.int64()),
+                "rev": pa.array(money_cents(price * (1 - disc)), pa.int64()),
             }
         )
-        g = t.group_by(["half", "l_partkey"]).aggregate([("rev", "sum")])
-        return g.rename_columns(["half", "l_partkey", "rev"])
 
     def block_topk(batch: pa.Table) -> pa.Table:
         h = batch.column("half").to_numpy(zero_copy_only=False)
@@ -12216,9 +11163,11 @@ def topk_stability(sf_dir: str, k: int = 20) -> pa.Table:
         return batch.take(pa.array(keep, pa.int64()))
 
     cells = (
-        li.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["half", "l_partkey"])
-        .aggregate(ray.data.aggregate.Sum("rev", alias_name="rev"))
+        keyed_aggregate(
+            li.map_batches(half_rev, batch_format="pyarrow", zero_copy_batch=True),
+            ["half", "l_partkey"],
+            {"rev": ("rev", "sum")},
+        )
         .map_batches(block_topk, batch_format="pyarrow", zero_copy_batch=True)
         .to_pandas()
     )
@@ -12288,47 +11237,28 @@ def spend_gini(sf_dir: str) -> pa.Table:
     are equal, so the statistic is deterministic without a tie rule.
     The whale-dominance diagnostic for any usage/billing corpus.
 
-    Scale shape: one user-keyed shuffle rolls events to per-user cents;
-    a value-count fold reduces users to a (spend, count) histogram
+    Scale shape: one user-keyed aggregate rolls events to per-user
+    cents; a spend-keyed count reduces users to a (spend, count) histogram
     (driver state = distinct spend VALUES, not users — the percentiles
     reduction); the rank-weighted sum is then exact arithmetic over the
     sorted histogram with Python ints, guarded to int64 on output."""
-    from ray.data.aggregate import Sum
-
     ev = _read(sf_dir, "events", ["user_id", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def user_cents(batch: pa.Table) -> pa.Table:
         cents = money_cents(batch.column("value").to_numpy(zero_copy_only=False))
-        t = pa.table(
-            {
-                "user_id": batch.column("user_id"),
-                "cents": pa.array(cents, pa.int64()),
-            }
-        )
-        g = t.group_by("user_id").aggregate([("cents", "sum")])
-        return g.rename_columns(["user_id", "cents"])
-
-    def vc_fold(batch: pa.Table) -> pa.Table:
-        vc = batch.column("cents").value_counts()
         return pa.table(
-            {
-                "spend": vc.field("values"),
-                "cnt": pc.cast(vc.field("counts"), pa.int64()),
-            }
+            {"user_id": batch.column("user_id"), "cents": pa.array(cents, pa.int64())}
         )
 
-    hist = (
-        ev.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("user_id")
-        .aggregate(Sum("cents", alias_name="cents"))
-        .map_batches(vc_fold, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("spend")
-        .sum("cnt")
-        .to_pandas()
+    per_user = keyed_aggregate(
+        ev.map_batches(user_cents, batch_format="pyarrow", zero_copy_batch=True),
+        "user_id",
+        {"spend": ("cents", "sum")},
     )
-    from ._util import ensure_columns
-
-    hist = ensure_columns(hist, ["spend", "sum(cnt)"]).sort_values("spend")
+    hist = ensure_columns(
+        keyed_aggregate(per_user, "spend", {"cnt": ("spend", "count")}).to_pandas(),
+        ["spend", "cnt"],
+    ).sort_values("spend")
     if hist.empty:
         return pa.table(
             {
@@ -12338,7 +11268,7 @@ def spend_gini(sf_dir: str) -> pa.Table:
             }
         )
     spend = hist["spend"].to_numpy().astype(np.int64)
-    cnt = hist["sum(cnt)"].to_numpy().astype(np.int64)
+    cnt = hist["cnt"].to_numpy().astype(np.int64)
     n = int(cnt.sum())
     s0 = 0
     s1 = 0
@@ -12403,10 +11333,6 @@ def cohort_revenue(sf_dir: str) -> pa.Table:
     np.repeat, and the partition folds straight to (year, 4 sums)
     partials — per-customer state never leaves the kernel, and the
     final rollup is O(#years)."""
-    from ray.data.aggregate import Sum
-
-    from ._util import ensure_columns, partitioned_by_key, run_bounds
-
     ds = _read(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_totalprice"])
 
     def prep(batch: pa.Table) -> pa.Table:
@@ -12470,16 +11396,15 @@ def cohort_revenue(sf_dir: str) -> pa.Table:
         "n_orders_returning",
         "rev_returning_cents",
     ]
-    out = (
+    out = keyed_aggregate(
         partitioned_by_key(
             ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
             "o_custkey",
             kernel,
-        )
-        .groupby("year")
-        .aggregate(*[Sum(c, alias_name=c) for c in cols])
-        .to_pandas()
-    )
+        ),
+        "year",
+        {c: (c, "sum") for c in cols},
+    ).to_pandas()
     out = ensure_columns(out, ["year"] + cols).sort_values("year")
     return pa.table(
         {"year": pa.array(out["year"].to_numpy().astype(np.int64), pa.int64())}
@@ -12526,10 +11451,6 @@ def order_ship_delay_hist(sf_dir: str) -> pa.Table:
     union shuffle aligns the two sides and each partition kernel folds
     straight to <= |days| histogram cells — neither fact table is ever
     joined row-for-row, and the rollup is O(distinct latencies)."""
-    from ray.data.aggregate import Sum
-
-    from ._util import ensure_columns, partitioned_by_key, run_bounds
-
     def li_fold(batch: pa.Table) -> pa.Table:
         ok = batch.column("l_orderkey").to_numpy(zero_copy_only=False)
         us = pc.cast(
@@ -12598,12 +11519,11 @@ def order_ship_delay_hist(sf_dir: str) -> pa.Table:
             }
         )
 
-    out = (
-        partitioned_by_key(li.union(od), "orderkey", kernel)
-        .groupby("days")
-        .aggregate(Sum("n_orders", alias_name="n_orders"))
-        .to_pandas()
-    )
+    out = keyed_aggregate(
+        partitioned_by_key(li.union(od), "orderkey", kernel),
+        "days",
+        {"n_orders": ("n_orders", "sum")},
+    ).to_pandas()
     out = ensure_columns(out, ["days", "n_orders"]).sort_values("days")
     return pa.table(
         {
@@ -12955,10 +11875,6 @@ def _kcore_loop(edges_ds) -> pa.Table:
     monotonically, so round cost strictly decreases; peel depth is
     bounded by the graph's degeneracy plus per-level cascade length
     (small on co-purchase-shaped graphs — documented assumption)."""
-    from ray.data.aggregate import Sum
-
-    from ._util import partitioned_by_key, run_bounds
-
     def endpoints(batch: pa.Table) -> pa.Table:
         ek = batch.column("k").to_numpy(zero_copy_only=False)
         nodes = np.concatenate([ek >> _TRI_SHIFT, ek & _TRI_MASK])
@@ -12982,17 +11898,11 @@ def _kcore_loop(edges_ds) -> pa.Table:
         )
 
     edges = edges_ds.materialize()
-    alive = (
-        edges.map_batches(endpoints, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("node")
-        .aggregate(Sum("cnt", alias_name="cnt"))
-        .map_batches(
-            lambda b: b.select(["node"]),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .materialize()
-    )
+    alive = keyed_aggregate(
+        edges.map_batches(endpoints, batch_format="pyarrow", zero_copy_batch=True),
+        "node",
+        {},
+    ).materialize()
     hist: dict[int, int] = {}
     k = 1
     while alive.count() > 0:
@@ -13172,40 +12082,31 @@ def change_point_detect(sf_dir: str) -> pa.Table:
     float epsilon can flip the winner).  Ties break on the earlier
     day.  The volume-regime-shift alarm every ingestion monitor wants.
 
-    Scale shape: rows fold to (type, day, n) cells per batch; one keyed
-    shuffle merges the cell table (bounded by types x calendar, not
-    corpus size); the prefix-sum scan over each type's day series is
+    Scale shape: one keyed aggregate folds rows to the (type, day, n)
+    cell table (bounded by types x calendar, not corpus size); the
+    prefix-sum scan over each type's day series is
     driver-side arithmetic on that bounded table.  Score overflow is
     guarded: S_n * t <= total_rows * days < 2^63 at any tested scale,
     and the guard raises loudly rather than wrapping."""
-    from ray.data.aggregate import Sum
-
-    from ._util import ensure_columns
-
     ev = _read(sf_dir, "events", ["event_type", "ts"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def type_day(batch: pa.Table) -> pa.Table:
         ts = pc.cast(batch.column("ts"), pa.timestamp("us"))
         day = (
             pc.cast(ts, pa.int64()).to_numpy(zero_copy_only=False) // _DAY_US
         )
-        t = pa.table(
-            {
-                "event_type": batch.column("event_type"),
-                "day": pa.array(day, pa.int64()),
-                "n": pa.array(np.ones(len(day), np.int64), pa.int64()),
-            }
+        return pa.table(
+            {"event_type": batch.column("event_type"), "day": pa.array(day, pa.int64())}
         )
-        g = t.group_by(["event_type", "day"]).aggregate([("n", "sum")])
-        return g.rename_columns(["event_type", "day", "n"])
 
-    cells = (
-        ev.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["event_type", "day"])
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()
+    cells = ensure_columns(
+        keyed_aggregate(
+            ev.map_batches(type_day, batch_format="pyarrow", zero_copy_batch=True),
+            ["event_type", "day"],
+            {"n": ("day", "count")},
+        ).to_pandas(),
+        ["event_type", "day", "n"],
     )
-    cells = ensure_columns(cells, ["event_type", "day", "n"])
     rows = []
     for et, grp in cells.groupby("event_type", sort=True):
         day = grp["day"].to_numpy().astype(np.int64)
@@ -13292,14 +12193,10 @@ def target_encode_brands(sf_dir: str) -> pa.Table:
 
     Scale shape: lineitem folds to per-(partkey) partials?  No — the
     brand is the dimension attribute, so part broadcasts once
-    (revenue_by_brand's plan) and batches fold straight to
-    <= |brands| cells; one tiny keyed rollup, then driver arithmetic
+    (revenue_by_brand's plan) and one tiny keyed aggregate folds rows
+    straight to <= |brands| cells, then driver arithmetic
     over the bounded brand table."""
     import pyarrow.parquet as pq
-
-    from ray.data.aggregate import Sum
-
-    from ._util import ensure_columns
 
     part = pq.read_table(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand"])
     dim_ref = ray.put(
@@ -13309,7 +12206,7 @@ def target_encode_brands(sf_dir: str) -> pa.Table:
         )
     )
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def brand_returns(batch: pa.Table) -> pa.Table:
         keys, brands = ray.get(dim_ref)
         idx = pc.index_in(batch.column("l_partkey"), value_set=keys)
         valid = pc.is_valid(idx).to_numpy(zero_copy_only=False)
@@ -13320,23 +12217,15 @@ def target_encode_brands(sf_dir: str) -> pa.Table:
             .to_numpy(zero_copy_only=False)[keep]
             .astype(np.int64)
         )
-        t = pa.table(
-            {
-                "p_brand": pc.take(brands, idx),
-                "n": pa.array(np.ones(len(ret), np.int64), pa.int64()),
-                "r": pa.array(ret, pa.int64()),
-            }
-        )
-        g = t.group_by("p_brand").aggregate([("n", "sum"), ("r", "sum")])
-        return g.rename_columns(["p_brand", "n", "r"])
+        return pa.table({"p_brand": pc.take(brands, idx), "r": pa.array(ret, pa.int64())})
 
-    out = (
-        _read(sf_dir, "lineitem", ["l_partkey", "l_returnflag"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("p_brand")
-        .aggregate(Sum("n", alias_name="n"), Sum("r", alias_name="r"))
-        .to_pandas()
-    )
+    out = keyed_aggregate(
+        _read(sf_dir, "lineitem", ["l_partkey", "l_returnflag"]).map_batches(
+            brand_returns, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "p_brand",
+        {"n": ("r", "count"), "r": ("r", "sum")},
+    ).to_pandas()
     out = ensure_columns(out, ["p_brand", "n", "r"]).sort_values("p_brand")
     if out.empty:
         return pa.table(
@@ -13391,29 +12280,13 @@ def source_ablation_report(sf_dir: str) -> pa.Table:
     metric, computed from per-source sufficient statistics: one cell
     rollup, then O(|sources|) driver arithmetic — no per-ablation
     rescan of anything."""
-    from ray.data.aggregate import Sum
-
-    from ._util import ensure_columns
     from .text import read_documents
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "source": batch.column("source"),
-                "n": pa.array(np.ones(batch.num_rows, np.int64), pa.int64()),
-                "s": pc.cast(batch.column("n_chars"), pa.int64()),
-            }
-        )
-        g = t.group_by("source").aggregate([("n", "sum"), ("s", "sum")])
-        return g.rename_columns(["source", "n", "s"])
-
-    out = (
-        read_documents(sf_dir, columns=["source", "n_chars"])
-        .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("source")
-        .aggregate(Sum("n", alias_name="n"), Sum("s", alias_name="s"))
-        .to_pandas()
-    )
+    out = keyed_aggregate(
+        read_documents(sf_dir, columns=["source", "n_chars"]),
+        "source",
+        {"n": ("n_chars", "count"), "s": ("n_chars", "sum")},
+    ).to_pandas()
     out = ensure_columns(out, ["source", "n", "s"]).sort_values("source")
     if out.empty:
         return pa.table(
@@ -13463,40 +12336,29 @@ def gap_fill(sf_dir: str) -> pa.Table:
     idiom every downstream forecaster needs before it can difference or
     window a series.
 
-    Scale shape: the raw stream collapses to (event_type, day, partial
-    count) inside map_batches, then ONE bounded groupby sums partials —
-    shuffle volume is #types × #days rows, not #events.  The spine
+    Scale shape: ONE bounded keyed aggregate collapses the raw stream
+    to (event_type, day, count) — its per-call combiner keeps exchange
+    volume at #types × #days rows a call, not #events.  The spine
     expansion runs on the rolled-up frame, which is bounded by design
     (event-type vocabulary is small and the calendar range is fixed:
     even 10 years × 10k types is 36M rows, and it only grows with the
     CALENDAR, never with event volume).  LOCF per type is one
     maximum.accumulate over the presence mask — no per-day Python."""
-    from ray.data.aggregate import Sum
-
-    from ._util import ensure_columns
-
     DAY_US = 86_400 * 1_000_000
     ev = _read(sf_dir, "events", ["ts", "event_type"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def type_day(batch: pa.Table) -> pa.Table:
         t = pc.cast(pc.cast(batch.column("ts"), pa.timestamp("us")), pa.int64())
         d = (t.to_numpy(zero_copy_only=False) // DAY_US) * DAY_US
-        tab = pa.table(
-            {
-                "event_type": batch.column("event_type"),
-                "d": pa.array(d, pa.int64()),
-                "n": pa.array(np.ones(len(d), np.int64), pa.int64()),
-            }
+        return pa.table(
+            {"event_type": batch.column("event_type"), "d": pa.array(d, pa.int64())}
         )
-        g = tab.group_by(["event_type", "d"]).aggregate([("n", "sum")])
-        return g.rename_columns(["event_type", "d", "n"])
 
-    rolled = (
-        ev.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["event_type", "d"])
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()  # bounded: #types × #days (calendar-bounded, see above)
-    )
+    rolled = keyed_aggregate(
+        ev.map_batches(type_day, batch_format="pyarrow", zero_copy_batch=True),
+        ["event_type", "d"],
+        {"n": ("d", "count")},
+    ).to_pandas()  # bounded: #types × #days (calendar-bounded, see above)
     rolled = ensure_columns(rolled, ["event_type", "d", "n"])
 
     empty = pa.table(
@@ -13581,7 +12443,7 @@ def item_similarity_topk(sf_dir: str) -> "ray.data.Dataset":
     a per-run triu sweep, pre-collapsed to (packed pair key, partial
     count) with np.unique BEFORE leaving the task, so the wire carries
     pair partials, not the quadratic expansion re-counted downstream;
-    (2) pair-keyed groupby sums partials into exact shared-order counts;
+    (2) a pair-keyed aggregate sums partials into exact shared-order counts;
     (3) src-keyed: one lexsort kernel per exchange block ranks every
     part's neighbor list at once (partitioned_by_key — UDF calls bounded
     by min(P, 2 × CPUs), not by #parts).  Pair keys pack (src,dst) into ONE int64
@@ -13590,7 +12452,7 @@ def item_similarity_topk(sf_dir: str) -> "ray.data.Dataset":
     k-item order emits k(k-1) pairs, bounded here by the order schema
     (orders cap out at tens of lines); a marketplace-basket variant
     would cap or sample per-order part lists first."""
-    from ._util import partitioned_by_key, run_bounds, wide_partitions
+    from ._util import wide_partitions
 
     P = wide_partitions()
     MASK = (1 << _TRI_SHIFT) - 1
@@ -13628,7 +12490,7 @@ def item_similarity_topk(sf_dir: str) -> "ray.data.Dataset":
             ii, jj = np.triu_indices(len(pp), k=1)
             # canonical a<b keys only — shared counts are symmetric, so
             # the reverse direction is reconstructed AFTER the pair
-            # groupby (in unpack), halving stage-2 shuffle volume.
+            # sum (in unpack), halving stage-2 shuffle volume.
             keys.append((pp[ii] << _TRI_SHIFT) | pp[jj])
         if not keys:
             z = pa.array([], pa.int64())
@@ -13642,10 +12504,8 @@ def item_similarity_topk(sf_dir: str) -> "ray.data.Dataset":
         )
 
     def sum_pairs(part: pa.Table) -> pa.Table:
-        """Per-partition pair-count rollup: distinct-pair cardinality is
-        far above the ~1e5 groups where Ray's sort-based groupby costs
-        ~10 µs/row (the session-6 finding), so the sum runs as ONE
-        np.unique + reduceat kernel per exchange block instead."""
+        """Per-block pair-count rollup: ONE np.unique + reduceat kernel
+        per exchange block sums every pair's partial counts."""
         k = part.column("k").to_numpy(zero_copy_only=False)
         n = part.column("n").to_numpy(zero_copy_only=False)
         if len(k) == 0:
@@ -13868,7 +12728,6 @@ def copurchase_bfs_depth(
         )
     ).materialize()
     frontier_ds = visited
-    from ._util import partitioned_by_key
 
     def uniq_nodes(part: pa.Table) -> pa.Table:
         n = np.unique(part.column("node").to_numpy(zero_copy_only=False))
@@ -13914,8 +12773,8 @@ def copurchase_bfs_depth(
         visited = cut_lineage(visited.union(new).materialize())
 
     # bounded rollup: ≤ max_depth+2 distinct depths
-    counts = visited.groupby("depth").aggregate(
-        ray.data.aggregate.Count(alias_name="n_nodes")
+    counts = keyed_aggregate(
+        visited, "depth", {"n_nodes": ("depth", "count")}
     ).to_pandas()
     def endpoint_partial(batch: pa.Table) -> pa.Table:
         """Distinct endpoints per edge batch: the node-keyed distinct
@@ -14084,28 +12943,18 @@ def heavy_users_exact(sf_dir: str, permille: int = _HEAVY_PERMILLE, k: int = _HE
         )
     cand_ref = ray.put(np.sort(cand))
 
-    def exact_partial(batch: pa.Table) -> pa.Table:
+    def candidates_only(batch: pa.Table) -> pa.Table:
         cands = ray.get(cand_ref)
         u = batch.column("user_id").to_numpy(zero_copy_only=False)
         pos = np.searchsorted(cands, u)
         pos_c = np.clip(pos, 0, len(cands) - 1)
-        hit = cands[pos_c] == u
-        ids, cnt = np.unique(u[hit], return_counts=True)
-        return pa.table(
-            {
-                "user_id": pa.array(ids, pa.int64()),
-                "c": pa.array(cnt.astype(np.int64), pa.int64()),
-            }
-        )
+        return pa.table({"user_id": pa.array(u[cands[pos_c] == u], pa.int64())})
 
-    rolled = (
-        ev.map_batches(
-            exact_partial, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("user_id")
-        .aggregate(ray.data.aggregate.Sum("c", alias_name="n_events"))
-        .to_pandas()  # bounded: one row per CANDIDATE
-    )
+    rolled = keyed_aggregate(
+        ev.map_batches(candidates_only, batch_format="pyarrow", zero_copy_batch=True),
+        "user_id",
+        {"n_events": ("user_id", "count")},
+    ).to_pandas()  # bounded: one row per CANDIDATE
     keep = 1000 * rolled["n_events"].to_numpy() > permille * total
     out = rolled[keep].sort_values("user_id")
     return pa.table(
@@ -14174,11 +13023,10 @@ def halfsample_stability(sf_dir: str) -> pa.Table:
         )
 
     rolled = (
-        ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("replicate")
-        .aggregate(
-            ray.data.aggregate.Sum("n", alias_name="n"),
-            ray.data.aggregate.Sum("s", alias_name="s"),
+        keyed_aggregate(
+            ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True),
+            "replicate",
+            {"n": ("n", "sum"), "s": ("s", "sum")},
         )
         .to_pandas()  # bounded: exactly B rows
     )
@@ -14249,23 +13097,16 @@ def copurchase_clustering_coeff(sf_dir: str) -> pa.Table:
     tri = int(copurchase_triangles(sf_dir).column("n_triangles")[0].as_py())
     edges = _copurchase_edges(sf_dir, P)
 
-    def deg_partial(batch: pa.Table) -> pa.Table:
+    def endpoints(batch: pa.Table) -> pa.Table:
         k = batch.column("k").to_numpy(zero_copy_only=False)
         nodes = np.concatenate([k >> _TRI_SHIFT, k & ((1 << _TRI_SHIFT) - 1)])
-        n, c = np.unique(nodes, return_counts=True)
-        return pa.table(
-            {
-                "node": pa.array(n, pa.int64()),
-                "c": pa.array(c.astype(np.int64), pa.int64()),
-            }
-        )
+        return pa.table({"node": pa.array(nodes, pa.int64())})
 
-    deg = (
-        edges.map_batches(deg_partial, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("node")
-        .aggregate(ray.data.aggregate.Sum("c", alias_name="deg"))
-        .to_pandas()  # bounded: one row per part
-    )
+    deg = keyed_aggregate(
+        edges.map_batches(endpoints, batch_format="pyarrow", zero_copy_batch=True),
+        "node",
+        {"deg": ("node", "count")},
+    ).to_pandas()  # bounded: one row per part
     if deg.empty:
         wedges = 0
     else:

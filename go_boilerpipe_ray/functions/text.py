@@ -1294,7 +1294,7 @@ def dup_ngram_profile(sf_dir: str) -> "ray.data.Dataset":
     def per_gram_part(part: pa.Table) -> pa.Table:
         """All grams of a gram % P partition at once: sort by (gram,
         doc), each run's first doc is its min, dup = counts of every
-        later doc — one kernel per partition, not per gram."""
+        later doc — one kernel per exchange block, not per gram."""
         from ._util import run_bounds
 
         gram = part.column("gram").to_numpy(zero_copy_only=False)
@@ -1395,10 +1395,10 @@ def dup_span_stats(sf_dir: str, k: int = DUP_NGRAM_K) -> "ray.data.Dataset":
     Scale shape: the shuffle moves (gram_hash, doc_id, pos, n_tok)
     fixed-width int64 rows — one per token window, linear in corpus
     token count, never text.  gram % P co-locates each gram's
-    occurrences (vectorized min-doc attribution per partition, P
-    bounded by wide_partitions); surviving dup windows re-shuffle on
-    doc_id % P and one numpy interval sweep per partition merges them
-    into spans for ALL docs of the partition at once.  One sentinel row
+    occurrences (vectorized min-doc attribution per exchange block,
+    at most min(P, 2 × CPUs) calls); surviving dup windows re-shuffle
+    on doc_id % P and one numpy interval sweep per block merges them
+    into spans for ALL docs of the block at once.  One sentinel row
     per doc (unique negative gram, pos = -1) rides both shuffles so
     short/clean docs keep LEFT-JOIN output semantics without a third
     scan.  64-bit gram hashes: collisions are ~n²/2⁶⁴ at any
@@ -1528,8 +1528,8 @@ def dup_span_removal(sf_dir: str, k: int = DUP_NGRAM_K) -> "ray.data.Dataset":
     The rewrite co-partitions the surviving dup positions WITH the
     document text on doc_id % P (schema-aligned union, one keyed
     exchange of the corpus — the unavoidable minimum for a text
-    rewrite) and rebuilds every doc of a partition in one kernel call;
-    UDF invocations stay bounded by P."""
+    rewrite) and rebuilds every doc of a block in one kernel call; UDF
+    invocations stay at most min(P, 2 × CPUs)."""
     from ._util import partitioned_by_key, run_bounds
 
     rows = read_documents(sf_dir).map_batches(
@@ -2453,7 +2453,7 @@ def segment_dedup(sf_dir: str) -> "ray.data.Dataset":
     def per_seg_part(part: pa.Table) -> pa.Table:
         """All segments of a seg % P partition at once: per-run is_seg
         sums via a scatter over run indices decide duplication, the
-        verdict broadcasts back with repeat — one kernel per partition,
+        verdict broadcasts back with repeat — one kernel per exchange block,
         not one Python call per distinct segment."""
         from ._util import run_bounds
 
@@ -2890,7 +2890,7 @@ def heavy_hitters_by_source(sf_dir: str) -> "ray.data.Dataset":
     def topk_part(part: pa.Table) -> pa.Table:
         """Top-k for every source in a blake2(source) % P partition at
         once: lexsort by (source, -n, token), run positions give the
-        cut — one kernel per partition, not one Python call per
+        cut — one kernel per exchange block, not one Python call per
         source/domain."""
         from ._util import run_bounds
 
@@ -2999,14 +2999,6 @@ def unigram_likelihood(sf_dir: str) -> "ray.data.Dataset":
         )
 
     def attach_ppb(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "contrib": pa.array([], pa.int64()),
-                    "n_tok": pa.array([], pa.int64()),
-                }
-            )
         tok = np.asarray(part.column("token").to_pylist(), dtype=object)
         tf = part.column("tf").to_numpy(zero_copy_only=False)
         did = part.column("doc_id").to_numpy(zero_copy_only=False)
@@ -3089,7 +3081,7 @@ def lm_bigram_score(sf_dir: str) -> "ray.data.Dataset":
     Scale shape: documents are tokenized ONCE into (doc_id, prev, cur,
     tf, n_big) long-form rows.  A single keyed shuffle on
     blake2(prev) % P co-locates every row of a conditioning token, so
-    one vectorized kernel per partition computes BOTH totals —
+    one vectorized kernel per exchange block computes BOTH totals —
     count(prev,*) and count(prev,cur) — with a lexsort + two
     ``run_bounds`` sweeps (no vocab² join, no broadcast LM table; the
     model never materializes anywhere).  The ppb division runs in
@@ -3137,14 +3129,6 @@ def lm_bigram_score(sf_dir: str) -> "ray.data.Dataset":
         )
 
     def score_partition(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "contrib": pa.array([], pa.int64()),
-                    "n_big": pa.array([], pa.int64()),
-                }
-            )
         prev = np.asarray(part.column("prev").to_pylist(), dtype=object)
         cur = np.asarray(part.column("cur").to_pylist(), dtype=object)
         tf = part.column("tf").to_numpy(zero_copy_only=False)
@@ -3807,15 +3791,6 @@ def dsir_weights(sf_dir: str) -> "ray.data.Dataset":
     )
 
     def attach(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "c_t": pa.array([], pa.int64()),
-                    "c_s": pa.array([], pa.int64()),
-                    "n_tok": pa.array([], pa.int64()),
-                }
-            )
         tok = np.asarray(part.column("token").to_pylist(), dtype=object)
         tf = part.column("tf").to_numpy(zero_copy_only=False)
         is_t = part.column("is_t").to_numpy(zero_copy_only=False)
@@ -4030,15 +4005,6 @@ def source_vocab_containment(sf_dir: str) -> pa.Table:
         )
 
     def mask_kernel(part: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "a": pa.array([], pa.int64()),
-                "b": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-            }
-        )
-        if part.num_rows == 0:
-            return empty
         th = part.column("th").to_numpy(zero_copy_only=False)
         sc = part.column("sc").to_numpy(zero_copy_only=False)
         order = np.lexsort((sc, th))
@@ -4527,11 +4493,6 @@ def vocab_coverage_curve(sf_dir: str) -> pa.Table:
         """Total per token (reduceat over the co-located partials), then
         collapse immediately to this partition's (freq, n_tokens) rows —
         token identity dies here."""
-        empty = pa.table(
-            {"f": pa.array([], pa.int64()), "n": pa.array([], pa.int64())}
-        )
-        if part.num_rows == 0:
-            return empty
         th = part.column("th").to_numpy(zero_copy_only=False)
         c = part.column("c").to_numpy(zero_copy_only=False)
         order = np.argsort(th, kind="stable")

@@ -125,11 +125,11 @@ def url_dedup(sf_dir: str) -> "ray.data.Dataset":
     keep the lowest doc_id per canonical url_norm.
 
     Scale shape: normalization is a narrow vectorized stage; the only
-    shuffle is an int-keyed groupby(blake2(url_norm) % P) over
-    (url_norm, doc_id) rows — a bounded number of partitions with one
-    vectorized min-scatter kernel each (one Python call per PARTITION,
-    not per distinct URL, and the sort-based shuffle orders 8-byte ints
-    instead of URL strings)."""
+    shuffle is the keyed exchange on blake2(url_norm) % P over
+    (url_norm, doc_id) rows, with one vectorized min-scatter kernel per
+    exchange block (at most min(P, 2 × CPUs) Python calls, not one per
+    distinct URL, and the exchange sorts 8-byte ints instead of URL
+    strings)."""
     from ._util import read_parquet_clean
 
     ds = read_parquet_clean(f"{sf_dir}/documents.parquet", columns=["doc_id"])

@@ -102,53 +102,6 @@ def _mod_partition_count(node) -> bool:
 # Dataset.groupby chain (pandas chains index a column or iterate first).
 _RAY_GROUPED = {"aggregate", "count", "sum", "min", "max", "mean", "std", "map_groups"}
 
-# (module, top-level function) pairs under go_boilerpipe_ray/ that still
-# run a Dataset.groupby.  This list only shrinks: route a site through
-# keyed_aggregate or partitioned_by_key, then delete its entry.
-_RAY_GROUPBY_ALLOWED = {
-    "functions/relational.py": frozenset(
-        """
-            _kcore_loop ab_test_report activity_union agg_lineitem
-            attribution_last_touch benford_profile
-            brand_affinity_lift cdc_upsert change_point_detect
-            cohort_revenue conversion_delay_stats
-            copurchase_bfs_depth copurchase_clustering_coeff
-            copurchase_degree_hist copurchase_triangles
-            corr_stats_by_type cumulative_unique_users
-            customer_order_distribution daily_active_users
-            daily_churn decayed_value_sum distinct_event_types
-            dominant_event_type event_transitions
-            event_trigram_counts event_type_overlap
-            expectations_report freshness_report gap_fill
-            grouped_percentiles halfsample_stability
-            heavy_users_exact hourly_dense hourly_events
-            idle_rich_customers incremental_hourly_merge
-            label_text_stats late_shipment_priority
-            local_supplier_volume mad_outliers market_share
-            merkle_shards order_priority_exists order_reconciliation
-            order_ship_delay_hist orders_cube percent_rank_events
-            percentiles_doclen pivot_event_counts pk_audit
-            promo_revenue props_extract pruned_read_revenue
-            range_partition_plan retention_cohorts
-            returned_customers returned_order_priority
-            revenue_by_brand revenue_by_nation revenue_concentration
-            rfm_scores running_total sales_opportunity
-            salted_event_stats seasonal_naive_mae shipping_priority
-            skew_profile sliding_distinct_users sliding_events
-            source_ablation_report source_lang_gini
-            spearman_rank_stats spend_gini state_dwell_times
-            supplier_hhi supplier_region_stats
-            suppliers_kept_waiting target_encode_brands
-            top_customers top_parts_per_brand top_supplier_q15
-            top_suppliers topk_stability user_set_ops value_drift
-            value_outliers volume_shipping watermark_hourly
-            weekday_hour_heatmap weekday_profile
-            weighted_median_discount winsorized_stats
-        """.split()
-    ),
-}
-
-
 def _ray_groupby_sites(trees) -> set[tuple[str, str]]:
     """(module, top-level function) of every Dataset.groupby chain."""
     sites = set()
@@ -176,9 +129,8 @@ def test_one_keyed_exchange():
     """Every hash shuffle runs through functions/_util.py:exchange.  Fails
     when the package again holds a ``.groupby("<col>").map_groups(`` over
     a ``% P`` partition column, passes ``boundaries=`` to ``sort``
-    anywhere but in ``exchange``, or runs a Dataset.groupby chain in a
-    function that is not on ``_RAY_GROUPBY_ALLOWED`` (and fails on an
-    entry that no longer has one, so the list only shrinks).  Global
+    anywhere but in ``exchange``, or runs any Dataset.groupby chain
+    (route it through keyed_aggregate or partitioned_by_key).  Global
     aggregates such as ``ds.sum(col)`` are not groupby chains."""
     trees = {
         p.relative_to(REPO): ast.parse(p.read_text())
@@ -237,14 +189,10 @@ def test_one_keyed_exchange():
                 offenders.append(
                     f"{path}:{node.lineno} groupby({grouped.args[0].value!r}).map_groups"
                 )
-    allowed = {(m, f) for m, fs in _RAY_GROUPBY_ALLOWED.items() for f in fs}
-    sites = _ray_groupby_sites(trees)
-    offenders += [f"Dataset.groupby in {m}:{f}" for m, f in sorted(sites - allowed)]
-    offenders += [f"stale allow-list entry {m}:{f}" for m, f in sorted(allowed - sites)]
+    offenders += [
+        f"Dataset.groupby in {m}:{f}" for m, f in sorted(_ray_groupby_sites(trees))
+    ]
     assert not offenders, offenders
-    # Routed modules and operators never come back onto the list.
-    assert set(_RAY_GROUPBY_ALLOWED) == {"functions/relational.py"}
-    assert "customers_without_events" not in _RAY_GROUPBY_ALLOWED["functions/relational.py"]
 
 
 def test_every_oracle_sql_plans_in_duckdb():

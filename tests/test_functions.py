@@ -4254,6 +4254,24 @@ def test_partitioned_by_key_invariant_to_partition_count(monkeypatch):
             "media_dedup": queries.media_dedup,
         }
     )
+    # Routed relational operators: the two rewritten natural-key kernels,
+    # then keyed aggregates on a timestamp key, a three-column key (empty
+    # at sf0.001, so it reads sf0.01), a NULL-carrying string key, a
+    # string key and a distinct with no aggregates.
+    cases.update(
+        {
+            "running_total": relational.running_total,
+            "grouped_percentiles": relational.grouped_percentiles,
+            "daily_active_users": relational.daily_active_users,
+            "volume_shipping": lambda _: relational.volume_shipping(
+                SF.replace("sf0.001", "sf0.01")
+            ),
+            "salted_event_stats": relational.salted_event_stats,
+            "dominant_event_type": relational.dominant_event_type,
+            "revenue_by_nation": relational.revenue_by_nation,
+            "distinct_event_types": relational.distinct_event_types,
+        }
+    )
 
     def rows(fn):
         out = fn(SF)
@@ -4278,11 +4296,13 @@ def test_routed_rollups_keep_columns_on_empty_input(tmp_path):
     import pyarrow.parquet as pq
     import ray.data
 
-    from go_boilerpipe_ray.functions import similarity, text
+    from go_boilerpipe_ray.functions import relational, similarity, text
 
-    for t in ["documents", "embeddings"]:
+    for t in ["documents", "embeddings", "events", "lineitem", "orders"]:
         schema = pq.read_schema(f"{SF}/{t}.parquet")
         pq.write_table(schema.empty_table(), f"{tmp_path}/{t}.parquet")
+    for t in ["customer", "supplier", "nation"]:  # dimensions stay populated
+        pq.write_table(pq.read_table(f"{SF}/{t}.parquet"), f"{tmp_path}/{t}.parquet")
     cand = ray.data.from_arrow(
         pa.table(
             {
@@ -4315,10 +4335,64 @@ def test_routed_rollups_keep_columns_on_empty_input(tmp_path):
         ),
         "bpe_pair_counts": (text.bpe_pair_counts, ["pair", "n"]),
         "doc_frequency": (text.doc_frequency, ["token", "df"]),
+        "sliding_distinct_users": (
+            relational.sliding_distinct_users,
+            ["hour", "n_users"],
+        ),
+        "cumulative_unique_users": (
+            relational.cumulative_unique_users,
+            ["day", "cum_users"],
+        ),
+        "weighted_median_discount": (
+            relational.weighted_median_discount,
+            ["l_returnflag", "weighted_median_disc"],
+        ),
+        "volume_shipping": (
+            relational.volume_shipping,
+            ["supp_nation", "cust_nation", "l_year", "revenue_cents"],
+        ),
     }
     for name, (fn, cols) in ops.items():
         out = fn(str(tmp_path))
+        if isinstance(out, ray.data.Dataset):
+            assert out.take_all() == [], name
+            # An exchange output over no input has no block to carry a
+            # schema; a driver-built result keeps its columns.
+            schema = out.schema()
+            assert schema is None or schema.names == cols, name
+            continue
         assert (out.column_names, out.num_rows) == (cols, 0), name
+
+
+def test_null_event_type_is_its_own_group(tmp_path):
+    """Arrow's group_by keeps a NULL key as one group, so the keyed
+    aggregates carry NULL event types with no in-band marker: both
+    rollups match their oracles on events where every other type is
+    NULL (so NULL wins some users' modes and ties others)."""
+    import duckdb
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from go_boilerpipe_ray.functions import relational
+
+    ev = pq.read_table(f"{SF}/events.parquet")
+    et = ev.column("event_type").to_pylist()
+    nulled = pa.array([None if i % 2 == 0 else t for i, t in enumerate(et)], pa.string())
+    ev = ev.set_column(ev.schema.get_field_index("event_type"), "event_type", nulled)
+    pq.write_table(ev, f"{tmp_path}/events.parquet")
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{tmp_path}/events.parquet')")
+
+    def canon(rows):
+        return sorted((tuple(r.values()) for r in rows), key=repr)
+
+    for fn, sql in [
+        (relational.salted_event_stats, relational.SALTED_EVENT_STATS_SQL),
+        (relational.dominant_event_type, relational.DOMINANT_EVENT_TYPE_SQL),
+    ]:
+        got = canon(fn(str(tmp_path)).take_all())
+        want = canon(con.execute(sql).fetch_arrow_table().to_pylist())
+        assert got == want and any(None in r for r in want), fn.__name__
 
 
 def test_late_event_audit_brute_force():
