@@ -3074,11 +3074,15 @@ def blocking_recall_report(sf_dir: str) -> pa.Table:
             {"is_true": ("is_true", "sum"), "is_cand": ("is_cand", "sum")},
         )
         .map_batches(fold, batch_format="pyarrow", zero_copy_batch=True)
-        .aggregate(Sum("n_true"), Sum("n_candidates"), Sum("n_hits"))
+        .aggregate(
+            Sum("n_true", alias_name="n_true"),
+            Sum("n_candidates", alias_name="n_candidates"),
+            Sum("n_hits", alias_name="n_hits"),
+        )
     )
-    n_true = int(agg.get("sum(n_true)") or 0)
-    n_cand = int(agg.get("sum(n_candidates)") or 0)
-    n_hits = int(agg.get("sum(n_hits)") or 0)
+    n_true = int(agg.get("n_true") or 0)
+    n_cand = int(agg.get("n_candidates") or 0)
+    n_hits = int(agg.get("n_hits") or 0)
     return pa.table(
         {
             "n_true": pa.array([n_true], pa.int64()),
@@ -3332,9 +3336,6 @@ def allpairs_jaccard(sf_dir: str, threshold_pct: int = 70, k: int = 3) -> "ray.d
         sh = part.column("shingle").to_numpy(zero_copy_only=False)
         ids = part.column("doc_id").to_numpy(zero_copy_only=False)
         ns = part.column("n_sh").to_numpy(zero_copy_only=False)
-        if len(sh) == 0:
-            z = pa.array([], pa.int64())
-            return pa.table({"doc_id": z, "shingle": z, "n_sh": z, "df": z})
         order = np.argsort(sh, kind="stable")
         sh, ids, ns = sh[order], ids[order], ns[order]
         b = run_bounds(sh)
@@ -3356,9 +3357,6 @@ def allpairs_jaccard(sf_dir: str, threshold_pct: int = 70, k: int = 3) -> "ray.d
         sh = part.column("shingle").to_numpy(zero_copy_only=False)
         ns = part.column("n_sh").to_numpy(zero_copy_only=False)
         df = part.column("df").to_numpy(zero_copy_only=False)
-        if len(ids) == 0:
-            z = pa.array([], pa.int64())
-            return pa.table({"shingle": z, "doc_id": z})
         order = np.lexsort((sh, df, ids))
         ids, sh, ns = ids[order], sh[order], ns[order]
         b = run_bounds(ids)
@@ -3380,9 +3378,6 @@ def allpairs_jaccard(sf_dir: str, threshold_pct: int = 70, k: int = 3) -> "ray.d
     def prefix_pairs(part: pa.Table) -> pa.Table:
         sh = part.column("shingle").to_numpy(zero_copy_only=False)
         ids = part.column("doc_id").to_numpy(zero_copy_only=False)
-        if len(sh) == 0:
-            z = pa.array([], pa.int64())
-            return pa.table({"id_a": z, "id_b": z})
         order = np.lexsort((ids, sh))
         sh, ids = sh[order], ids[order]
         b = run_bounds(sh)
@@ -3418,10 +3413,6 @@ def allpairs_jaccard(sf_dir: str, threshold_pct: int = 70, k: int = 3) -> "ray.d
         """Per-doc sorted distinct shingle arrays as ONE list column."""
         ids = part.column("doc_id").to_numpy(zero_copy_only=False)
         sh = part.column("shingle").to_numpy(zero_copy_only=False)
-        if len(ids) == 0:
-            return pa.table(
-                {"doc_id": pa.array([], pa.int64()), "set": _empty_list(0)}
-            )
         order = np.lexsort((sh, ids))
         ids, sh = ids[order], sh[order]
         b = run_bounds(ids)

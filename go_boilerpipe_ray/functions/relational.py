@@ -86,30 +86,19 @@ GROUP BY l_returnflag, l_linestatus
 
 
 def top_customers(sf_dir: str, k: int = 10) -> pa.Table:
-    """Revenue top-k with a broadcast hash join: the small customer table
-    is put in the object store once and read per task — no shuffle join."""
-    import pyarrow.parquet as pq
-
-    customers = pq.read_table(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]
+    """Revenue top-k over orders ⋈ customer: the join goes through the
+    planner (auto_equi_join), whose footer gate broadcasts the customer
+    names at every tested scale — no shuffle join.  A custkey with no
+    customer row keeps an empty name (left join, then fill_null)."""
+    joined = auto_equi_join(
+        _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]),
+        f"{sf_dir}/customer.parquet",
+        "o_custkey",
+        "c_custkey",
+        [("o_custkey", pa.int64()), ("o_totalprice", pa.float64())],
+        [("c_name", pa.string())],
+        how="left",
     )
-    # Broadcast the small side ONCE as Arrow arrays; the per-batch probe is
-    # a vectorized pc.index_in + take (no per-row Python lookup loop).
-    lookup_ref = ray.put(
-        (
-            customers.column("c_custkey").combine_chunks(),
-            customers.column("c_name").combine_chunks(),
-        )
-    )
-
-    def join_batch(batch: pa.Table) -> pa.Table:
-        keys, names = ray.get(lookup_ref)
-        idx = pc.index_in(batch.column("o_custkey"), value_set=keys)
-        joined = pc.fill_null(pc.take(names, idx), "")
-        return batch.append_column("c_name", joined)
-
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    joined = orders.map_batches(join_batch, batch_format="pyarrow", zero_copy_batch=True)
     # keyed_aggregate pre-combines each call, so the exchange moves
     # (customer, partial) rows, not the raw order rows.
     per_customer = keyed_aggregate(
@@ -141,7 +130,7 @@ def top_customers(sf_dir: str, k: int = 10) -> pa.Table:
     return pa.table(
         {
             "c_custkey": pa.array(agg["o_custkey"].astype("int64"), pa.int64()),
-            "c_name": pa.array(agg["c_name"], pa.string()),
+            "c_name": pc.fill_null(pa.array(agg["c_name"], pa.string()), ""),
             "revenue_x100": pa.array(
                 np.round(agg["revenue"] * 100).astype("int64"), pa.int64()
             ),
@@ -1607,13 +1596,12 @@ def revenue_by_nation(sf_dir: str) -> pa.Table:
     orderkey) is large-large → ONE repartition-join shuffle, with
     lineitem pre-combined to (orderkey, partial revenue) inside each
     batch first so the shuffle moves at most one row per (orderkey,
-    block); the dimension edges (customer→nation name) are broadcast
-    once via ray.put and applied with a vectorized index_in lookup; the
-    final rollup moves ≤ 25 (nation, partial) rows per block.  Revenue
-    is summed in integer cents (floor(x*100+0.5), identical double
-    arithmetic in the oracle) so the comparison is hash-stable."""
-    import pyarrow.parquet as pq
-
+    block); the dimension edges (customer, then nation) go through the
+    join planner (auto_equi_join), which broadcasts them at tested
+    scales; the final rollup moves ≤ 25 (nation, partial) rows per
+    block.  Revenue is summed in integer cents (floor(x*100+0.5),
+    identical double arithmetic in the oracle) so the comparison is
+    hash-stable."""
     lineitem = _read(
         sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"]
     )
@@ -1648,32 +1636,24 @@ def revenue_by_nation(sf_dir: str) -> pa.Table:
         how="inner",
     )
 
-    cust = pq.read_table(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
+    with_nation = auto_equi_join(
+        auto_equi_join(
+            joined,
+            f"{sf_dir}/customer.parquet",
+            "o_custkey",
+            "c_custkey",
+            [("rev_cents", pa.int64())],
+            [("c_nationkey", pa.int32())],
+        ),
+        f"{sf_dir}/nation.parquet",
+        "c_nationkey",
+        "n_nationkey",
+        [("rev_cents", pa.int64())],
+        [("n_name", pa.string())],
     )
-    nation = pq.read_table(
-        f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]
-    )
-    # Vectorized dim chain on the driver (index_in + take, null-safe on
-    # unmatched keys — never a per-row Python dict loop: customer is
-    # 150k·SF rows).
-    nk_idx = pc.index_in(
-        cust.column("c_nationkey"), value_set=nation.column("n_nationkey").combine_chunks()
-    )
-    cust_keys = cust.column("c_custkey").combine_chunks()
-    cust_nation = pc.take(nation.column("n_name").combine_chunks(), nk_idx)
-    dim_ref = ray.put((cust_keys, cust_nation))
-
-    def to_nation(batch: pa.Table) -> pa.Table:
-        keys, names = ray.get(dim_ref)
-        idx = pc.index_in(batch.column("o_custkey"), value_set=keys)
-        return pa.table(
-            {"n_name": pc.take(names, idx), "rev_cents": batch.column("rev_cents")}
-        )
-
     out = (
         keyed_aggregate(
-            joined.map_batches(to_nation, batch_format="pyarrow", zero_copy_batch=True),
+            with_nation,
             "n_name",
             {"revenue_cents": ("rev_cents", "sum")},
         )
@@ -2134,14 +2114,12 @@ def shipping_priority(sf_dir: str, k: int = Q3_TOPK) -> pa.Table:
     BUILDING-segment orders placed before the cutoff, top-k orders by
     revenue.  Plan by side size: the lineitem date filter and the
     revenue pre-combine happen inside the scan batches (the shuffle
-    moves one row per (orderkey, block)); the customer-segment
-    predicate is a broadcast semi-filter on orders (ray.put once, an
-    index_in probe per batch — never a shuffle of the dimension); the
+    moves one row per (orderkey, block)); orders meet customer through
+    the join planner (auto_equi_join: a broadcast probe at tested
+    scales) and the segment predicate filters the joined column; the
     fact-fact edge is ONE repartition join; top-k is per-block select_k
     + a bounded driver merge, never a global sort.  Revenue in exact
     integer cents (floor(x*100+0.5), same arithmetic in the oracle)."""
-    import pyarrow.parquet as pq
-
     lineitem = _read(
         sf_dir,
         "lineitem",
@@ -2176,19 +2154,9 @@ def shipping_priority(sf_dir: str, k: int = Q3_TOPK) -> pa.Table:
         rev_partial, batch_format="pyarrow", zero_copy_batch=True
     )
 
-    cust = pq.read_table(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
-    )
-    building = pc.filter(
-        cust.column("c_custkey"),
-        pc.equal(cust.column("c_mktsegment"), "BUILDING"),
-    ).combine_chunks()
-    dim_ref = ray.put(building)
-
     def order_filter(batch: pa.Table) -> pa.Table:
-        keys = ray.get(dim_ref)
         date = pc.cast(batch.column("o_orderdate"), pa.int64())
-        in_seg = pc.is_in(batch.column("o_custkey"), value_set=keys)
+        in_seg = pc.equal(batch.column("c_mktsegment"), "BUILDING")
         mask = pc.and_(in_seg, pc.less(date, _Q3_CUT_US))
         kept = batch.filter(mask)
         return pa.table(
@@ -2198,8 +2166,13 @@ def shipping_priority(sf_dir: str, k: int = Q3_TOPK) -> pa.Table:
             }
         )
 
-    orders = _read(
-        sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"]
+    orders = auto_equi_join(
+        _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"]),
+        f"{sf_dir}/customer.parquet",
+        "o_custkey",
+        "c_custkey",
+        [("o_orderkey", pa.int64()), ("o_orderdate", pa.timestamp("us"))],
+        [("c_mktsegment", pa.string())],
     ).map_batches(order_filter, batch_format="pyarrow", zero_copy_batch=True)
 
     joined = repartition_join(
@@ -2316,47 +2289,36 @@ GROUP BY o_orderpriority
 
 
 def revenue_by_brand(sf_dir: str) -> "ray.data.Dataset":
-    """Revenue and item count per part brand: lineitem ⋈ part on partkey.
-    part is the dimension side — broadcast ONCE via ray.put and probed
-    with a vectorized index_in per batch (never a shuffle of lineitem
-    by partkey); one keyed aggregate collapses to the brand grain, its
-    per-call combiner keeping the exchange at O(#brands) rows a call.
-    Revenue in exact integer cents, same rule as every pricing operator
+    """Revenue and item count per part brand: lineitem ⋈ part on partkey
+    through the join planner (auto_equi_join: an inner broadcast probe
+    at tested scales, never a shuffle of lineitem by partkey); one keyed
+    aggregate collapses to the brand grain, its per-call combiner
+    keeping the exchange at O(#brands) rows a call.  Revenue in exact
+    integer cents, same rule as every pricing operator
     (floor(x*100+0.5))."""
-    import pyarrow.parquet as pq
 
-    part = pq.read_table(
-        f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand"]
-    )
-    dim_ref = ray.put(
-        (
-            part.column("p_partkey").combine_chunks(),
-            part.column("p_brand").combine_chunks(),
-        )
-    )
-
-    def to_brand(batch: pa.Table) -> pa.Table:
-        keys, brands = ray.get(dim_ref)
-        idx = pc.index_in(batch.column("l_partkey"), value_set=keys)
-        # Inner-join semantics: drop fact rows with no dimension match
-        # (the oracle's JOIN does) instead of emitting a NULL-brand group.
-        valid = pc.is_valid(idx).to_numpy(zero_copy_only=False)
-        keep = np.flatnonzero(valid)
-        idx = idx.take(pa.array(keep, pa.int64()))
-        price = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)[keep]
-        disc = batch.column("l_discount").to_numpy(zero_copy_only=False)[keep]
-        cents = money_cents(price * (1 - disc))
+    def cents(batch: pa.Table) -> pa.Table:
+        price = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)
+        disc = batch.column("l_discount").to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "p_brand": pc.take(brands, idx),
-                "rev": pa.array(cents, pa.int64()),
+                "l_partkey": batch.column("l_partkey"),
+                "rev": pa.array(money_cents(price * (1 - disc)), pa.int64()),
             }
         )
 
+    lines = _read(
+        sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_discount"]
+    ).map_batches(cents, batch_format="pyarrow", zero_copy_batch=True)
     return keyed_aggregate(
-        _read(
-            sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_discount"]
-        ).map_batches(to_brand, batch_format="pyarrow", zero_copy_batch=True),
+        auto_equi_join(
+            lines,
+            f"{sf_dir}/part.parquet",
+            "l_partkey",
+            "p_partkey",
+            [("rev", pa.int64())],
+            [("p_brand", pa.string())],
+        ),
         "p_brand",
         {"revenue_cents": ("rev", "sum"), "n_items": ("rev", "count")},
     )
@@ -2682,40 +2644,29 @@ WHERE (c.cents * st.n - st.s) * (c.cents * st.n - st.s)
 
 def promo_revenue(sf_dir: str) -> "ray.data.Dataset":
     """Share of revenue from PROMO-type parts per ship month (the Q14
-    shape).  part is the dimension side — its (partkey, is-promo) pair is
-    broadcast ONCE via ray.put and probed vectorized per lineitem batch;
-    the keyed aggregate's per-call combiner collapses to the ~84-month
-    grain, so the exchange moves a few rows per call no matter how large
-    lineitem is.  Revenue in exact integer cents
+    shape).  lineitem meets part through the join planner
+    (auto_equi_join: an inner broadcast probe of p_type at tested
+    scales) and the PROMO flag is read off the joined column; the keyed
+    aggregate's per-call combiner collapses to the ~84-month grain, so
+    the exchange moves a few rows per call no matter how large lineitem
+    is.  Revenue in exact integer cents
     (floor(x*100+0.5), the module-wide money rule); the permille share is
     integer floor division so the oracle can mirror it bit-for-bit.
     At a 100-TB lineitem the 1000×total_cents product stays < 2^63 while
     total revenue per month < ~9.2e15 cents (~$92T) — guarded loudly."""
-    import pyarrow.parquet as pq
-
-    part = pq.read_table(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_type"])
-    dim_ref = ray.put(
-        (
-            part.column("p_partkey").combine_chunks(),
-            pc.equal(part.column("p_type"), "PROMO").combine_chunks(),
-        )
-    )
 
     def revenue_rows(batch: pa.Table) -> pa.Table:
-        keys, is_promo = ray.get(dim_ref)
-        idx = pc.index_in(batch.column("l_partkey"), value_set=keys)
-        valid = pc.is_valid(idx).to_numpy(zero_copy_only=False)
-        keep = np.flatnonzero(valid)  # inner-join parity: drop no-match rows
-        idx = idx.take(pa.array(keep, pa.int64()))
-        promo = pc.take(is_promo, idx).to_numpy(zero_copy_only=False)
-        price = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)[keep]
-        disc = batch.column("l_discount").to_numpy(zero_copy_only=False)[keep]
+        promo = pc.equal(batch.column("p_type"), "PROMO").to_numpy(
+            zero_copy_only=False
+        )
+        price = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)
+        disc = batch.column("l_discount").to_numpy(zero_copy_only=False)
         cents = money_cents(price * (1 - disc))
         ship = batch.column("l_shipdate")
         ym = pc.add(
             pc.multiply(pc.year(ship), pa.scalar(100, pa.int64())),
             pc.month(ship),
-        ).to_numpy(zero_copy_only=False)[keep]
+        ).to_numpy(zero_copy_only=False)
         return pa.table(
             {
                 "ym": pa.array(ym, pa.int64()),
@@ -2725,10 +2676,21 @@ def promo_revenue(sf_dir: str) -> "ray.data.Dataset":
         )
 
     rolled = keyed_aggregate(
-        _read(
-            sf_dir,
-            "lineitem",
-            ["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"],
+        auto_equi_join(
+            _read(
+                sf_dir,
+                "lineitem",
+                ["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"],
+            ),
+            f"{sf_dir}/part.parquet",
+            "l_partkey",
+            "p_partkey",
+            [
+                ("l_extendedprice", pa.float64()),
+                ("l_discount", pa.float64()),
+                ("l_shipdate", pa.timestamp("us")),
+            ],
+            [("p_type", pa.string())],
         ).map_batches(revenue_rows, batch_format="pyarrow", zero_copy_batch=True),
         "ym",
         {"promo_cents": ("p_rev", "sum"), "total_cents": ("t_rev", "sum")},
@@ -2919,9 +2881,10 @@ def returned_customers(sf_dir: str, k: int = 20) -> pa.Table:
     the returnflag filter and a per-(orderkey, block) revenue combine
     happen inside the lineitem scan; the lineitem→orders edge is one
     repartition join (both facts); the per-customer rollup is a keyed
-    aggregate; customer/nation names resolve via a broadcast probe of the
-    bounded dimension chain; top-k is per-block select_k + an O(k·blocks)
-    driver merge — never a global sort, never a full to_pandas."""
+    aggregate; top-k is per-block select_k + an O(k·blocks) driver
+    merge — never a global sort, never a full to_pandas; the k winners'
+    customer and nation names come from a read of just those k customer
+    rows (parquet filter pushdown)."""
     import pyarrow.parquet as pq
 
     def rev_partial(batch: pa.Table) -> pa.Table:
@@ -2961,24 +2924,6 @@ def returned_customers(sf_dir: str, k: int = 20) -> pa.Table:
         {"revenue_cents": ("rev", "sum")},
     )
 
-    cust = pq.read_table(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name", "c_nationkey"]
-    )
-    nation = pq.read_table(
-        f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]
-    )
-    nidx = pc.index_in(
-        cust.column("c_nationkey"),
-        value_set=nation.column("n_nationkey").combine_chunks(),
-    )
-    dim_ref = ray.put(
-        (
-            cust.column("c_custkey").combine_chunks(),
-            cust.column("c_name").combine_chunks(),
-            pc.take(nation.column("n_name").combine_chunks(), nidx).combine_chunks(),
-        )
-    )
-
     def local_topk(batch: pa.Table) -> pa.Table:
         idx = pc.select_k_unstable(
             batch,
@@ -2993,15 +2938,25 @@ def returned_customers(sf_dir: str, k: int = 20) -> pa.Table:
         .sort_values(["revenue_cents", "o_custkey"], ascending=[False, True])
         .head(k)
     )
-    keys, names, nnames = ray.get(dim_ref)
-    took = pc.index_in(
-        pa.array(cand["o_custkey"].astype("int64"), pa.int64()), value_set=keys
+    keys = pa.array(cand["o_custkey"].astype("int64"), pa.int64())
+    cust = pq.read_table(
+        f"{sf_dir}/customer.parquet",
+        columns=["c_custkey", "c_name", "c_nationkey"],
+        filters=[("c_custkey", "in", keys.to_pylist())],
+    )
+    nation = pq.read_table(
+        f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]
+    )
+    took = pc.index_in(keys, value_set=cust.column("c_custkey"))
+    nidx = pc.index_in(
+        pc.take(cust.column("c_nationkey"), took),
+        value_set=nation.column("n_nationkey"),
     )
     return pa.table(
         {
-            "c_custkey": pa.array(cand["o_custkey"].astype("int64"), pa.int64()),
-            "c_name": pc.take(names, took),
-            "n_name": pc.take(nnames, took),
+            "c_custkey": keys,
+            "c_name": pc.take(cust.column("c_name"), took),
+            "n_name": pc.take(nation.column("n_name"), nidx),
             "revenue_cents": pa.array(
                 cand["revenue_cents"].astype("int64"), pa.int64()
             ),
@@ -3296,8 +3251,8 @@ def top_suppliers(sf_dir: str) -> pa.Table:
     the Q15 global-stat-then-filter shape.  Per-supplier revenue is a
     keyed aggregate of the in-window lines (bounded by supplier count, a
     dimension); the global max is a scalar aggregate over that bounded
-    table; the winners (ties kept, like Q15's view) resolve names via a
-    driver-side probe of the supplier dimension on O(#winners) rows."""
+    table; the winners (ties kept, like Q15's view) take their names
+    from a read of just those supplier rows (parquet filter pushdown)."""
     import pyarrow.parquet as pq
 
     lo = np.datetime64(_Q15_LO, "us").astype(np.int64)
@@ -3337,17 +3292,17 @@ def top_suppliers(sf_dir: str) -> pa.Table:
         winners_only, batch_format="pyarrow", zero_copy_batch=True
     ).to_pandas()
 
+    keys = pa.array(winners["s_suppkey"].astype("int64"), pa.int64())
     supp = pq.read_table(
-        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"]
+        f"{sf_dir}/supplier.parquet",
+        columns=["s_suppkey", "s_name"],
+        filters=[("s_suppkey", "in", keys.to_pylist())],
     )
-    idx = pc.index_in(
-        pa.array(winners["s_suppkey"].astype("int64"), pa.int64()),
-        value_set=supp.column("s_suppkey").combine_chunks(),
-    )
+    idx = pc.index_in(keys, value_set=supp.column("s_suppkey"))
     return pa.table(
         {
-            "s_suppkey": pa.array(winners["s_suppkey"].astype("int64"), pa.int64()),
-            "s_name": pc.take(supp.column("s_name").combine_chunks(), idx),
+            "s_suppkey": keys,
+            "s_name": pc.take(supp.column("s_name"), idx),
             "revenue_cents": pa.array(
                 winners["revenue_cents"].astype("int64"), pa.int64()
             ),
@@ -3382,9 +3337,9 @@ def large_orders(sf_dir: str) -> "ray.data.Dataset":
     Quantity partials combine in-scan to (orderkey, block) grain; the
     HAVING filter runs inside the keyed rollup's groups so only
     qualifying orders (rare by construction) ever reach the joins; the
-    order/customer detail attaches via one repartition join plus a
-    broadcast probe of the customer dimension."""
-    import pyarrow.parquet as pq
+    order/customer detail attaches via one repartition join plus the
+    join planner's customer join (auto_equi_join: a broadcast probe at
+    tested scales)."""
 
     def qty_partial(batch: pa.Table) -> pa.Table:
         qty = batch.column("l_quantity").to_numpy(zero_copy_only=False)
@@ -3424,13 +3379,6 @@ def large_orders(sf_dir: str) -> "ray.data.Dataset":
         having_kernel,
     )
 
-    cust = pq.read_table(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]
-    )
-    dim_ref = ray.put(
-        (cust.column("c_custkey").combine_chunks(), cust.column("c_name").combine_chunks())
-    )
-
     def order_prep(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
@@ -3446,6 +3394,12 @@ def large_orders(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
+    left_cols = [("l_orderkey", pa.int64()), ("sum_qty_x100", pa.int64())]
+    order_cols = [
+        ("o_custkey", pa.int64()),
+        ("o_date_us", pa.int64()),
+        ("total_cents", pa.int64()),
+    ]
     joined = repartition_join(
         big,
         _read(
@@ -3453,28 +3407,25 @@ def large_orders(sf_dir: str) -> "ray.data.Dataset":
         ).map_batches(order_prep, batch_format="pyarrow", zero_copy_batch=True),
         "l_orderkey",
         "o_orderkey",
-        [("l_orderkey", pa.int64()), ("sum_qty_x100", pa.int64())],
-        [
-            ("o_custkey", pa.int64()),
-            ("o_date_us", pa.int64()),
-            ("total_cents", pa.int64()),
-        ],
+        left_cols,
+        order_cols,
         how="inner",
     )
+    named = auto_equi_join(
+        joined,
+        f"{sf_dir}/customer.parquet",
+        "o_custkey",
+        "c_custkey",
+        left_cols + order_cols,
+        [("c_name", pa.string())],
+    )
 
-    def attach_names(batch: pa.Table) -> pa.Table:
-        keys, names = ray.get(dim_ref)
-        idx = pc.index_in(batch.column("o_custkey"), value_set=keys)
-        # Inner-join parity with the oracle's JOIN customer: an orphan
-        # custkey drops the row rather than emitting a NULL name.
-        valid = pc.is_valid(idx)
-        batch = batch.filter(valid)
-        idx = idx.filter(valid)
+    def to_output(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "o_orderkey": batch.column("l_orderkey"),
                 "c_custkey": batch.column("o_custkey"),
-                "c_name": pc.take(names, idx),
+                "c_name": batch.column("c_name"),
                 "o_orderdate": pc.cast(
                     batch.column("o_date_us"), pa.timestamp("us")
                 ),
@@ -3483,9 +3434,7 @@ def large_orders(sf_dir: str) -> "ray.data.Dataset":
             }
         )
 
-    return joined.map_batches(
-        attach_names, batch_format="pyarrow", zero_copy_batch=True
-    )
+    return named.map_batches(to_output, batch_format="pyarrow", zero_copy_batch=True)
 
 
 LARGE_ORDERS_SQL = f"""
@@ -4731,16 +4680,17 @@ def volume_shipping(sf_dir: str) -> pa.Table:
     """TPC-H Q7 shape: revenue shipped between two nations per year,
     keyed by (supplier nation, customer nation) in both directions.
 
-    Plan by side size: both dimension chains (supplier→nation,
-    customer→nation) are resolved driver-side and broadcast ONCE via
-    ray.put — supplier is 10k·SF rows and customer 150k·SF rows, both
-    dwarfed by lineitem, so shipping either through the shuffle would
-    be waste.  Lineitem batches filter to the two supplier nations and
-    the ship-date window AT THE SCAN (most rows die before the
-    shuffle), pre-combine to (orderkey, supp_nation, year, cents), and
-    meet orders (filtered to the two customer nations the same way) in
-    ONE repartition join on orderkey.  The final rollup is ≤ 2·2·years
-    rows.  Revenue in exact integer cents."""
+    Plan by side size: lineitem meets supplier and orders meet customer
+    through the join planner (auto_equi_join: broadcast probes at
+    tested scales — supplier is 10k·SF rows and customer 150k·SF rows,
+    both dwarfed by lineitem), and the 25-row nation table names the
+    joined nation keys.  Lineitem batches filter to the two supplier
+    nations and the ship-date window before the shuffle, pre-combine to
+    (orderkey, supp_nation, year, cents), and meet orders (filtered to
+    the two customer nations the same way) in ONE repartition join on
+    orderkey.  The final rollup is ≤ 2·2·years rows.  Revenue in exact
+    integer cents."""
+    import pandas as pd
     import pyarrow.parquet as pq
 
     nation = pq.read_table(
@@ -4748,34 +4698,30 @@ def volume_shipping(sf_dir: str) -> pa.Table:
     )
     nkeys = nation.column("n_nationkey").combine_chunks()
     nnames = nation.column("n_name").combine_chunks()
-
-    def nation_map(tbl: pa.Table, key: str, nk: str):
-        idx = pc.index_in(tbl.column(nk), value_set=nkeys)
-        return tbl.column(key).combine_chunks(), pc.take(nnames, idx)
-
-    supp = pq.read_table(
-        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"]
-    )
-    cust = pq.read_table(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
-    )
-    import pandas as pd
-
-    supp_ref = ray.put(nation_map(supp, "s_suppkey", "s_nationkey"))
-    cust_ref = ray.put(nation_map(cust, "c_custkey", "c_nationkey"))
     pair = pa.array(list(_Q7_NATIONS), pa.string())
     lo = int(pd.Timestamp(_Q7_LO).value // 1000)
     hi = int(pd.Timestamp(_Q7_HI + " 23:59:59.999999").value // 1000)
 
-    lineitem = _read(
-        sf_dir,
-        "lineitem",
-        ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"],
+    lineitem = auto_equi_join(
+        _read(
+            sf_dir,
+            "lineitem",
+            ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"],
+        ),
+        f"{sf_dir}/supplier.parquet",
+        "l_suppkey",
+        "s_suppkey",
+        [
+            ("l_orderkey", pa.int64()),
+            ("l_extendedprice", pa.float64()),
+            ("l_discount", pa.float64()),
+            ("l_shipdate", pa.timestamp("us")),
+        ],
+        [("s_nationkey", pa.int32())],
     )
 
     def li_partial(batch: pa.Table) -> pa.Table:
-        keys, names = ray.get(supp_ref)
-        sn = pc.take(names, pc.index_in(batch.column("l_suppkey"), value_set=keys))
+        sn = pc.take(nnames, pc.index_in(batch.column("s_nationkey"), value_set=nkeys))
         ship = pc.cast(batch.column("l_shipdate"), pa.int64()).to_numpy(
             zero_copy_only=False
         )
@@ -4814,11 +4760,8 @@ def volume_shipping(sf_dir: str) -> pa.Table:
         li_partial, batch_format="pyarrow", zero_copy_batch=True
     )
 
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-
     def ord_side(batch: pa.Table) -> pa.Table:
-        keys, names = ray.get(cust_ref)
-        cn = pc.take(names, pc.index_in(batch.column("o_custkey"), value_set=keys))
+        cn = pc.take(nnames, pc.index_in(batch.column("c_nationkey"), value_set=nkeys))
         keep = pc.fill_null(pc.is_in(cn, value_set=pair), False)
         return pa.table(
             {
@@ -4827,9 +4770,14 @@ def volume_shipping(sf_dir: str) -> pa.Table:
             }
         )
 
-    orders_f = orders.map_batches(
-        ord_side, batch_format="pyarrow", zero_copy_batch=True
-    )
+    orders_f = auto_equi_join(
+        _read(sf_dir, "orders", ["o_orderkey", "o_custkey"]),
+        f"{sf_dir}/customer.parquet",
+        "o_custkey",
+        "c_custkey",
+        [("o_orderkey", pa.int64())],
+        [("c_nationkey", pa.int32())],
+    ).map_batches(ord_side, batch_format="pyarrow", zero_copy_batch=True)
 
     joined = repartition_join(
         fact,
@@ -4907,73 +4855,66 @@ def market_share(sf_dir: str) -> pa.Table:
     type, per order year — the two-level share aggregate (conditional
     numerator over an unconditional denominator).
 
-    Plan by side size: part (filtered to the type) and supplier (a
-    per-suppkey is-target-nation flag) are broadcast ONCE via ray.put;
-    lineitem batches die at the scan unless their part qualifies, then
-    pre-combine to (orderkey, cents, nat_cents) so the ONE repartition
-    join against year-filtered orders moves at most one row per
-    (orderkey, block).  The share is emitted as EXACT integers —
+    Plan by side size: lineitem meets part, then supplier, through the
+    join planner (auto_equi_join: broadcast probes at tested scales);
+    rows die right after the part join unless their part has the type,
+    and the 25-row nation table gives the target nation's keys.  Then
+    lineitem pre-combines to (orderkey, cents, nat_cents) so the ONE
+    repartition join against year-filtered orders moves at most one row
+    per (orderkey, block).  The share is emitted as EXACT integers —
     (nation_cents, total_cents, permille = nation*1000 // total) — so
     the oracle hash-compares without float drift."""
     import pandas as pd
     import pyarrow.parquet as pq
 
-    part = pq.read_table(
-        f"{sf_dir}/part.parquet", columns=["p_partkey", "p_type"]
-    )
-    pk_set = pc.filter(
-        part.column("p_partkey"), pc.equal(part.column("p_type"), _Q8_TYPE)
-    ).combine_chunks()
-
-    supp = pq.read_table(
-        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"]
-    )
     nation = pq.read_table(
         f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]
     )
-    nidx = pc.index_in(
-        supp.column("s_nationkey"),
-        value_set=nation.column("n_nationkey").combine_chunks(),
-    )
-    is_target = pc.equal(
-        pc.take(nation.column("n_name").combine_chunks(), nidx), _Q8_NATION
-    )
-    dim_ref = ray.put(
-        (
-            pk_set,
-            supp.column("s_suppkey").combine_chunks(),
-            pc.fill_null(is_target, False)
-            .combine_chunks()
-            .to_numpy(zero_copy_only=False),
-        )
+    target = pc.filter(
+        nation.column("n_nationkey"), pc.equal(nation.column("n_name"), _Q8_NATION)
     )
     lo = int(pd.Timestamp(_Q8_LO).value // 1000)
     hi = int(pd.Timestamp(_Q8_HI + " 23:59:59.999999").value // 1000)
 
-    lineitem = _read(
-        sf_dir,
-        "lineitem",
-        ["l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice", "l_discount"],
+    def type_only(batch: pa.Table) -> pa.Table:
+        return batch.filter(pc.equal(batch.column("p_type"), _Q8_TYPE))
+
+    line_cols = [
+        ("l_orderkey", pa.int64()),
+        ("l_extendedprice", pa.float64()),
+        ("l_discount", pa.float64()),
+    ]
+    typed = auto_equi_join(
+        _read(
+            sf_dir,
+            "lineitem",
+            ["l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice", "l_discount"],
+        ),
+        f"{sf_dir}/part.parquet",
+        "l_partkey",
+        "p_partkey",
+        line_cols + [("l_suppkey", pa.int64())],
+        [("p_type", pa.string())],
+    ).map_batches(type_only, batch_format="pyarrow", zero_copy_batch=True)
+    lineitem = auto_equi_join(
+        typed,
+        f"{sf_dir}/supplier.parquet",
+        "l_suppkey",
+        "s_suppkey",
+        line_cols,
+        [("s_nationkey", pa.int32())],
     )
 
     def li_partial(batch: pa.Table) -> pa.Table:
-        parts, skeys, sflag = ray.get(dim_ref)
-        keep = np.flatnonzero(
-            pc.is_in(batch.column("l_partkey"), value_set=parts).to_numpy(
-                zero_copy_only=False
-            )
-        )
-        ki = pa.array(keep, pa.int64())
-        price = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)[keep]
-        disc = batch.column("l_discount").to_numpy(zero_copy_only=False)[keep]
+        price = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)
+        disc = batch.column("l_discount").to_numpy(zero_copy_only=False)
         cents = money_cents(price * (1 - disc))
-        sidx = pc.index_in(
-            batch.column("l_suppkey").take(ki), value_set=skeys
-        ).to_numpy(zero_copy_only=False)
-        tgt = sflag[sidx]
+        tgt = pc.is_in(batch.column("s_nationkey"), value_set=target).to_numpy(
+            zero_copy_only=False
+        )
         t = pa.table(
             {
-                "l_orderkey": batch.column("l_orderkey").take(ki),
+                "l_orderkey": batch.column("l_orderkey"),
                 "cents": pa.array(cents, pa.int64()),
                 "nat_cents": pa.array(np.where(tgt, cents, 0), pa.int64()),
             }
@@ -5292,14 +5233,6 @@ def monthly_value_locf(sf_dir: str) -> pa.Table:
         ).to_numpy(zero_copy_only=False)
         eid = part.column("event_id").to_numpy(zero_copy_only=False)
         cents = money_cents(part.column("value").to_numpy(zero_copy_only=False))
-        if len(u) == 0:
-            return pa.table(
-                {
-                    "user_id": pa.array([], pa.int64()),
-                    "month": pa.array([], pa.timestamp("us")),
-                    "value_cents": pa.array([], pa.int64()),
-                }
-            )
         order = np.lexsort((eid, t, u))
         u, t, cents = u[order], t[order], cents[order]
         mo = t.astype("datetime64[us]").astype("datetime64[M]").astype(np.int64)
@@ -5757,14 +5690,6 @@ def clamped_balance(sf_dir: str) -> "ray.data.Dataset":
         eid = part.column("event_id").to_numpy(zero_copy_only=False)
         cents = money_cents(part.column("value").to_numpy(zero_copy_only=False))
         et = part.column("event_type").to_numpy(zero_copy_only=False)
-        if len(u) == 0:
-            return pa.table(
-                {
-                    "event_id": pa.array([], pa.int64()),
-                    "user_id": pa.array([], pa.int64()),
-                    "balance_cents": pa.array([], pa.int64()),
-                }
-            )
         order = np.lexsort((eid, t, u))
         u, eid, cents, et = u[order], eid[order], cents[order], et[order]
         signed = np.where(et == "purchase", cents, -cents)
@@ -6292,16 +6217,13 @@ def small_qty_revenue(sf_dir: str) -> "ray.data.Dataset":
         k = part.column("k").to_numpy(zero_copy_only=False)
         q = part.column("q").to_numpy(zero_copy_only=False)
         c = part.column("cents").to_numpy(zero_copy_only=False)
-        if len(k) == 0:
-            sel = np.zeros(0, dtype=bool)
-        else:
-            order = np.argsort(k, kind="stable")
-            k, q, c = k[order], q[order], c[order]
-            b = run_bounds(k)
-            m = np.diff(b)
-            cnt = np.repeat(m, m)
-            sq = np.repeat(np.add.reduceat(q, b[:-1]), m)
-            sel = 5 * q * cnt < sq
+        order = np.argsort(k, kind="stable")
+        k, q, c = k[order], q[order], c[order]
+        b = run_bounds(k)
+        m = np.diff(b)
+        cnt = np.repeat(m, m)
+        sq = np.repeat(np.add.reduceat(q, b[:-1]), m)
+        sel = 5 * q * cnt < sq
         return pa.table(
             {
                 "small_qty_cents": pa.array([int(c[sel].sum())], pa.int64()),
@@ -6395,9 +6317,6 @@ def orderkey_gaps(sf_dir: str) -> "ray.data.Dataset":
     def bucket_kernel(part: pa.Table) -> pa.Table:
         b = part.column("b").to_numpy(zero_copy_only=False)
         k = part.column("k").to_numpy(zero_copy_only=False)
-        if len(b) == 0:
-            z = pa.array([], pa.int64())
-            return pa.table({"gap_start": z, "gap_end": z, "lo": z, "hi": z})
         order = np.lexsort((k, b))
         b, k = b[order], k[order]
         keep = np.r_[True, (b[1:] != b[:-1]) | (k[1:] != k[:-1])]
@@ -6612,13 +6531,6 @@ def max_concurrent_events(sf_dir: str) -> "ray.data.Dataset":
         t = part.column("t").to_numpy(zero_copy_only=False)
         d = part.column("d").to_numpy(zero_copy_only=False)
         et = np.asarray(part.column("event_type").to_pylist(), dtype=object)
-        if len(kh) == 0:
-            return pa.table(
-                {
-                    "event_type": pa.array([], pa.string()),
-                    "max_concurrent": pa.array([], pa.int64()),
-                }
-            )
         order = np.lexsort((d, t, kh))
         kh, t, d, et = kh[order], t[order], d[order], et[order]
         b = run_bounds(kh)
@@ -6850,13 +6762,6 @@ def user_activity_streak(sf_dir: str) -> "ray.data.Dataset":
     def kernel(part: pa.Table) -> pa.Table:
         u = part.column("u").to_numpy(zero_copy_only=False)
         d = part.column("d").to_numpy(zero_copy_only=False)
-        if len(u) == 0:
-            return pa.table(
-                {
-                    "user_id": pa.array([], pa.int64()),
-                    "max_streak": pa.array([], pa.int64()),
-                }
-            )
         order = np.lexsort((d, u))
         u, d = u[order], d[order]
         keep = np.r_[True, (u[1:] != u[:-1]) | (d[1:] != d[:-1])]
@@ -6981,32 +6886,34 @@ def brand_affinity_lift(sf_dir: str) -> "ray.data.Dataset":
     as exact integer permille: lift = N·c(a,b) / (c(a)·c(b)) where
     counts are ORDERS containing the brand (pair counts ordered a<b).
 
-    Scale shape: the part→brand map is the dimension side (broadcast
-    once via ray.put, vectorized index_in probe); per-order distinct
-    brand sets collapse under ONE order-keyed shuffle (≤25 brands per
-    order → the triu expansion is bounded per order); pair and marginal
-    counts are bounded rollups (≤ brands² rows); the lift arithmetic is
-    a driver-side O(brands²) pass with an explicit int64 overflow guard
-    (1000·N·c_ab must stay < 2^63 — trips loudly at ~9e15 order-pairs)."""
-    import pyarrow.parquet as pq
-
-    part = pq.read_table(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand"])
-    brands = pc.unique(part.column("p_brand")).sort()
-    bcode = {b: i for i, b in enumerate(brands.to_pylist())}
-    codes = pa.array(
-        [bcode[b] for b in part.column("p_brand").to_pylist()], pa.int64()
+    Scale shape: lineitem meets part through the join planner
+    (auto_equi_join: a broadcast probe at tested scales); each brand's
+    code is its rank among the distinct brands, a brand-grain keyed
+    aggregate over part, so one code holds for the whole run; per-order
+    distinct brand sets collapse under ONE order-keyed shuffle (≤25
+    brands per order → the triu expansion is bounded per order); pair
+    and marginal counts are bounded rollups (≤ brands² rows); the lift
+    arithmetic is a driver-side O(brands²) pass with an explicit int64
+    overflow guard (1000·N·c_ab must stay < 2^63 — trips loudly at
+    ~9e15 order-pairs)."""
+    distinct = keyed_aggregate(_read(sf_dir, "part", ["p_brand"]), "p_brand", {})
+    # bounded: one row per brand
+    names = ensure_columns(distinct.to_pandas(), ["p_brand"])["p_brand"]
+    brands = pa.array(sorted(names), pa.string())
+    li = auto_equi_join(
+        _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"]),
+        f"{sf_dir}/part.parquet",
+        "l_partkey",
+        "p_partkey",
+        [("l_orderkey", pa.int64())],
+        [("p_brand", pa.string())],
     )
-    dim_ref = ray.put((part.column("p_partkey").combine_chunks(), codes))
-
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
     def narrow(batch: pa.Table) -> pa.Table:
-        keys, bc = ray.get(dim_ref)
-        idx = pc.index_in(batch.column("l_partkey"), value_set=keys)
-        valid = np.flatnonzero(pc.is_valid(idx).to_numpy(zero_copy_only=False))
-        idx = idx.take(pa.array(valid, pa.int64()))
-        b = pc.take(bc, idx).to_numpy(zero_copy_only=False)
-        o = batch.column("l_orderkey").to_numpy(zero_copy_only=False)[valid]
+        b = pc.index_in(batch.column("p_brand"), value_set=brands).to_numpy(
+            zero_copy_only=False
+        )
+        o = batch.column("l_orderkey").to_numpy(zero_copy_only=False)
         u = np.unique(np.stack([o, b], axis=1), axis=0)
         return pa.table(
             {"o": pa.array(u[:, 0], pa.int64()), "b": pa.array(u[:, 1], pa.int64())}
@@ -7348,23 +7255,12 @@ def top_parts_per_brand(sf_dir: str, k: int = 3) -> pa.Table:
     (top_event_per_user).
 
     Scale shape: one keyed aggregate folds lineitem to ONE (partkey,
-    cents) row per partkey; the part dimension broadcasts once
-    (ray.put, vectorized index_in probe — the repo's dimension-join
-    convention, revenue_by_brand's shape); then a per-block numpy kernel
+    cents) row per partkey; that rollup meets part through the join
+    planner (auto_equi_join: a broadcast probe at tested scales,
+    revenue_by_brand's shape); then a per-block numpy kernel
     emits at most k rows PER BRAND PER BLOCK, so the driver-side merge
     sees blocks × |brands| × k candidate rows — bounded by the brand
     cardinality, never by |part|."""
-    import pyarrow.parquet as pq
-
-    part = pq.read_table(
-        f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand"]
-    )
-    dim_ref = ray.put(
-        (
-            part.column("p_partkey").combine_chunks(),
-            part.column("p_brand").combine_chunks(),
-        )
-    )
 
     def line_cents(batch: pa.Table) -> pa.Table:
         price = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)
@@ -7385,23 +7281,11 @@ def top_parts_per_brand(sf_dir: str, k: int = 3) -> pa.Table:
     )
 
     def brand_topk(batch: pa.Table) -> pa.Table:
-        keys, brands = ray.get(dim_ref)
-        idx = pc.index_in(batch.column("p_partkey"), value_set=keys)
-        valid = pc.is_valid(idx).to_numpy(zero_copy_only=False)
-        keep = np.flatnonzero(valid)
-        if len(keep) == 0:
-            return pa.table(
-                {
-                    "p_brand": pa.array([], pa.string()),
-                    "p_partkey": pa.array([], pa.int64()),
-                    "cents": pa.array([], pa.int64()),
-                }
-            )
-        pk = batch.column("p_partkey").to_numpy(zero_copy_only=False)[keep]
-        cents = batch.column("cents").to_numpy(zero_copy_only=False)[keep]
-        brand = pc.take(brands, idx.take(pa.array(keep, pa.int64())))
+        pk = batch.column("p_partkey").to_numpy(zero_copy_only=False)
+        cents = batch.column("cents").to_numpy(zero_copy_only=False)
         bcodes, binv = np.unique(
-            np.asarray(brand.to_pylist(), dtype=object), return_inverse=True
+            np.asarray(batch.column("p_brand").to_pylist(), dtype=object),
+            return_inverse=True,
         )
         # per-brand top-k within the block: lexsort puts each brand run in
         # (cents desc, partkey asc) order; rank-in-run <= k survives
@@ -7421,7 +7305,14 @@ def top_parts_per_brand(sf_dir: str, k: int = 3) -> pa.Table:
         )
 
     cand = ensure_columns(
-        per_part.map_batches(
+        auto_equi_join(
+            per_part,
+            f"{sf_dir}/part.parquet",
+            "p_partkey",
+            "p_partkey",
+            [("p_partkey", pa.int64()), ("cents", pa.int64())],
+            [("p_brand", pa.string())],
+        ).map_batches(
             brand_topk, batch_format="pyarrow", zero_copy_batch=True
         ).to_pandas(),  # bounded: blocks x |brands| x k
         ["p_brand", "p_partkey", "cents"],
@@ -7496,14 +7387,6 @@ def late_event_audit(sf_dir: str) -> "ray.data.Dataset":
 
     def kernel(part: pa.Table) -> pa.Table:
         u = part.column("u").to_numpy(zero_copy_only=False)
-        if len(u) == 0:
-            return pa.table(
-                {
-                    "user_id": pa.array([], pa.int64()),
-                    "n_events": pa.array([], pa.int64()),
-                    "n_late": pa.array([], pa.int64()),
-                }
-            )
         eid = part.column("eid").to_numpy(zero_copy_only=False)
         t = part.column("t").to_numpy(zero_copy_only=False)
         order = np.lexsort((eid, u))
@@ -7558,6 +7441,10 @@ FROM w GROUP BY 1
 
 # -- cost-based join planner --------------------------------------------------
 
+# Largest build side auto_equi_join broadcasts, in uncompressed bytes of
+# the broadcast columns: 64 MiB stays well inside a worker heap.
+_BROADCAST_BUDGET_BYTES = 64 << 20
+
 
 def auto_equi_join(
     left: "ray.data.Dataset",
@@ -7567,31 +7454,35 @@ def auto_equi_join(
     left_cols: list[tuple[str, pa.DataType]],
     right_cols: list[tuple[str, pa.DataType]],
     how: str = "inner",
-    broadcast_threshold_bytes: int = 64 << 20,
 ) -> "ray.data.Dataset":
     """Cost-based equi-join planner: picks the physical join from the
-    build side's parquet FOOTER (no data read) — the decision every
-    query engine makes and this repo previously left to the caller.
+    build side's parquet FOOTER (no data read).  Every join with the
+    customer, part or supplier dimension goes through it.
 
-    Build side ≤ ``broadcast_threshold_bytes`` (compressed on-disk
-    size; 64 MB default keeps the decompressed table well inside a
-    worker heap): load it once, ``ray.put`` the key + payload arrays,
-    and probe per batch with vectorized ``pc.index_in`` — zero shuffle,
-    the top_customers shape generalized to all four join types.
-    Larger build sides: fall through to ``repartition_join`` (each row
-    shuffled exactly once; ``probe_salt`` available there for skew).
+    The measure is the uncompressed size of the column chunks it would
+    broadcast (``right_on`` and the ``right_cols`` payload), summed over
+    the row groups.  Up to ``_BROADCAST_BUDGET_BYTES`` (read at call
+    time): load those columns once, ``ray.put`` the key + payload
+    arrays, and probe per batch with vectorized ``pc.index_in`` — zero
+    shuffle.  Larger build sides: fall through to ``repartition_join``
+    (each row shuffled exactly once; ``probe_salt`` available there for
+    skew), so no dimension is gathered on the driver past the budget.
     Both paths return identical rows — pinned by test across every
-    ``how``."""
+    ``how`` and on routed operators."""
     import pyarrow.parquet as pq
 
     if how not in ("inner", "left", "semi", "anti"):
         raise ValueError(f"unsupported join type: {how}")
-    md = pq.ParquetFile(right_path).metadata
-    build_bytes = sum(
-        md.row_group(i).total_byte_size for i in range(md.num_row_groups)
-    )
     right_names = [c for c, _ in right_cols]
-    if build_bytes > broadcast_threshold_bytes:
+    md = pq.ParquetFile(right_path).metadata
+    wanted = {right_on, *right_names}
+    build_bytes = sum(
+        rg.column(j).total_uncompressed_size
+        for rg in map(md.row_group, range(md.num_row_groups))
+        for j in range(rg.num_columns)
+        if rg.column(j).path_in_schema in wanted
+    )
+    if build_bytes > _BROADCAST_BUDGET_BYTES:
         right = _read_path(right_path, [right_on] + right_names)
         return repartition_join(
             left, right, left_on, right_on, left_cols, right_cols, how=how
@@ -7790,11 +7681,10 @@ def suppliers_kept_waiting(sf_dir: str, k: int = 20) -> pa.Table:
     Scale shape: per-batch partial collapse to (orderkey, suppkey,
     min/max ship) rows, then ONE orderkey-keyed shuffle whose partition
     kernel answers both existential tests for every order at once with
-    reduceat sweeps over run boundaries; the supplier rollup rides the
-    bounded supplier dimension (broadcast names + select_k merge), so
-    nothing after the one shuffle scales with lineitem."""
-    import pyarrow.parquet as pq
-
+    reduceat sweeps over run boundaries; the supplier rollup takes its
+    names through the join planner (auto_equi_join, left join: a
+    broadcast probe at tested scales) and a select_k merge, so nothing
+    after the one shuffle scales with lineitem."""
     LATE_US = 30 * 86400 * 1_000_000  # 30 days, in timestamp[us] units
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -7840,22 +7730,20 @@ def suppliers_kept_waiting(sf_dir: str, k: int = 20) -> pa.Table:
         kernel,
     )
 
-    counts = keyed_aggregate(credited, "s_suppkey", {"numwait": ("s_suppkey", "count")})
-
-    # bounded supplier dim: broadcast names once, select_k per block
-    sup = pq.read_table(
-        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"]
-    )
-    names_ref = ray.put(
-        (sup.column("s_suppkey").combine_chunks(), sup.column("s_name").combine_chunks())
+    counts = auto_equi_join(
+        keyed_aggregate(credited, "s_suppkey", {"numwait": ("s_suppkey", "count")}),
+        f"{sf_dir}/supplier.parquet",
+        "s_suppkey",
+        "s_suppkey",
+        [("numwait", pa.int64())],
+        [("s_name", pa.string())],
+        how="left",
     )
 
     def add_name_topk(batch: pa.Table) -> pa.Table:
-        keys, names = ray.get(names_ref)
-        idx = pc.index_in(batch.column("s_suppkey"), value_set=keys)
         batch = pa.table(
             {
-                "s_name": pc.fill_null(pc.take(names, idx), ""),
+                "s_name": pc.fill_null(batch.column("s_name"), ""),
                 "numwait": batch.column("numwait"),
             }
         )
@@ -8310,9 +8198,9 @@ SELECT (SELECT CAST(sum(c) AS BIGINT) FROM c) AS total_rows,
 def join_size_by_key(sf_dir: str) -> pa.Table:
     """EXACT output cardinality of orders ⋈ events (custkey = user_id)
     computed WITHOUT materializing a single joined row: |A ⋈ B| =
-    Σ_k cnt_A(k) · cnt_B(k).  The planner primitive behind
-    auto_equi_join's broadcast-vs-shuffle pick, exposed as a
-    first-class operator — at 100 TB you run this before committing to
+    Σ_k cnt_A(k) · cnt_B(k).  A join-size estimate exposed as a
+    first-class operator (auto_equi_join decides from the build side's
+    footer size instead) — at 100 TB you run this before committing to
     a join whose output might be 100× its inputs.
 
     Scale shape: each side collapses to (key, count) partials (two
@@ -8406,47 +8294,48 @@ def local_supplier_volume(sf_dir: str) -> pa.Table:
     equality (c_nationkey = s_nationkey) that a naive planner turns
     into three shuffles.
 
-    Plan by side size: supplier→nation and customer→nation are
-    broadcast dims resolved with vectorized index_in probes; lineitem
-    pre-combines to (orderkey, supp_nation, partial cents) inside each
-    batch; the ONLY shuffle is the fact-fact repartition join with the
-    date-filtered orders slice (which also prunes the fan-out before it
-    moves); the same-nation test is a vectorized equality after the
-    customer probe, and the nation rollup is bounded at 25 rows."""
+    Plan by side size: lineitem meets supplier and the joined orders
+    meet customer through the join planner (auto_equi_join: broadcast
+    probes at tested scales), and the 25-row nation and 5-row region
+    tables name the ASIA nations; lineitem pre-combines to (orderkey,
+    supp_nation, partial cents) inside each batch; the ONLY shuffle is
+    the fact-fact repartition join with the date-filtered orders slice
+    (which also prunes the fan-out before it moves); the same-nation
+    test is a vectorized equality after the customer join, and the
+    nation rollup is bounded at 25 rows."""
     import pyarrow.parquet as pq
 
     LO = np.datetime64("1996-01-01", "us").astype("int64")
     HI = np.datetime64("1999-01-01", "us").astype("int64")
 
-    sup = pq.read_table(
-        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"]
-    )
-    sup_ref = ray.put(
-        (
-            sup.column("s_suppkey").combine_chunks(),
-            pc.cast(sup.column("s_nationkey"), pa.int64()).combine_chunks(),
-        )
-    )
-
     def fact_partial(batch: pa.Table) -> pa.Table:
-        keys, nk = ray.get(sup_ref)
-        idx = pc.index_in(batch.column("l_suppkey"), value_set=keys)
         price = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)
         disc = batch.column("l_discount").to_numpy(zero_copy_only=False)
         t = pa.table(
             {
                 "l_orderkey": batch.column("l_orderkey"),
-                "s_nationkey": pc.take(nk, idx),
+                "s_nationkey": pc.cast(batch.column("s_nationkey"), pa.int64()),
                 "cents": pa.array(money_cents(price * (1 - disc)), pa.int64()),
             }
         )
         g = t.group_by(["l_orderkey", "s_nationkey"]).aggregate([("cents", "sum")])
         return g.rename_columns(["l_orderkey", "s_nationkey", "cents"])
 
-    fact = _read(
-        sf_dir,
-        "lineitem",
-        ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
+    fact = auto_equi_join(
+        _read(
+            sf_dir,
+            "lineitem",
+            ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
+        ),
+        f"{sf_dir}/supplier.parquet",
+        "l_suppkey",
+        "s_suppkey",
+        [
+            ("l_orderkey", pa.int64()),
+            ("l_extendedprice", pa.float64()),
+            ("l_discount", pa.float64()),
+        ],
+        [("s_nationkey", pa.int32())],
     ).map_batches(fact_partial, batch_format="pyarrow", zero_copy_batch=True)
 
     def order_window(batch: pa.Table) -> pa.Table:
@@ -8471,9 +8360,6 @@ def local_supplier_volume(sf_dir: str) -> pa.Table:
         how="inner",
     )
 
-    cust = pq.read_table(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
-    )
     nation = pq.read_table(
         f"{sf_dir}/nation.parquet",
         columns=["n_nationkey", "n_name", "n_regionkey"],
@@ -8481,46 +8367,39 @@ def local_supplier_volume(sf_dir: str) -> pa.Table:
     region = pq.read_table(
         f"{sf_dir}/region.parquet", columns=["r_regionkey", "r_name"]
     )
-    asia = pc.cast(
-        region.filter(pc.equal(region.column("r_name"), "ASIA")).column(
-            "r_regionkey"
-        ),
-        pa.int64(),
-    ).to_pylist()
-    nat_keys = pc.cast(nation.column("n_nationkey"), pa.int64()).combine_chunks()
-    nat_in_asia = pc.is_in(
-        pc.cast(nation.column("n_regionkey"), pa.int64()),
-        value_set=pa.array(asia, pa.int64()),
-    )
-    dim_ref = ray.put(
-        (
-            cust.column("c_custkey").combine_chunks(),
-            pc.cast(cust.column("c_nationkey"), pa.int64()).combine_chunks(),
-            nat_keys,
-            nation.column("n_name").combine_chunks(),
-            nat_in_asia.combine_chunks()
-            if isinstance(nat_in_asia, pa.ChunkedArray)
-            else nat_in_asia,
+    asia = nation.filter(
+        pc.is_in(
+            nation.column("n_regionkey"),
+            value_set=region.filter(pc.equal(region.column("r_name"), "ASIA"))
+            .column("r_regionkey"),
         )
     )
+    asia_keys = pc.cast(asia.column("n_nationkey"), pa.int64())
 
     def same_nation(batch: pa.Table) -> pa.Table:
-        ckeys, cnk, nkeys, nnames, in_asia = ray.get(dim_ref)
-        cidx = pc.index_in(batch.column("o_custkey"), value_set=ckeys)
-        cust_nation = pc.take(cnk, cidx)
-        same = pc.equal(cust_nation, batch.column("s_nationkey"))
-        nidx = pc.index_in(batch.column("s_nationkey"), value_set=nkeys)
-        keep = pc.and_kleene(same, pc.take(in_asia, nidx))
+        same = pc.equal(
+            pc.cast(batch.column("c_nationkey"), pa.int64()),
+            batch.column("s_nationkey"),
+        )
+        nidx = pc.index_in(batch.column("s_nationkey"), value_set=asia_keys)
+        keep = pc.and_(same, pc.is_valid(nidx))
         return pa.table(
             {
-                "n_name": pc.take(nnames, nidx),
+                "n_name": pc.take(asia.column("n_name"), nidx),
                 "cents": batch.column("cents"),
             }
         ).filter(pc.fill_null(keep, False))
 
     out = ensure_columns(
         keyed_aggregate(
-            joined.map_batches(same_nation, batch_format="pyarrow", zero_copy_batch=True),
+            auto_equi_join(
+                joined,
+                f"{sf_dir}/customer.parquet",
+                "o_custkey",
+                "c_custkey",
+                [("s_nationkey", pa.int64()), ("cents", pa.int64())],
+                [("c_nationkey", pa.int32())],
+            ).map_batches(same_nation, batch_format="pyarrow", zero_copy_batch=True),
             "n_name",
             {"revenue_cents": ("cents", "sum")},
         ).to_pandas(),  # bounded: <= 25 nations
@@ -8631,41 +8510,36 @@ def supplier_hhi(sf_dir: str) -> pa.Table:
     source mix as much as a warehouse runs on suppliers.
 
     Scale shape: lineitem collapses to (nation, supplier, cents) rows
-    (supplier→nation is a broadcast dim probe) in one bounded keyed
-    aggregate; nation totals are a 25-row broadcast; the share² sum is
+    (supplier→nation through the join planner, auto_equi_join: a
+    broadcast probe at tested scales) in one bounded keyed aggregate; nation totals are a 25-row broadcast; the share² sum is
     another bounded keyed aggregate.  Shares use floor
     division on non-negative cents only (DuckDB // truncates toward
     zero — keep operands non-negative, the dsir_weights rule)."""
     import pyarrow.parquet as pq
 
-    sup = pq.read_table(
-        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"]
-    )
-    sup_ref = ray.put(
-        (
-            sup.column("s_suppkey").combine_chunks(),
-            pc.cast(sup.column("s_nationkey"), pa.int64()).combine_chunks(),
-        )
-    )
-
     def supplier_rows(batch: pa.Table) -> pa.Table:
-        keys, nk = ray.get(sup_ref)
-        idx = pc.index_in(batch.column("l_suppkey"), value_set=keys)
         price = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)
         disc = batch.column("l_discount").to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "nk": pc.take(nk, idx),
-                "s": pc.cast(batch.column("l_suppkey"), pa.int64()),
+                "nk": pc.cast(batch.column("s_nationkey"), pa.int64()),
+                "s": batch.column("l_suppkey"),
                 "cents": pa.array(money_cents(price * (1 - disc)), pa.int64()),
             }
         )
 
     per_supp = keyed_aggregate(
-        _read(
-            sf_dir,
-            "lineitem",
-            ["l_suppkey", "l_extendedprice", "l_discount"],
+        auto_equi_join(
+            _read(sf_dir, "lineitem", ["l_suppkey", "l_extendedprice", "l_discount"]),
+            f"{sf_dir}/supplier.parquet",
+            "l_suppkey",
+            "s_suppkey",
+            [
+                ("l_suppkey", pa.int64()),
+                ("l_extendedprice", pa.float64()),
+                ("l_discount", pa.float64()),
+            ],
+            [("s_nationkey", pa.int32())],
         ).map_batches(supplier_rows, batch_format="pyarrow", zero_copy_batch=True),
         ["nk", "s"],
         {"cents": ("cents", "sum")},
@@ -8760,35 +8634,20 @@ def brand_discount_revenue(sf_dir: str) -> pa.Table:
     simple predicate pushdown: each arm constrains BOTH the dimension
     (part) and the fact (lineitem).
 
-    Scale shape: the part dimension collapses to two broadcast arrays
-    (brand code, size) probed per batch with index_in; all three arms
-    evaluate as vectorized boolean algebra over the probe results —
-    the fact table is read once, never joined, never shuffled; the
+    Scale shape: lineitem meets part's (brand, size) through the join
+    planner (auto_equi_join: a broadcast probe at tested scales, so the
+    fact table is read once and never shuffled); all three arms
+    evaluate as vectorized boolean algebra over the joined columns; the
     result is a scalar partial sum."""
-    import pyarrow.parquet as pq
-
     ARMS = [  # (brand, size_lo, size_hi, qty_lo, qty_hi)
         ("Brand#1", 1, 15, 1, 15),
         ("Brand#2", 16, 30, 10, 25),
         ("Brand#3", 31, 50, 20, 40),
     ]
 
-    part = pq.read_table(
-        f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand", "p_size"]
-    )
-    dim_ref = ray.put(
-        (
-            part.column("p_partkey").combine_chunks(),
-            part.column("p_brand").combine_chunks(),
-            pc.cast(part.column("p_size"), pa.int64()).combine_chunks(),
-        )
-    )
-
     def partial(batch: pa.Table) -> pa.Table:
-        keys, brand, size = ray.get(dim_ref)
-        idx = pc.index_in(batch.column("l_partkey"), value_set=keys)
-        b = np.asarray(pc.take(brand, idx).to_pylist(), dtype=object)
-        s = pc.take(size, idx).to_numpy(zero_copy_only=False)
+        b = np.asarray(batch.column("p_brand").to_pylist(), dtype=object)
+        s = pc.cast(batch.column("p_size"), pa.int64()).to_numpy(zero_copy_only=False)
         qty = batch.column("l_quantity").to_numpy(zero_copy_only=False)
         keep = np.zeros(len(qty), dtype=bool)
         for br, slo, shi, qlo, qhi in ARMS:
@@ -8804,10 +8663,21 @@ def brand_discount_revenue(sf_dir: str) -> pa.Table:
         )
 
     parts = (
-        _read(
-            sf_dir,
-            "lineitem",
-            ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"],
+        auto_equi_join(
+            _read(
+                sf_dir,
+                "lineitem",
+                ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"],
+            ),
+            f"{sf_dir}/part.parquet",
+            "l_partkey",
+            "p_partkey",
+            [
+                ("l_quantity", pa.float64()),
+                ("l_extendedprice", pa.float64()),
+                ("l_discount", pa.float64()),
+            ],
+            [("p_brand", pa.string()), ("p_size", pa.int32())],
         )
         .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
         .take_all()
@@ -8850,7 +8720,8 @@ def top_supplier_q15(sf_dir: str) -> pa.Table:
     narrow pass; the supplier keyed aggregate is bounded
     by the supplier dim; the max is ONE driver scalar from a
     distributed aggregate (never a sorted row set); the equality filter
-    re-streams the bounded rollup.  Names broadcast; output sorted by
+    re-streams the bounded rollup.  Names come from a read of just the
+    winners' supplier rows (parquet filter pushdown); output sorted by
     suppkey (ties deterministic)."""
     import pyarrow.parquet as pq
 
@@ -8905,7 +8776,9 @@ def top_supplier_q15(sf_dir: str) -> pa.Table:
     )
 
     sup = pq.read_table(
-        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"]
+        f"{sf_dir}/supplier.parquet",
+        columns=["s_suppkey", "s_name"],
+        filters=[("s_suppkey", "in", winners["s"].astype("int64").tolist())],
     )
     nmap = dict(
         zip(sup.column("s_suppkey").to_pylist(), sup.column("s_name").to_pylist())
@@ -9051,9 +8924,9 @@ def table_checksum(sf_dir: str) -> pa.Table:
 
     agg = ds.map_batches(
         partial, batch_format="pyarrow", zero_copy_batch=True
-    ).aggregate(Sum("n"), Sum("s"))
-    n = int(agg.get("sum(n)") or 0)
-    s = int(agg.get("sum(s)") or 0) % _CK_PRIME
+    ).aggregate(Sum("n", alias_name="n"), Sum("s", alias_name="s"))
+    n = int(agg.get("n") or 0)
+    s = int(agg.get("s") or 0) % _CK_PRIME
     return pa.table(
         {
             "n_rows": pa.array([n], pa.int64()),
@@ -10799,8 +10672,8 @@ def cascade_delete_audit(sf_dir: str) -> pa.Table:
 
         agg = ds.map_batches(
             fold, batch_format="pyarrow", zero_copy_batch=True
-        ).aggregate(Sum("n"))
-        return int(agg.get("sum(n)") or 0)
+        ).aggregate(Sum("n", alias_name="n"))
+        return int(agg.get("n") or 0)
 
     in_cohort = lambda v: (v % _FORGET_MOD) == 0  # noqa: E731
 
@@ -10861,8 +10734,10 @@ def cascade_delete_audit(sf_dir: str) -> pa.Table:
         n = int(per_key_cnt[per_key_aff > 0].sum())
         return pa.table({"n": pa.array([n], pa.int64())})
 
-    agg = partitioned_by_key(li.union(od), "orderkey", kernel).aggregate(Sum("n"))
-    n_lineitem = int(agg.get("sum(n)") or 0)
+    agg = partitioned_by_key(li.union(od), "orderkey", kernel).aggregate(
+        Sum("n", alias_name="n")
+    )
+    n_lineitem = int(agg.get("n") or 0)
 
     names = ["customer", "events", "lineitem", "orders"]
     vals = [n_customer, n_events, n_lineitem, n_orders]
@@ -11551,7 +11426,13 @@ GROUP BY 1 ORDER BY 1
 # -- k-core decomposition ----------------------------------------------------------
 
 
-def kcore_decompose(sf_dir: str, loop_threshold: int = 2_000_000) -> pa.Table:
+# Deduped co-purchase edges up to which kcore_decompose and
+# copurchase_bfs_depth gather the graph into one kernel (read at call
+# time); past it both run their keyed-round loop arm.
+_GRAPH_GATHER_EDGES = 2_000_000
+
+
+def kcore_decompose(sf_dir: str) -> pa.Table:
     """Core-number decomposition of the part co-purchase graph — the
     iterative-peeling member of the graph family (components = label
     spreading, pagerank = fixed-point iteration, this = monotone
@@ -11568,16 +11449,16 @@ def kcore_decompose(sf_dir: str, loop_threshold: int = 2_000_000) -> pa.Table:
     expansion then edge-keyed dedup — the copurchase_triangles plan).
     Peeling then follows the connected-components VOLUME ROUTER
     precedent: the deduped edge set (the graph's sparse core, ~1.5% of
-    lineitem rows here) gathers to ONE vectorized kernel under the 2M-
-    edge threshold; beyond it the same monotone peel runs as keyed
-    rounds (degree rollup -> under-k broadcast filter), each round
+    lineitem rows here) gathers to ONE vectorized kernel up to
+    ``_GRAPH_GATHER_EDGES``; beyond it the same monotone peel runs as
+    keyed rounds (degree rollup -> under-k broadcast filter), each round
     strictly shrinking the edge set."""
     from ._util import wide_partitions
 
     P = wide_partitions()
     edges_ds = _copurchase_edges(sf_dir, P)
     n_edges = edges_ds.count()
-    if n_edges > loop_threshold:  # loop arm: keyed peel rounds
+    if n_edges > _GRAPH_GATHER_EDGES:  # loop arm: keyed peel rounds
         return _kcore_loop(edges_ds)
     if n_edges:
         ek = np.sort(
@@ -11833,9 +11714,9 @@ def sum128_total(sf_dir: str) -> pa.Table:
 
     agg = ds.map_batches(
         to_cents, batch_format="pyarrow", zero_copy_batch=True
-    ).aggregate(_Sum128(on="cents"), ray.data.aggregate.Sum("one"))
+    ).aggregate(_Sum128(on="cents"), ray.data.aggregate.Sum("one", alias_name="n"))
     s = int(agg.get("sum128") or 0)
-    n = int(agg.get("sum(one)") or 0)
+    n = int(agg.get("n") or 0)
     if s < 0:
         raise ValueError("sum128_total: negative total; limb split assumes >= 0")
     return pa.table(
@@ -12191,37 +12072,29 @@ def target_encode_brands(sf_dir: str) -> pa.Table:
     hot brands keep their own rate — the classic leakage-safe
     categorical encoder.
 
-    Scale shape: lineitem folds to per-(partkey) partials?  No — the
-    brand is the dimension attribute, so part broadcasts once
-    (revenue_by_brand's plan) and one tiny keyed aggregate folds rows
-    straight to <= |brands| cells, then driver arithmetic
-    over the bounded brand table."""
-    import pyarrow.parquet as pq
+    Scale shape: the brand is the dimension attribute, so lineitem
+    meets part through the join planner (auto_equi_join: a broadcast
+    probe at tested scales, revenue_by_brand's plan) and one tiny keyed
+    aggregate folds rows straight to <= |brands| cells, then driver
+    arithmetic over the bounded brand table."""
 
-    part = pq.read_table(f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand"])
-    dim_ref = ray.put(
-        (
-            part.column("p_partkey").combine_chunks(),
-            part.column("p_brand").combine_chunks(),
+    def returned(batch: pa.Table) -> pa.Table:
+        ret = pc.equal(batch.column("l_returnflag"), pa.scalar("R"))
+        return pa.table(
+            {"l_partkey": batch.column("l_partkey"), "r": pc.cast(ret, pa.int64())}
         )
+
+    lines = _read(sf_dir, "lineitem", ["l_partkey", "l_returnflag"]).map_batches(
+        returned, batch_format="pyarrow", zero_copy_batch=True
     )
-
-    def brand_returns(batch: pa.Table) -> pa.Table:
-        keys, brands = ray.get(dim_ref)
-        idx = pc.index_in(batch.column("l_partkey"), value_set=keys)
-        valid = pc.is_valid(idx).to_numpy(zero_copy_only=False)
-        keep = np.flatnonzero(valid)
-        idx = idx.take(pa.array(keep, pa.int64()))
-        ret = (
-            pc.equal(batch.column("l_returnflag"), pa.scalar("R"))
-            .to_numpy(zero_copy_only=False)[keep]
-            .astype(np.int64)
-        )
-        return pa.table({"p_brand": pc.take(brands, idx), "r": pa.array(ret, pa.int64())})
-
     out = keyed_aggregate(
-        _read(sf_dir, "lineitem", ["l_partkey", "l_returnflag"]).map_batches(
-            brand_returns, batch_format="pyarrow", zero_copy_batch=True
+        auto_equi_join(
+            lines,
+            f"{sf_dir}/part.parquet",
+            "l_partkey",
+            "p_partkey",
+            [("r", pa.int64())],
+            [("p_brand", pa.string())],
         ),
         "p_brand",
         {"n": ("r", "count"), "r": ("r", "sum")},
@@ -12474,9 +12347,6 @@ def item_similarity_topk(sf_dir: str) -> "ray.data.Dataset":
     def pair_partials(part: pa.Table) -> pa.Table:
         o = part.column("o").to_numpy(zero_copy_only=False)
         p = part.column("p").to_numpy(zero_copy_only=False)
-        if len(o) == 0:
-            z = pa.array([], pa.int64())
-            return pa.table({"k": z, "n": z})
         order = np.lexsort((p, o))
         o, p = o[order], p[order]
         keep = np.r_[True, (o[1:] != o[:-1]) | (p[1:] != p[:-1])]
@@ -12508,9 +12378,6 @@ def item_similarity_topk(sf_dir: str) -> "ray.data.Dataset":
         per exchange block sums every pair's partial counts."""
         k = part.column("k").to_numpy(zero_copy_only=False)
         n = part.column("n").to_numpy(zero_copy_only=False)
-        if len(k) == 0:
-            z = pa.array([], pa.int64())
-            return pa.table({"k": z, "shared": z})
         order = np.argsort(k, kind="stable")
         k, n = k[order], n[order]
         b = run_bounds(k)
@@ -12555,11 +12422,6 @@ def item_similarity_topk(sf_dir: str) -> "ray.data.Dataset":
         s = part.column("src").to_numpy(zero_copy_only=False)
         d = part.column("dst").to_numpy(zero_copy_only=False)
         c = part.column("shared").to_numpy(zero_copy_only=False)
-        if len(s) == 0:
-            z = pa.array([], pa.int64())
-            return pa.table(
-                {"part_id": z, "neighbor_id": z, "shared_orders": z, "rank": z}
-            )
         order = np.lexsort((d, -c, s))
         s, d, c = s[order], d[order], c[order]
         b = run_bounds(s)
@@ -12609,9 +12471,7 @@ ORDER BY 1, 4
 _BFS_MAX_DEPTH = 4
 
 
-def copurchase_bfs_depth(
-    sf_dir: str, max_depth: int = _BFS_MAX_DEPTH, loop_threshold: int = 2_000_000
-) -> pa.Table:
+def copurchase_bfs_depth(sf_dir: str, max_depth: int = _BFS_MAX_DEPTH) -> pa.Table:
     """Breadth-first reach profile: how many parts sit at hop distance
     0..max_depth from the seed part (global min partkey) in the
     co-purchase graph, plus a -1 row for parts unreachable within the
@@ -12621,9 +12481,10 @@ def copurchase_bfs_depth(
 
     Scale shape: the edge build is the copurchase_triangles plan (order-
     keyed triu expansion, edge-keyed dedup).  Then the VOLUME ROUTER
-    precedent (connected components / kcore): under ``loop_threshold``
-    edges the sparse deduped edge set gathers to ONE vectorized CSR-BFS
-    kernel; above it the same level-synchronous sweep runs distributed —
+    precedent (connected components / kcore): up to
+    ``_GRAPH_GATHER_EDGES`` edges the sparse deduped edge set gathers
+    to ONE vectorized CSR-BFS kernel; above it the same
+    level-synchronous sweep runs distributed —
     per round, the frontier meets the directed edge list in a keyed
     repartition join, neighbor candidates dedup under a node-keyed
     shuffle, and an anti-join against the visited set admits only new
@@ -12659,7 +12520,7 @@ def copurchase_bfs_depth(
     seed = int(seed_raw)
     n_edges = edges_ds.count()
 
-    if n_edges <= loop_threshold:
+    if n_edges <= _GRAPH_GATHER_EDGES:
         # gather arm: CSR BFS in one vectorized kernel
         if n_edges:
             ek = np.concatenate(

@@ -743,9 +743,10 @@ def wap_publish(sf_dir: str, out_dir: str | None = None) -> "ray.data.Dataset":
         agg = ds.map_batches(
             fold, batch_format="pyarrow", zero_copy_batch=True
         ).aggregate(
-            ray.data.aggregate.Sum("n"), ray.data.aggregate.Sum("s")
+            ray.data.aggregate.Sum("n", alias_name="n"),
+            ray.data.aggregate.Sum("s", alias_name="s"),
         )
-        return int(agg.get("sum(n)") or 0), int(agg.get("sum(s)") or 0) % P
+        return int(agg.get("n") or 0), int(agg.get("s") or 0) % P
 
     # audit: staged files vs a fresh source-derived rollup
     expected = fingerprint(rollup)
@@ -929,13 +930,16 @@ def quarantine_split(sf_dir: str, out_dir: str | None = None) -> "ray.data.Datas
         rolled = (
             ray.data.read_parquet(path)
             .map_batches(partial, batch_format="pyarrow", zero_copy_batch=True)
-            .aggregate(agg.Sum("n_rows"), agg.Sum("value_cents"))
+            .aggregate(
+                agg.Sum("n_rows", alias_name="n_rows"),
+                agg.Sum("value_cents", alias_name="value_cents"),
+            )
         )
         sides.append(
             (
                 side,
-                int(rolled.get("sum(n_rows)") or 0),
-                int(rolled.get("sum(value_cents)") or 0),
+                int(rolled.get("n_rows") or 0),
+                int(rolled.get("value_cents") or 0),
             )
         )
     return ray.data.from_arrow(

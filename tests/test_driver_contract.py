@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import ast
 import pathlib
+import re
 import sys
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -244,4 +245,37 @@ def test_no_unused_function_local_imports():
                         if (a.asname or a.name.split(".")[0]) not in reads
                     ]
                 stack.extend(ast.iter_child_nodes(node))
+    assert not offenders, offenders
+
+
+_SCALING_DIMENSION = re.compile(r"\b(customer|part|supplier)\.parquet")
+
+
+def test_no_whole_table_reads_of_scaling_dimensions():
+    """customer, part and supplier grow with the scale factor, so no
+    operator under functions/ reads one whole onto the driver: a join
+    goes through auto_equi_join (whose footer gate falls back to the
+    repartition join past its budget), and a read that names a few rows
+    passes ``filters=``.  Fails on any ``pq.read_table`` whose path
+    names one of the three tables and that passes no ``filters=``.
+    nation and region are fixed-size and stay readable whole."""
+    offenders = []
+    for path in sorted((REPO / "go_boilerpipe_ray" / "functions").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "read_table"
+                and node.args
+            ):
+                continue
+            literal = "".join(
+                n.value
+                for n in ast.walk(node.args[0])
+                if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            )
+            if _SCALING_DIMENSION.search(literal) and not any(
+                k.arg == "filters" for k in node.keywords
+            ):
+                offenders.append(f"{path.relative_to(REPO)}:{node.lineno}")
     assert not offenders, offenders

@@ -434,20 +434,22 @@ def test_build_key_bloom_no_false_negatives_low_fp():
     assert fp < 0.01, fp  # ~1e-3 expected at this load factor
 
 
-def test_auto_equi_join_both_paths_agree():
+def test_auto_equi_join_both_paths_agree(monkeypatch):
     """The planner's broadcast arm and repartition arm must return
-    identical rows for every join type; the threshold is forced each
-    way on the same inputs."""
+    identical rows for every join type; the budget is forced each way
+    on the same inputs."""
     import pandas as pd
     import pyarrow as pa
 
+    from go_boilerpipe_ray.functions import relational
     from go_boilerpipe_ray.functions.relational import _read, auto_equi_join
 
     right_path = f"{SF}/customer.parquet"
     for how in ["inner", "left", "semi", "anti"]:
         rcols = [] if how in ("semi", "anti") else [("c_mktsegment", pa.string())]
 
-        def run(threshold):
+        def run(budget):
+            monkeypatch.setattr(relational, "_BROADCAST_BUDGET_BYTES", budget)
             left = _read(SF, "orders", ["o_orderkey", "o_custkey"])
             out = auto_equi_join(
                 left,
@@ -457,7 +459,6 @@ def test_auto_equi_join_both_paths_agree():
                 [("o_orderkey", pa.int64()), ("o_custkey", pa.int64())],
                 rcols,
                 how=how,
-                broadcast_threshold_bytes=threshold,
             ).to_pandas()
             cols = sorted(out.columns)
             return out[cols].sort_values(cols).reset_index(drop=True)
@@ -465,6 +466,36 @@ def test_auto_equi_join_both_paths_agree():
         bcast = run(1 << 40)  # force broadcast arm
         shuffle = run(0)  # force repartition arm
         pd.testing.assert_frame_equal(bcast, shuffle, obj=f"auto join ({how})")
+
+
+def test_routed_operators_same_rows_on_both_planner_arms(monkeypatch):
+    """Operators whose dimension joins go through auto_equi_join return
+    the same rows on the broadcast arm (default budget) and on the
+    repartition arm (budget 0).  volume_shipping reads sf0.01: it has
+    no rows at sf0.001."""
+    from go_boilerpipe_ray.functions import relational
+
+    cases = {
+        "top_customers": (relational.top_customers, SF),
+        "revenue_by_brand": (relational.revenue_by_brand, SF),
+        "supplier_hhi": (relational.supplier_hhi, SF),
+        "local_supplier_volume": (relational.local_supplier_volume, SF),
+        "volume_shipping": (
+            relational.volume_shipping,
+            SF.replace("sf0.001", "sf0.01"),
+        ),
+    }
+
+    def rows(fn, sf):
+        out = fn(sf)
+        recs = out.take_all() if hasattr(out, "take_all") else out.to_pylist()
+        return sorted((tuple(sorted(r.items())) for r in recs), key=repr)
+
+    broadcast = {name: rows(fn, sf) for name, (fn, sf) in cases.items()}
+    monkeypatch.setattr(relational, "_BROADCAST_BUDGET_BYTES", 0)
+    for name, (fn, sf) in cases.items():
+        assert broadcast[name], name
+        assert rows(fn, sf) == broadcast[name], name
 
 
 def test_auto_equi_join_rejects_duplicate_broadcast_keys(tmp_path):
@@ -487,7 +518,6 @@ def test_auto_equi_join_rejects_duplicate_broadcast_keys(tmp_path):
             [("o_orderkey", pa.int64())],
             [("v", pa.string())],
             how="inner",
-            broadcast_threshold_bytes=1 << 40,
         )
 
 
@@ -6947,7 +6977,7 @@ def test_session8b_ops_survive_empty_inputs(tmp_path):
 
 
 def test_kcore_loop_arm_matches_gather_arm(tmp_path, monkeypatch):
-    # Force the distributed peel (loop_threshold=-1) and compare it
+    # Force the distributed peel (_GRAPH_GATHER_EDGES=-1) and compare it
     # row-for-row against the gathered kernel on the same graph:
     # triangle + pendant via orders {1,2,3},{2,3,4},{1,3} plus K4-ish
     # order {5,6,7,8}.
@@ -6963,16 +6993,17 @@ def test_kcore_loop_arm_matches_gather_arm(tmp_path, monkeypatch):
             "l_partkey": [1, 2, 3, 2, 3, 4, 1, 3, 5, 6, 7, 8],
         }
     ).to_parquet(tmp_path / "lineitem.parquet")
+    import go_boilerpipe_ray.functions.relational as rel
+
     gather = kcore_decompose(str(tmp_path)).to_pandas()
-    loop = kcore_decompose(str(tmp_path), loop_threshold=-1).to_pandas()
+    monkeypatch.setattr(rel, "_GRAPH_GATHER_EDGES", -1)
+    loop = kcore_decompose(str(tmp_path)).to_pandas()
     assert gather.values.tolist() == loop.values.tolist()
     assert int(gather["n_nodes"].sum()) == 8
 
     # the keyed two-pass edge filter (giant-cascade arm) must agree too
-    import go_boilerpipe_ray.functions.relational as rel
-
     monkeypatch.setattr(rel, "_KCORE_DROP_BCAST", -1)
-    keyed = kcore_decompose(str(tmp_path), loop_threshold=-1).to_pandas()
+    keyed = kcore_decompose(str(tmp_path)).to_pandas()
     assert keyed.values.tolist() == gather.values.tolist()
 
 
@@ -7322,13 +7353,14 @@ def test_allpairs_jaccard_matches_brute_force(ray_session, tmp_path):
     assert len(want) > 0  # fixture must actually produce pairs
 
 
-def test_copurchase_bfs_depth_both_arms_chain(ray_session, tmp_path):
+def test_copurchase_bfs_depth_both_arms_chain(ray_session, tmp_path, monkeypatch):
     """Chain graph 1-2-3-4-5-6-7 (each order links two parts): seed is
     part 1, so depths are 0..4 and parts 6,7 are beyond the horizon
     (depth -1).  The gather arm and the distributed loop arm
-    (loop_threshold=0) must agree exactly."""
+    (_GRAPH_GATHER_EDGES=0) must agree exactly."""
     import pyarrow as pa
 
+    import go_boilerpipe_ray.functions.relational as rel
     from go_boilerpipe_ray.functions.relational import copurchase_bfs_depth
 
     o = [1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6]
@@ -7345,7 +7377,8 @@ def test_copurchase_bfs_depth_both_arms_chain(ray_session, tmp_path):
     )
     want = {(-1): 2, 0: 1, 1: 1, 2: 1, 3: 1, 4: 1}
     gather = copurchase_bfs_depth(str(tmp_path)).to_pandas()
-    loop = copurchase_bfs_depth(str(tmp_path), loop_threshold=0).to_pandas()
+    monkeypatch.setattr(rel, "_GRAPH_GATHER_EDGES", 0)
+    loop = copurchase_bfs_depth(str(tmp_path)).to_pandas()
     assert {r.depth: r.n_nodes for r in gather.itertuples()} == want
     assert {r.depth: r.n_nodes for r in loop.itertuples()} == want
 
