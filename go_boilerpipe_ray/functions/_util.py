@@ -3,10 +3,6 @@
 from __future__ import annotations
 
 
-def _strip_schema_metadata(batch):
-    return batch.replace_schema_metadata(None)
-
-
 _EMPTY_SCHEMA_FILTER_INSTALLED = False
 
 
@@ -52,13 +48,18 @@ def read_parquet_clean(path: str, **kwargs):
     Parquet written by pandas embeds a ``b'pandas'`` metadata blob;
     pyarrow schemas carrying it are UNHASHABLE, which defeats Ray's
     block-schema dedup (``unify_schemas`` logs "Failed to hash the
-    schemas ... unhashable type: 'dict'" and keeps every schema copy).
-    Stripping is zero-copy and fuses into the read stage."""
+    schemas ... unhashable type: 'dict'" once per read task and keeps
+    every schema copy).  The read is handed the file's schema without
+    its metadata (one footer read on the driver), so neither the read
+    tasks' schemas nor their blocks carry it."""
+    import pyarrow as pa
+    import pyarrow.dataset as pads
     import ray.data
 
-    return ray.data.read_parquet(path, **kwargs).map_batches(
-        _strip_schema_metadata, batch_format="pyarrow", zero_copy_batch=True
-    )
+    schema = pads.dataset(path, format="parquet").schema.remove_metadata()
+    if kwargs.get("columns") is not None:
+        schema = pa.schema([schema.field(c) for c in kwargs["columns"]])
+    return ray.data.read_parquet(path, schema=schema, **kwargs)
 
 
 def cut_lineage(ds):
@@ -302,6 +303,34 @@ def run_bounds(sorted_key) -> "np.ndarray":
     return np.flatnonzero(
         np.r_[True, sorted_key[1:] != sorted_key[:-1], True]
     ).astype(np.int64)
+
+
+def _ranges(first, lens) -> "np.ndarray":
+    """Concatenated ``first[r] + arange(lens[r])`` for every r, no loop."""
+    import numpy as np
+
+    offsets = np.cumsum(lens) - lens
+    return np.arange(int(lens.sum()), dtype=np.int64) + np.repeat(
+        first - offsets, lens
+    )
+
+
+def run_pairs(starts, ends) -> "tuple[np.ndarray, np.ndarray]":
+    """Global row indices (i, j) of every pair i < j inside each run
+    [starts[r], ends[r]) — the within-run pair expansion every
+    candidate-pair and graph kernel shares.  Pairs come run by run in
+    ``np.triu_indices(ends[r] - starts[r], 1)`` order, built with
+    repeat/cumsum instead of a Python loop over runs.  Runs of fewer
+    than two rows emit nothing; a caller that skips runs passes
+    masked ``starts``/``ends``."""
+    import numpy as np
+
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64)
+    heads = np.maximum(ends - starts - 1, 0)  # rows with a later partner
+    i_rows = _ranges(starts, heads)
+    fan = np.repeat(ends, heads) - i_rows - 1
+    return np.repeat(i_rows, fan), _ranges(i_rows + 1, fan)
 
 
 def money_cents(values) -> "np.ndarray":

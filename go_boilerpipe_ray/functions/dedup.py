@@ -40,6 +40,8 @@ from ._util import (
     exchange,
     keyed_aggregate,
     partitioned_by_key,
+    run_bounds,
+    run_pairs,
     wide_partitions,
 )
 
@@ -232,42 +234,26 @@ def ngram_jaccard_pairs(
 
     def partition_pairs(group: pa.Table) -> pa.Table:
         """Emit candidate pairs for every shingle in this hash partition —
-        sort by shingle, then np.triu_indices per run.  Each pair carries
-        both documents' shingle-set sizes."""
+        sort by shingle, then run_pairs over the shingle runs (runs past
+        max_df masked out).  Each pair carries both documents'
+        shingle-set sizes."""
         sh = group.column("shingle").to_numpy(zero_copy_only=False)
         ids = group.column("doc_id").to_numpy(zero_copy_only=False)
         ns = group.column("n_sh").to_numpy(zero_copy_only=False)
         order = np.lexsort((ids, sh))
         sh, ids, ns = sh[order], ids[order], ns[order]
-        bounds = np.flatnonzero(np.r_[True, sh[1:] != sh[:-1], True])
-        out_a: list[np.ndarray] = []
-        out_b: list[np.ndarray] = []
-        out_na: list[np.ndarray] = []
-        out_nb: list[np.ndarray] = []
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            g = e - s
-            if g < 2 or (max_df is not None and g > max_df):
-                continue
-            ii, jj = np.triu_indices(g, 1)
-            out_a.append(ids[s + ii])
-            out_b.append(ids[s + jj])
-            out_na.append(ns[s + ii])
-            out_nb.append(ns[s + jj])
-        if not out_a:
-            return pa.table(
-                {
-                    "id_a": pa.array([], pa.int64()),
-                    "id_b": pa.array([], pa.int64()),
-                    "n_a": pa.array([], pa.int64()),
-                    "n_b": pa.array([], pa.int64()),
-                }
-            )
+        b = run_bounds(sh)
+        starts, ends = b[:-1], b[1:]
+        if max_df is not None:
+            small = ends - starts <= max_df
+            starts, ends = starts[small], ends[small]
+        i, j = run_pairs(starts, ends)
         return pa.table(
             {
-                "id_a": pa.array(np.concatenate(out_a), pa.int64()),
-                "id_b": pa.array(np.concatenate(out_b), pa.int64()),
-                "n_a": pa.array(np.concatenate(out_na), pa.int64()),
-                "n_b": pa.array(np.concatenate(out_nb), pa.int64()),
+                "id_a": pa.array(ids[i], pa.int64()),
+                "id_b": pa.array(ids[j], pa.int64()),
+                "n_a": pa.array(ns[i], pa.int64()),
+                "n_b": pa.array(ns[j], pa.int64()),
             }
         )
 
@@ -450,20 +436,8 @@ def _minhash_verify_carry(
         ).reshape(-1, num_hashes)
         order = np.lexsort((ids, bk))
         bk, ids, mat = bk[order], ids[order], mat[order]
-        bounds = np.flatnonzero(np.r_[True, bk[1:] != bk[:-1], True])
-        ia: list[np.ndarray] = []
-        ib: list[np.ndarray] = []
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            g = e - s
-            if g < 2:
-                continue
-            ii, jj = np.triu_indices(g, 1)
-            ia.append(s + ii)
-            ib.append(s + jj)
-        if not ia:
-            return _empty_pairs()
-        ia_ = np.concatenate(ia)
-        ib_ = np.concatenate(ib)
+        bounds = run_bounds(bk)
+        ia_, ib_ = run_pairs(bounds[:-1], bounds[1:])
         a, b = ids[ia_], ids[ib_]
         keep = a != b
         if not keep.any():
@@ -624,22 +598,9 @@ def minhash_lsh_pairs(
         ids = group.column("doc_id").to_numpy(zero_copy_only=False)
         order = np.lexsort((ids, bk))
         bk, ids = bk[order], ids[order]
-        bounds = np.flatnonzero(np.r_[True, bk[1:] != bk[:-1], True])
-        out_a: list[np.ndarray] = []
-        out_b: list[np.ndarray] = []
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            g = e - s
-            if g < 2:
-                continue
-            ii, jj = np.triu_indices(g, 1)
-            out_a.append(ids[s + ii])
-            out_b.append(ids[s + jj])
-        if not out_a:
-            return pa.table(
-                {"id_a": pa.array([], pa.int64()), "id_b": pa.array([], pa.int64())}
-            )
-        a = np.concatenate(out_a)
-        b = np.concatenate(out_b)
+        bounds = run_bounds(bk)
+        i, j = run_pairs(bounds[:-1], bounds[1:])
+        a, b = ids[i], ids[j]
         keep = a != b
         # Dedupe within this bucket partition (two docs can collide in
         # several buckets of the same partition); cross-partition
@@ -999,37 +960,16 @@ def simhash_pairs(
         )
         order = np.lexsort((ids, bk))
         bk, ids, sh = bk[order], ids[order], sh[order]
-        bounds = np.flatnonzero(np.r_[True, bk[1:] != bk[:-1], True])
-        out_a: list[np.ndarray] = []
-        out_b: list[np.ndarray] = []
-        out_d: list[np.ndarray] = []
-        for st, en in zip(bounds[:-1], bounds[1:]):
-            g = en - st
-            if g < 2:
-                continue
-            ii, jj = np.triu_indices(g, 1)
-            xor = sh[st + ii] ^ sh[st + jj]
-            # vectorized popcount on uint64 via byte view
-            dist = (
-                np.unpackbits(xor.view(np.uint8).reshape(-1, 8), axis=1)
-                .sum(axis=1)
-                .astype(np.int64)
-            )
-            keep = (dist <= max_hamming) & (ids[st + ii] != ids[st + jj])
-            out_a.append(ids[st + ii][keep])
-            out_b.append(ids[st + jj][keep])
-            out_d.append(dist[keep])
-        if not out_a:
-            return pa.table(
-                {
-                    "id_a": pa.array([], pa.int64()),
-                    "id_b": pa.array([], pa.int64()),
-                    "hamming": pa.array([], pa.int64()),
-                }
-            )
-        a = np.concatenate(out_a)
-        b = np.concatenate(out_b)
-        d = np.concatenate(out_d)
+        bounds = run_bounds(bk)
+        i, j = run_pairs(bounds[:-1], bounds[1:])
+        # vectorized popcount on uint64 via byte view
+        dist = (
+            np.unpackbits((sh[i] ^ sh[j]).view(np.uint8).reshape(-1, 8), axis=1)
+            .sum(axis=1)
+            .astype(np.int64)
+        )
+        keep = (dist <= max_hamming) & (ids[i] != ids[j])
+        a, b, d = ids[i][keep], ids[j][keep], dist[keep]
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         return pa.table(
             {
@@ -2821,23 +2761,15 @@ def containment_pairs(
         ns = group.column("n_sh").to_numpy(zero_copy_only=False)
         order = np.lexsort((ids, sh))
         sh, ids, ns = sh[order], ids[order], ns[order]
-        bounds = np.flatnonzero(np.r_[True, sh[1:] != sh[:-1], True])
-        out = {n: [] for n in ("id_a", "id_b", "n_a", "n_b")}
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            g = e - s
-            if g < 2:
-                continue
-            ii, jj = np.triu_indices(g, 1)
-            out["id_a"].append(ids[s + ii])
-            out["id_b"].append(ids[s + jj])
-            out["n_a"].append(ns[s + ii])
-            out["n_b"].append(ns[s + jj])
-        if not out["id_a"]:
-            return pa.table(
-                {n: pa.array([], pa.int64()) for n in out}
-            )
+        b = run_bounds(sh)
+        i, j = run_pairs(b[:-1], b[1:])
         return pa.table(
-            {n: pa.array(np.concatenate(v), pa.int64()) for n, v in out.items()}
+            {
+                "id_a": pa.array(ids[i], pa.int64()),
+                "id_b": pa.array(ids[j], pa.int64()),
+                "n_a": pa.array(ns[i], pa.int64()),
+                "n_b": pa.array(ns[j], pa.int64()),
+            }
         )
 
     pairs = partitioned_by_key(shingled, "shingle", partition_pairs, P)
@@ -3311,7 +3243,7 @@ def allpairs_jaccard(sf_dir: str, threshold_pct: int = 70, k: int = 3) -> "ray.d
           (co-location makes the count exact; no broadcast df table);
       (2) doc-keyed: per-doc (df, shingle) sort picks the prefix;
       (3) prefix-shingle-keyed: unique candidate pairs per partition
-          (triu per run, the module's pair idiom);
+          (_util.run_pairs over the shingle runs);
       (4) the verify is minhash_lsh_pairs' verify="join" plan with
           variable-length set payloads: each candidate splits into two
           half-rows that pick up their doc's FULL sorted shingle set in
@@ -3381,19 +3313,8 @@ def allpairs_jaccard(sf_dir: str, threshold_pct: int = 70, k: int = 3) -> "ray.d
         order = np.lexsort((ids, sh))
         sh, ids = sh[order], ids[order]
         b = run_bounds(sh)
-        out_a, out_b = [], []
-        for s, e in zip(b[:-1], b[1:]):
-            g = e - s
-            if g < 2:
-                continue
-            ii, jj = np.triu_indices(g, 1)
-            out_a.append(ids[s + ii])
-            out_b.append(ids[s + jj])
-        if not out_a:
-            z = pa.array([], pa.int64())
-            return pa.table({"id_a": z, "id_b": z})
-        a, bb = np.concatenate(out_a), np.concatenate(out_b)
-        uniq = np.unique(np.stack([a, bb], axis=1), axis=0)
+        i, j = run_pairs(b[:-1], b[1:])
+        uniq = np.unique(np.stack([ids[i], ids[j]], axis=1), axis=0)
         return pa.table(
             {
                 "id_a": pa.array(uniq[:, 0], pa.int64()),

@@ -24,6 +24,7 @@ from ._util import (
     partitioned_by_key,
     quantile_disc_pick,
     run_bounds,
+    run_pairs,
 )
 
 
@@ -5406,15 +5407,24 @@ ORDER BY price_cents, p_partkey
 # -- distributed triangle counting --------------------------------------------
 
 _TRI_SHIFT = 32  # composite edge key u<<32|v: partkeys must stay < 2^31
+_TRI_MASK = (1 << _TRI_SHIFT) - 1
+
+
+def _edge_ends(k: "np.ndarray") -> "tuple[np.ndarray, np.ndarray]":
+    """(u, v) endpoints of packed u<<32|v edge keys."""
+    return k >> _TRI_SHIFT, k & _TRI_MASK
 
 
 def _copurchase_edges(sf_dir: str, P: int) -> "ray.data.Dataset":
-    """THE deduped co-purchase edge set (packed u<<32|v keys, u < v),
-    shared by every part-graph operator (triangles, k-core, BFS): one
-    order-keyed shuffle expands per-order distinct part lists to triu
-    pairs, one edge-keyed shuffle dedups.  Materialized — the edge set
-    is the graph's sparse core, far smaller than lineitem, and every
-    caller reads it at least twice."""
+    """THE co-purchase edge set, the graph's only pair build: one row
+    per distinct edge — packed key k = u<<32|v with u < v, and
+    n_orders, the number of orders that hold both parts — shared by
+    every part-graph operator (triangles, clustering, degree histogram,
+    k-core, BFS, item similarity).  One order-keyed shuffle expands
+    each order's distinct parts with run_pairs and pre-counts the pairs
+    per block; one edge-keyed shuffle sums the counts.  Materialized —
+    the edge set is the graph's sparse core, far smaller than
+    lineitem, and every caller reads it at least twice."""
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
     def order_pk(batch: pa.Table) -> pa.Table:
@@ -5436,31 +5446,31 @@ def _copurchase_edges(sf_dir: str, P: int) -> "ray.data.Dataset":
         p = group.column("p").to_numpy(zero_copy_only=False)
         order = np.lexsort((p, o))
         o, p = o[order], p[order]
-        bounds = np.flatnonzero(np.r_[True, o[1:] != o[:-1], True])
-        keys: list[np.ndarray] = []
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            if e - s < 2:
-                continue
-            pp = np.unique(p[s:e])
-            if len(pp) < 2:
-                continue
-            ii, jj = np.triu_indices(len(pp), 1)
-            keys.append((pp[ii] << _TRI_SHIFT) | pp[jj])
-        if not keys:
-            return pa.table(
-                {"k": pa.array([], pa.int64()), "epk": pa.array([], pa.int32())}
-            )
-        k = np.unique(np.concatenate(keys))
+        keep = np.r_[True, (o[1:] != o[:-1]) | (p[1:] != p[:-1])]
+        o, p = o[keep], p[keep]
+        b = run_bounds(o)
+        i, j = run_pairs(b[:-1], b[1:])
+        k, n = np.unique((p[i] << _TRI_SHIFT) | p[j], return_counts=True)
         return pa.table(
             {
                 "k": pa.array(k, pa.int64()),
+                "n_orders": pa.array(n.astype(np.int64), pa.int64()),
                 "epk": pa.array((k % P).astype(np.int32), pa.int32()),
             }
         )
 
-    def dedup_edges(group: pa.Table) -> pa.Table:
-        k = np.unique(group.column("k").to_numpy(zero_copy_only=False))
-        return pa.table({"k": pa.array(k, pa.int64())})
+    def sum_edges(group: pa.Table) -> pa.Table:
+        k = group.column("k").to_numpy(zero_copy_only=False)
+        n = group.column("n_orders").to_numpy(zero_copy_only=False)
+        order = np.argsort(k, kind="stable")
+        k, n = k[order], n[order]
+        b = run_bounds(k)
+        return pa.table(
+            {
+                "k": pa.array(k[b[:-1]], pa.int64()),
+                "n_orders": pa.array(np.add.reduceat(n, b[:-1]), pa.int64()),
+            }
+        )
 
     by_order = exchange(
         li.map_batches(order_pk, batch_format="pyarrow", zero_copy_batch=True),
@@ -5468,7 +5478,31 @@ def _copurchase_edges(sf_dir: str, P: int) -> "ray.data.Dataset":
         P,
         order_pairs,
     )
-    return exchange(by_order, "epk", P, dedup_edges).materialize()
+    return exchange(by_order, "epk", P, sum_edges).materialize()
+
+
+def _endpoint_counts(batch: pa.Table) -> pa.Table:
+    """Per-batch (node, degree) partials of an edge batch."""
+    u, v = _edge_ends(batch.column("k").to_numpy(zero_copy_only=False))
+    node, c = np.unique(np.concatenate([u, v]), return_counts=True)
+    return pa.table(
+        {
+            "node": pa.array(node, pa.int64()),
+            "degree": pa.array(c.astype(np.int64), pa.int64()),
+        }
+    )
+
+
+def _copurchase_degrees(edges: "ray.data.Dataset") -> "ray.data.Dataset":
+    """(node, degree) of every part with an edge: per-batch np.unique
+    partials merged by one node-keyed aggregate."""
+    return keyed_aggregate(
+        edges.map_batches(
+            _endpoint_counts, batch_format="pyarrow", zero_copy_batch=True
+        ),
+        "node",
+        {"degree": ("degree", "sum")},
+    )
 
 
 def copurchase_triangles(sf_dir: str) -> pa.Table:
@@ -5476,42 +5510,38 @@ def copurchase_triangles(sf_dir: str) -> pa.Table:
     are adjacent) — the distributed triangle count, the canonical
     "joins explode unless you orient" graph exercise.
 
-    Plan: (1) one keyed shuffle by ORDER builds per-order part pairs
-    (per-run triu expansion, the dedup.partition_pairs idiom);
-    (2) one keyed shuffle by composite edge key dedups to the distinct
-    edge set; (3) degrees are a bounded per-node rollup (part is the
-    dimension side — broadcast once; at extreme part cardinality this
-    becomes a repartition join instead); edges are then ORIENTED
-    low-degree→high-degree, which bounds every out-neighborhood by
-    O(√m) so wedge generation cannot explode on hot parts;
-    (4) one final keyed shuffle co-locates wedges with candidate edges
-    by composite key and counts matches with np.isin — each triangle
-    is found exactly once (its lowest-degree vertex generates the
-    wedge).  Output: one exact row."""
+    Plan: (1) _copurchase_edges builds the distinct edge set (an
+    order-keyed run_pairs expansion, then an edge-keyed shuffle);
+    (2) degrees are a bounded per-node rollup (_copurchase_degrees);
+    (3) _count_triangles orients the edges and matches wedges against
+    them.  Output: one exact row."""
     from ._util import wide_partitions
 
     P = wide_partitions()
-    edges = _copurchase_edges(sf_dir, P)  # reused twice (degrees + match)
+    edges = _copurchase_edges(sf_dir, P)
+    deg = ensure_columns(_copurchase_degrees(edges).to_pandas(), ["node", "degree"])
+    n = _count_triangles(edges, deg, P)
+    return pa.table({"n_triangles": pa.array([n], pa.int64())})
 
-    def endpoints(batch: pa.Table) -> pa.Table:
-        k = batch.column("k").to_numpy(zero_copy_only=False)
-        nodes = np.concatenate([k >> _TRI_SHIFT, k & ((1 << _TRI_SHIFT) - 1)])
-        return pa.table({"node": pa.array(nodes, pa.int64())})
 
-    deg = keyed_aggregate(
-        edges.map_batches(endpoints, batch_format="pyarrow", zero_copy_batch=True),
-        "node",
-        {"deg": ("node", "count")},
-    ).to_pandas()
+def _count_triangles(edges, deg, P: int) -> int:
+    """Exact triangle count of a distinct edge set given its degrees.
+    ``deg`` is the (node, degree) frame of _copurchase_degrees, one row
+    per part.  Edges are ORIENTED low-degree→high-degree (the degrees
+    are broadcast once), which bounds every out-neighborhood by
+    O(√m) so wedge generation cannot explode on hot parts; one
+    source-keyed shuffle emits each source's out-neighbor pairs with
+    run_pairs, and one final keyed shuffle co-locates wedges with
+    candidate edges by composite key and counts matches with np.isin —
+    each triangle is found exactly once (its lowest-degree vertex
+    generates the wedge)."""
     deg_keys = pa.array(deg["node"].to_numpy().astype(np.int64), pa.int64())
-    deg_vals = deg["deg"].to_numpy().astype(np.int64)
+    deg_vals = deg["degree"].to_numpy().astype(np.int64)
     deg_ref = ray.put((deg_keys, deg_vals))
 
     def orient(batch: pa.Table) -> pa.Table:
         keys, vals = ray.get(deg_ref)
-        k = batch.column("k").to_numpy(zero_copy_only=False)
-        u = k >> _TRI_SHIFT
-        v = k & ((1 << _TRI_SHIFT) - 1)
+        u, v = _edge_ends(batch.column("k").to_numpy(zero_copy_only=False))
         du = vals[pc.index_in(pa.array(u, pa.int64()), value_set=keys).to_numpy(
             zero_copy_only=False)]
         dv = vals[pc.index_in(pa.array(v, pa.int64()), value_set=keys).to_numpy(
@@ -5532,21 +5562,10 @@ def copurchase_triangles(sf_dir: str) -> pa.Table:
         s = group.column("src").to_numpy(zero_copy_only=False)
         d = group.column("dst").to_numpy(zero_copy_only=False)
         order = np.lexsort((d, s))
-        s, d = s[order], d[order]
-        bounds = np.flatnonzero(np.r_[True, s[1:] != s[:-1], True])
-        keys: list[np.ndarray] = []
-        for a, e in zip(bounds[:-1], bounds[1:]):
-            g = e - a
-            if g < 2:
-                continue
-            dd = d[a:e]  # sorted, distinct (edges are distinct)
-            ii, jj = np.triu_indices(g, 1)
-            keys.append((dd[ii] << _TRI_SHIFT) | dd[jj])
-        k = (
-            np.concatenate(keys)
-            if keys
-            else np.empty(0, dtype=np.int64)
-        )
+        s, d = s[order], d[order]  # d sorted and distinct within each run
+        b = run_bounds(s)
+        i, j = run_pairs(b[:-1], b[1:])
+        k = (d[i] << _TRI_SHIFT) | d[j]
         return pa.table(
             {
                 "k": pa.array(k, pa.int64()),
@@ -5582,8 +5601,7 @@ def copurchase_triangles(sf_dir: str) -> pa.Table:
         edges.map_batches(edge_side, batch_format="pyarrow", zero_copy_batch=True)
     )
     parts = exchange(both, "mpk", P, match_count).to_pandas()
-    total = int(parts["n"].sum()) if len(parts) else 0
-    return pa.table({"n_triangles": pa.array([total], pa.int64())})
+    return int(parts["n"].sum()) if len(parts) else 0
 
 
 COPURCHASE_TRIANGLES_SQL = """
@@ -6402,71 +6420,16 @@ def copurchase_degree_hist(sf_dir: str) -> "ray.data.Dataset":
     when they share an order): how many parts have degree d, for each d.
     The graph-profile companion to copurchase_triangles.
 
-    Scale shape: per-order triu pair expansion under ONE order-keyed
-    shuffle (the dedup.partition_pairs idiom, output-bound), composite
-    int64 edge keys dedup under a second keyed shuffle, then degrees are
-    a (node, count) partial-agg rollup and the histogram a second
-    bounded rollup over ≤ max-degree rows.  Nothing materializes beyond
-    the edge set, which is the graph's sparse core."""
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
+    Scale shape: the shared edge build (_copurchase_edges), the shared
+    (node, degree) rollup (_copurchase_degrees), then the histogram is a
+    second bounded rollup over ≤ max-degree rows.  Nothing materializes
+    beyond the edge set, which is the graph's sparse core."""
+    from ._util import wide_partitions
 
-    def narrow(batch: pa.Table) -> pa.Table:
-        o = batch.column("l_orderkey").to_numpy(zero_copy_only=False)
-        p = batch.column("l_partkey").to_numpy(zero_copy_only=False)
-        if p.size and int(p.max()) >= (1 << (_TRI_SHIFT - 1)):
-            raise OverflowError("partkey exceeds composite-key bound (2^31)")
-        u = np.unique(np.stack([o, p], axis=1), axis=0)
-        return pa.table(
-            {"o": pa.array(u[:, 0], pa.int64()), "p": pa.array(u[:, 1], pa.int64())}
-        )
-
-    def order_pairs(part: pa.Table) -> pa.Table:
-        o = part.column("o").to_numpy(zero_copy_only=False)
-        p = part.column("p").to_numpy(zero_copy_only=False)
-        order = np.lexsort((p, o))
-        o, p = o[order], p[order]
-        keep = np.r_[True, (o[1:] != o[:-1]) | (p[1:] != p[:-1])]
-        o, p = o[keep], p[keep]
-        bounds = run_bounds(o)
-        keys: list[np.ndarray] = []
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            if e - s < 2:
-                continue
-            pp = p[s:e]
-            ii, jj = np.triu_indices(e - s, 1)
-            keys.append((pp[ii] << _TRI_SHIFT) | pp[jj])
-        k = (
-            np.unique(np.concatenate(keys))
-            if keys
-            else np.array([], np.int64)
-        )
-        return pa.table({"ek": pa.array(k, pa.int64())})
-
-    def dedup_and_endpoints(part: pa.Table) -> pa.Table:
-        k = np.unique(part.column("ek").to_numpy(zero_copy_only=False))
-        nodes = np.concatenate([k >> _TRI_SHIFT, k & ((1 << _TRI_SHIFT) - 1)])
-        n, c = np.unique(nodes, return_counts=True)
-        return pa.table(
-            {
-                "node": pa.array(n, pa.int64()),
-                "c": pa.array(c.astype(np.int64), pa.int64()),
-            }
-        )
-
-    deg = keyed_aggregate(
-        partitioned_by_key(
-            partitioned_by_key(
-                li.map_batches(narrow, batch_format="pyarrow", zero_copy_batch=True),
-                "o",
-                order_pairs,
-            ),
-            "ek",
-            dedup_and_endpoints,
-        ),
-        "node",
-        {"degree": ("c", "sum")},
+    edges = _copurchase_edges(sf_dir, wide_partitions())
+    return keyed_aggregate(
+        _copurchase_degrees(edges), "degree", {"n_parts": ("degree", "count")}
     )
-    return keyed_aggregate(deg, "degree", {"n_parts": ("degree", "count")})
 
 
 COPURCHASE_DEGREE_HIST_SQL = """
@@ -6891,7 +6854,7 @@ def brand_affinity_lift(sf_dir: str) -> "ray.data.Dataset":
     code is its rank among the distinct brands, a brand-grain keyed
     aggregate over part, so one code holds for the whole run; per-order
     distinct brand sets collapse under ONE order-keyed shuffle (≤25
-    brands per order → the triu expansion is bounded per order); pair
+    brands per order → the run_pairs expansion is bounded per order); pair
     and marginal counts are bounded rollups (≤ brands² rows); the lift
     arithmetic is a driver-side O(brands²) pass with an explicit int64
     overflow guard (1000·N·c_ab must stay < 2^63 — trips loudly at
@@ -6927,20 +6890,10 @@ def brand_affinity_lift(sf_dir: str) -> "ray.data.Dataset":
         keep = np.r_[True, (o[1:] != o[:-1]) | (b[1:] != b[:-1])]
         o, b = o[keep], b[keep]
         bounds = run_bounds(o)
-        pair_keys: list[np.ndarray] = []
-        sing_keys: list[np.ndarray] = [b]
         n_orders = len(bounds) - 1
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            if e - s < 2:
-                continue
-            bb = b[s:e]
-            ii, jj = np.triu_indices(e - s, 1)
-            pair_keys.append(bb[ii] * 1000 + bb[jj])
-        pk = (
-            np.concatenate(pair_keys) if pair_keys else np.zeros(0, np.int64)
-        )
-        up, cp = np.unique(pk, return_counts=True)
-        us, cs = np.unique(np.concatenate(sing_keys), return_counts=True)
+        i, j = run_pairs(bounds[:-1], bounds[1:])
+        up, cp = np.unique(b[i] * 1000 + b[j], return_counts=True)
+        us, cs = np.unique(b, return_counts=True)
         # three row kinds ride one schema: kind 0 = order count, 1 =
         # single-brand marginal, 2 = pair count
         return pa.table(
@@ -11445,8 +11398,8 @@ def kcore_decompose(sf_dir: str) -> pa.Table:
     termination; a hand-graph pytest additionally pins the peeling
     against a sequential reference.
 
-    Scale shape: the edge build is fully distributed (order-keyed triu
-    expansion then edge-keyed dedup — the copurchase_triangles plan).
+    Scale shape: the edge build is fully distributed (the shared
+    _copurchase_edges: order-keyed run_pairs expansion, edge-keyed sum).
     Peeling then follows the connected-components VOLUME ROUTER
     precedent: the deduped edge set (the graph's sparse core, ~1.5% of
     lineitem rows here) gathers to ONE vectorized kernel up to
@@ -11473,7 +11426,7 @@ def kcore_decompose(sf_dir: str) -> pa.Table:
         )
     else:
         ek = np.array([], np.int64)
-    cores = _kcore_peel(ek >> _TRI_SHIFT, ek & ((1 << _TRI_SHIFT) - 1))
+    cores = _kcore_peel(*_edge_ends(ek))
     if not cores:
         return pa.table(
             {
@@ -11741,7 +11694,6 @@ FROM s
 """
 
 
-_TRI_MASK = (1 << _TRI_SHIFT) - 1
 _KCORE_DROP_BCAST = 1_000_000  # drop-set broadcast threshold (test-pinned)
 
 
@@ -11757,15 +11709,9 @@ def _kcore_loop(edges_ds) -> pa.Table:
     bounded by the graph's degeneracy plus per-level cascade length
     (small on co-purchase-shaped graphs — documented assumption)."""
     def endpoints(batch: pa.Table) -> pa.Table:
-        ek = batch.column("k").to_numpy(zero_copy_only=False)
-        nodes = np.concatenate([ek >> _TRI_SHIFT, ek & _TRI_MASK])
-        n, c = np.unique(nodes, return_counts=True)
-        return pa.table(
-            {
-                "node": pa.array(n.astype(np.int64), pa.int64()),
-                "cnt": pa.array(c.astype(np.int64), pa.int64()),
-                "is_node": pa.array(np.zeros(len(n), np.int64), pa.int64()),
-            }
+        part = _endpoint_counts(batch)
+        return part.append_column(
+            "is_node", pa.array(np.zeros(part.num_rows, np.int64), pa.int64())
         )
 
     def as_alive_rows(batch: pa.Table) -> pa.Table:
@@ -11773,17 +11719,13 @@ def _kcore_loop(edges_ds) -> pa.Table:
         return pa.table(
             {
                 "node": batch.column("node"),
-                "cnt": pa.array(np.zeros(n, np.int64), pa.int64()),
+                "degree": pa.array(np.zeros(n, np.int64), pa.int64()),
                 "is_node": pa.array(np.ones(n, np.int64), pa.int64()),
             }
         )
 
     edges = edges_ds.materialize()
-    alive = keyed_aggregate(
-        edges.map_batches(endpoints, batch_format="pyarrow", zero_copy_batch=True),
-        "node",
-        {},
-    ).materialize()
+    alive = _copurchase_degrees(edges).materialize()
     hist: dict[int, int] = {}
     k = 1
     while alive.count() > 0:
@@ -11791,7 +11733,7 @@ def _kcore_loop(edges_ds) -> pa.Table:
 
             def peel_kernel(part: pa.Table, _k: int = k) -> pa.Table:
                 node = part.column("node").to_numpy(zero_copy_only=False)
-                cnt = part.column("cnt").to_numpy(zero_copy_only=False)
+                cnt = part.column("degree").to_numpy(zero_copy_only=False)
                 isn = part.column("is_node").to_numpy(zero_copy_only=False)
                 order = np.argsort(node, kind="stable")
                 node, cnt, isn = node[order], cnt[order], isn[order]
@@ -11865,8 +11807,7 @@ def _kcore_loop(edges_ds) -> pa.Table:
                 def bfilter(batch: pa.Table) -> pa.Table:
                     ids = ray.get(drop_ref)
                     ek = batch.column("k").to_numpy(zero_copy_only=False)
-                    u = ek >> _TRI_SHIFT
-                    v = ek & _TRI_MASK
+                    u, v = _edge_ends(ek)
                     pos_u = np.searchsorted(ids, u)
                     pos_v = np.searchsorted(ids, v)
                     bad_u = (pos_u < len(ids)) & (
@@ -11887,7 +11828,7 @@ def _kcore_loop(edges_ds) -> pa.Table:
 
                 def edge_rows(batch: pa.Table, _s: int = side) -> pa.Table:
                     ek = batch.column("k").to_numpy(zero_copy_only=False)
-                    node = (ek >> _TRI_SHIFT) if _s == 0 else (ek & _TRI_MASK)
+                    node = _edge_ends(ek)[_s]
                     return pa.table(
                         {
                             "node": pa.array(node.astype(np.int64), pa.int64()),
@@ -12311,105 +12252,24 @@ def item_similarity_topk(sf_dir: str) -> "ray.data.Dataset":
     primitive, kept integer-exact (raw intersection counts, no float
     similarity) so the oracle hashes bit-for-bit.
 
-    Scale shape: three keyed shuffles, none all-to-all on raw rows —
-    (1) order-keyed: per-order part lists expand to directed pairs with
-    a per-run triu sweep, pre-collapsed to (packed pair key, partial
-    count) with np.unique BEFORE leaving the task, so the wire carries
-    pair partials, not the quadratic expansion re-counted downstream;
-    (2) a pair-keyed aggregate sums partials into exact shared-order counts;
-    (3) src-keyed: one lexsort kernel per exchange block ranks every
-    part's neighbor list at once (partitioned_by_key — UDF calls bounded
-    by min(P, 2 × CPUs), not by #parts).  Pair keys pack (src,dst) into ONE int64
-    (the sort-groupby ~10 µs/row finding: never group on two columns
-    when one packed key works).  Giant orders are the skew risk: a
-    k-item order emits k(k-1) pairs, bounded here by the order schema
-    (orders cap out at tens of lines); a marketplace-basket variant
-    would cap or sample per-order part lists first."""
+    Scale shape: the shared edge build (_copurchase_edges) already
+    carries each a<b pair's exact shared-order count; each edge is
+    mirrored into both directions, and one src-keyed shuffle runs one
+    lexsort kernel per exchange block that ranks every part's neighbor
+    list at once (partitioned_by_key — UDF calls bounded by
+    min(P, 2 × CPUs), not by #parts).  Giant orders are the skew risk:
+    a k-item order emits k(k-1)/2 pairs, bounded here by the order
+    schema (orders cap out at tens of lines); a marketplace-basket
+    variant would cap or sample per-order part lists first."""
     from ._util import wide_partitions
 
     P = wide_partitions()
-    MASK = (1 << _TRI_SHIFT) - 1
-    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-
-    def order_pk(batch: pa.Table) -> pa.Table:
-        o = batch.column("l_orderkey").to_numpy(zero_copy_only=False)
-        p = batch.column("l_partkey").to_numpy(zero_copy_only=False)
-        if p.size and int(p.max()) >= (1 << (_TRI_SHIFT - 1)):
-            raise OverflowError("partkey exceeds composite-key bound (2^31)")
-        u = np.unique(np.stack([o, p], axis=1), axis=0)
-        return pa.table(
-            {
-                "o": pa.array(u[:, 0], pa.int64()),
-                "p": pa.array(u[:, 1], pa.int64()),
-            }
-        )
-
-    def pair_partials(part: pa.Table) -> pa.Table:
-        o = part.column("o").to_numpy(zero_copy_only=False)
-        p = part.column("p").to_numpy(zero_copy_only=False)
-        order = np.lexsort((p, o))
-        o, p = o[order], p[order]
-        keep = np.r_[True, (o[1:] != o[:-1]) | (p[1:] != p[:-1])]
-        o, p = o[keep], p[keep]
-        b = run_bounds(o)
-        keys = []
-        for i in range(len(b) - 1):
-            pp = p[b[i] : b[i + 1]]
-            if len(pp) < 2:
-                continue
-            ii, jj = np.triu_indices(len(pp), k=1)
-            # canonical a<b keys only — shared counts are symmetric, so
-            # the reverse direction is reconstructed AFTER the pair
-            # sum (in unpack), halving stage-2 shuffle volume.
-            keys.append((pp[ii] << _TRI_SHIFT) | pp[jj])
-        if not keys:
-            z = pa.array([], pa.int64())
-            return pa.table({"k": z, "n": z})
-        k, n = np.unique(np.concatenate(keys), return_counts=True)
-        return pa.table(
-            {
-                "k": pa.array(k, pa.int64()),
-                "n": pa.array(n.astype(np.int64), pa.int64()),
-            }
-        )
-
-    def sum_pairs(part: pa.Table) -> pa.Table:
-        """Per-block pair-count rollup: ONE np.unique + reduceat kernel
-        per exchange block sums every pair's partial counts."""
-        k = part.column("k").to_numpy(zero_copy_only=False)
-        n = part.column("n").to_numpy(zero_copy_only=False)
-        order = np.argsort(k, kind="stable")
-        k, n = k[order], n[order]
-        b = run_bounds(k)
-        sums = np.add.reduceat(n, b[:-1])
-        return pa.table(
-            {
-                "k": pa.array(k[b[:-1]], pa.int64()),
-                "shared": pa.array(sums.astype(np.int64), pa.int64()),
-            }
-        )
-
-    pairs = partitioned_by_key(
-        partitioned_by_key(
-            li.map_batches(order_pk, batch_format="pyarrow", zero_copy_batch=True),
-            "o",
-            pair_partials,
-            P=P,
-        ),
-        "k",
-        sum_pairs,
-        P=P,
-    )
+    edges = _copurchase_edges(sf_dir, P)
 
     def unpack(batch: pa.Table) -> pa.Table:
-        """Mirror each canonical a<b pair into both directions — rows
-        here are already collapsed to distinct pairs."""
-        k = batch.column("k").to_numpy(zero_copy_only=False)
-        a = k >> _TRI_SHIFT
-        b = k & MASK
-        s = pc.cast(batch.column("shared"), pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
+        """Mirror each canonical a<b edge into both directions."""
+        a, b = _edge_ends(batch.column("k").to_numpy(zero_copy_only=False))
+        s = batch.column("n_orders").to_numpy(zero_copy_only=False)
         return pa.table(
             {
                 "src": pa.array(np.concatenate([a, b]), pa.int64()),
@@ -12438,7 +12298,7 @@ def item_similarity_topk(sf_dir: str) -> "ray.data.Dataset":
         )
 
     return partitioned_by_key(
-        pairs.map_batches(unpack, batch_format="pyarrow", zero_copy_batch=True),
+        edges.map_batches(unpack, batch_format="pyarrow", zero_copy_batch=True),
         "src",
         topk,
         P=P,
@@ -12479,8 +12339,8 @@ def copurchase_bfs_depth(sf_dir: str, max_depth: int = _BFS_MAX_DEPTH) -> pa.Tab
     (components = label spreading, kcore = monotone peel, this =
     level-synchronous BFS).
 
-    Scale shape: the edge build is the copurchase_triangles plan (order-
-    keyed triu expansion, edge-keyed dedup).  Then the VOLUME ROUTER
+    Scale shape: the edge build is the shared _copurchase_edges (order-
+    keyed run_pairs expansion, edge-keyed sum).  Then the VOLUME ROUTER
     precedent (connected components / kcore): up to
     ``_GRAPH_GATHER_EDGES`` edges the sparse deduped edge set gathers
     to ONE vectorized CSR-BFS kernel; above it the same
@@ -12531,8 +12391,7 @@ def copurchase_bfs_depth(sf_dir: str, max_depth: int = _BFS_MAX_DEPTH) -> pa.Tab
                     )
                 ]
             )
-            u = ek >> _TRI_SHIFT
-            v = ek & ((1 << _TRI_SHIFT) - 1)
+            u, v = _edge_ends(ek)
         else:
             u = v = np.array([], np.int64)
         nodes = np.unique(np.concatenate([u, v, [seed]]))
@@ -12567,9 +12426,7 @@ def copurchase_bfs_depth(sf_dir: str, max_depth: int = _BFS_MAX_DEPTH) -> pa.Tab
 
     # loop arm: level-synchronous distributed BFS
     def both_dirs(batch: pa.Table) -> pa.Table:
-        k = batch.column("k").to_numpy(zero_copy_only=False)
-        u = k >> _TRI_SHIFT
-        v = k & ((1 << _TRI_SHIFT) - 1)
+        u, v = _edge_ends(batch.column("k").to_numpy(zero_copy_only=False))
         return pa.table(
             {
                 "src": pa.array(np.concatenate([u, v]), pa.int64()),
@@ -12637,31 +12494,10 @@ def copurchase_bfs_depth(sf_dir: str, max_depth: int = _BFS_MAX_DEPTH) -> pa.Tab
     counts = keyed_aggregate(
         visited, "depth", {"n_nodes": ("depth", "count")}
     ).to_pandas()
-    def endpoint_partial(batch: pa.Table) -> pa.Table:
-        """Distinct endpoints per edge batch: the node-keyed distinct
-        count then shuffles the pre-deduped endpoint set (edges_ds
-        batches are epk-partitioned so local uniquing collapses hard),
-        not 2×|edges| raw rows."""
-        k = batch.column("k").to_numpy(zero_copy_only=False)
-        n = np.unique(
-            np.concatenate([k >> _TRI_SHIFT, k & ((1 << _TRI_SHIFT) - 1)])
-        )
-        return pa.table({"node": pa.array(n, pa.int64())})
-
-    n_nodes_total = int(
-        partitioned_by_key(
-            edges_ds.map_batches(
-                endpoint_partial, batch_format="pyarrow", zero_copy_batch=True
-            ).union(
-                ray.data.from_arrow(
-                    pa.table({"node": pa.array([seed], pa.int64())})
-                )
-            ),
-            "node",
-            uniq_nodes,  # one np.unique kernel per exchange block — not a
-            P=P,  # sort groupby over node cardinality (the 10 µs/row rule)
-        ).count()
-    )
+    # every part with an edge, plus the seed when it has none
+    degrees = _copurchase_degrees(edges_ds).materialize()
+    seed_has_edge = degrees.filter(expr=f"node == {seed}").count() > 0
+    n_nodes_total = degrees.count() + (0 if seed_has_edge else 1)
     reached_total = int(counts["n_nodes"].sum())
     depths = counts["depth"].to_numpy().astype(np.int64)
     ns = counts["n_nodes"].to_numpy().astype(np.int64)
@@ -12947,32 +12783,20 @@ def copurchase_clustering_coeff(sf_dir: str) -> pa.Table:
     """Global clustering coefficient of the part co-purchase graph:
     C = 3·triangles / wedges, reported as exact integer ppm — the
     one-number density diagnostic read next to the triangle count and
-    the k-core profile.  Triangles reuse copurchase_triangles
-    wholesale; wedges are a bounded per-node rollup over the SAME
-    shared edge set (Σ deg·(deg−1)/2), so the marginal cost over the
-    triangle count is one degree aggregation.  Integer exact: ppm =
+    the k-core profile.  One edge build and one degree rollup feed both
+    counts: triangles through _count_triangles (the copurchase_triangles
+    plan) and wedges as Σ deg·(deg−1)/2 over the degree rows, so the
+    whole query runs five keyed shuffles.  Integer exact: ppm =
     3_000_000·t // w (0 when the graph has no wedges)."""
     from ._util import wide_partitions
 
     P = wide_partitions()
-    tri = int(copurchase_triangles(sf_dir).column("n_triangles")[0].as_py())
     edges = _copurchase_edges(sf_dir, P)
-
-    def endpoints(batch: pa.Table) -> pa.Table:
-        k = batch.column("k").to_numpy(zero_copy_only=False)
-        nodes = np.concatenate([k >> _TRI_SHIFT, k & ((1 << _TRI_SHIFT) - 1)])
-        return pa.table({"node": pa.array(nodes, pa.int64())})
-
-    deg = keyed_aggregate(
-        edges.map_batches(endpoints, batch_format="pyarrow", zero_copy_batch=True),
-        "node",
-        {"deg": ("node", "count")},
-    ).to_pandas()  # bounded: one row per part
-    if deg.empty:
-        wedges = 0
-    else:
-        d = deg["deg"].to_numpy().astype(np.int64)
-        wedges = int((d * (d - 1) // 2).sum())
+    # bounded: one row per part
+    deg = ensure_columns(_copurchase_degrees(edges).to_pandas(), ["node", "degree"])
+    tri = _count_triangles(edges, deg, P)
+    d = deg["degree"].to_numpy().astype(np.int64)
+    wedges = int((d * (d - 1) // 2).sum())
     ppm = 3_000_000 * tri // wedges if wedges else 0
     return pa.table(
         {

@@ -196,6 +196,34 @@ def test_one_keyed_exchange():
     assert not offenders, offenders
 
 
+_TRIU_ALLOWED = {
+    ("functions/_util.py", "run_pairs"),
+    ("functions/similarity.py", "gram_matrix"),
+}
+
+
+def test_one_within_run_pair_expansion():
+    """Pairs i < j inside sorted runs come from _util.run_pairs, the one
+    vectorized expansion.  Fails on any ``triu_indices`` call under
+    go_boilerpipe_ray/ outside run_pairs and similarity.gram_matrix
+    (whose d×d upper triangle is not a per-run expansion)."""
+    pkg = REPO / "go_boilerpipe_ray"
+    offenders = []
+    for path in sorted(pkg.rglob("*.py")):
+        module = str(path.relative_to(pkg))
+        for top in ast.parse(path.read_text()).body:
+            name = getattr(top, "name", "<module>")
+            offenders += [
+                f"{module}:{node.lineno} {name}"
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "triu_indices"
+                and (module, name) not in _TRIU_ALLOWED
+            ]
+    assert not offenders, offenders
+
+
 def test_every_oracle_sql_plans_in_duckdb():
     """EXPLAIN every oracle_sql() entry against the real sf0.001 views —
     catches SQL syntax/column drift instantly, without executing any

@@ -4773,10 +4773,14 @@ def test_copurchase_triangles_crafted(tmp_path):
     # o3 = {4,5,1}, o4 = {1,2} (duplicate edge must not double count).
     # Triangles: {1,2,3}, {1,3,4} (via o2+o3 edges) and {1,4,5}.  A
     # repeated (order, part) row and single-part orders are noise the
-    # pipeline must ignore.
+    # pipeline must ignore.  The clustering coefficient runs on the same
+    # graph and on an empty lineitem.
     import pandas as pd
 
-    from go_boilerpipe_ray.functions.relational import copurchase_triangles
+    from go_boilerpipe_ray.functions.relational import (
+        copurchase_clustering_coeff,
+        copurchase_triangles,
+    )
 
     rows = [
         (1, 1), (1, 2), (1, 3), (1, 3),
@@ -4790,6 +4794,23 @@ def test_copurchase_triangles_crafted(tmp_path):
     )
     got = copurchase_triangles(str(tmp_path)).to_pandas()
     assert int(got.loc[0, "n_triangles"]) == 3
+
+    # Distinct edges 12 13 23 34 14 15 45; part 9 has none.  Degrees
+    # d(1)=4, d(2)=2, d(3)=3, d(4)=3, d(5)=2, so the wedges are
+    # Σ d(d-1)/2 = 6 + 1 + 3 + 3 + 1 = 14 and ppm = 3_000_000·3 // 14.
+    cc = copurchase_clustering_coeff(str(tmp_path)).to_pylist()
+    assert cc == [
+        {"n_triangles": 3, "n_wedges": 14, "clustering_ppm": 642_857}
+    ]
+
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    pd.DataFrame(
+        {"l_orderkey": pd.Series([], dtype="int64"), "l_partkey": pd.Series([], dtype="int64")}
+    ).to_parquet(empty / "lineitem.parquet")
+    assert copurchase_clustering_coeff(str(empty)).to_pylist() == [
+        {"n_triangles": 0, "n_wedges": 0, "clustering_ppm": 0}
+    ]
 
 
 def test_copurchase_triangles_bruteforce_sf0001():

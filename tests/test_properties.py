@@ -836,3 +836,45 @@ def test_merge_next_matches_original(rows):
     for nxt in got_rest:
         got.merge_next(nxt)
     assert _block_state(got_doc) == _block_state(want_doc)
+
+
+def _triu_loop_pairs(starts, ends):
+    """The per-run loop run_pairs replaces: np.triu_indices per run."""
+    import numpy as np
+
+    ia, ib = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for s, e in zip(starts, ends):
+        if e - s < 2:
+            continue
+        ii, jj = np.triu_indices(e - s, 1)
+        ia.append(s + ii)
+        ib.append(s + jj)
+    return np.concatenate(ia).astype(np.int64), np.concatenate(ib).astype(np.int64)
+
+
+# (run size, kept) per run; a dropped run is masked out of starts/ends,
+# as ngram_jaccard_pairs drops shingles past max_df
+_runs = st.lists(st.tuples(st.integers(0, 12), st.booleans()), max_size=40)
+
+
+@given(_runs)
+@settings(max_examples=300, deadline=None)
+@example(runs=[])
+@example(runs=[(1, True)] * 20)
+@example(runs=[(300, True)])
+@example(runs=[(0, True), (1, True), (2, True), (7, True), (1, True), (40, True)])
+@example(runs=[(5, False), (3, True), (9, False), (1, True), (4, True)])
+def test_run_pairs_matches_per_run_triu_loop(runs):
+    import numpy as np
+
+    from go_boilerpipe_ray.functions._util import run_pairs
+
+    sizes = np.array([n for n, _ in runs], np.int64)
+    kept = np.array([k for _, k in runs], bool)
+    bounds = np.r_[0, np.cumsum(sizes)].astype(np.int64)
+    starts, ends = bounds[:-1][kept], bounds[1:][kept]
+    got_i, got_j = run_pairs(starts, ends)
+    want_i, want_j = _triu_loop_pairs(starts, ends)
+    assert got_i.dtype == got_j.dtype == np.int64
+    np.testing.assert_array_equal(got_i, want_i)
+    np.testing.assert_array_equal(got_j, want_j)
